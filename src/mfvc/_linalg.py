@@ -113,14 +113,3 @@ class Subspace:
 
     def dim(self):
         return len(self.rows)
-
-
-def quotient_basis(ker_vectors, im_vectors):
-    """Vectors among ker_vectors spanning ker/im (representatives)."""
-    im = Subspace(im_vectors)
-    total = Subspace(im_vectors)
-    reps = []
-    for v in ker_vectors:
-        if total.add(v):
-            reps.append(v)
-    return reps, im

@@ -247,7 +247,10 @@ def neck_crossings_from_profile(spec: FamilySpec, lm, LM):
 def intersection_table(spec: FamilySpec):
     """Geometric intersection counts between distinct vanishing cycles,
     keyed by ordered pairs (earlier, later) in the schedule order."""
-    schedule = path_schedule(spec)
+    return _intersections(path_schedule(spec))
+
+
+def _intersections(schedule: PathSchedule):
     order = schedule.order
     pos = {lab: k for k, lab in enumerate(order)}
     table = {}
@@ -292,7 +295,10 @@ def grading_degrees(spec: FamilySpec):
     sit at -1/2, except the bp waist which moves first in the order and
     takes +1/2.  Every generator must land in degree 0."""
     schedule = path_schedule(spec)
-    table = intersection_table(spec)
+    return _grading_degrees(schedule, _intersections(schedule))
+
+
+def _grading_degrees(schedule: PathSchedule, table):
     thetas = sorted({th for th in schedule.theta.values()})
     rank = {th: k for k, th in enumerate(thetas)}
     nlevels = len(thetas)
@@ -358,18 +364,6 @@ def random_grid_signs(A, B, seed):
 # the directed algebra
 
 
-@dataclass
-class VanishingCycleModel:
-    spec: FamilySpec
-    schedule: PathSchedule
-    intersections: dict
-    lifts: dict
-    degrees: dict
-    algebra: DirectedAlgebra
-    genus: int
-    punctures: int
-
-
 def assemble_directed_algebra(spec: FamilySpec, seed=None):
     """Directed algebra of the vanishing cycles.
 
@@ -379,8 +373,8 @@ def assemble_directed_algebra(spec: FamilySpec, seed=None):
     signed generators, and after the sign sweep (run here on a seeded
     random assignment when requested) all signs are +1."""
     schedule = path_schedule(spec)
-    table = intersection_table(spec)
-    lifts, degrees = grading_degrees(spec)
+    table = _intersections(schedule)
+    _, degrees = _grading_degrees(schedule, table)
     # a random initial sign assignment must rectify to the same table
     A, B = spec.p - 1, spec.q - 1
     if seed is not None and A >= 2 and B >= 2:
@@ -417,17 +411,6 @@ def surface_invariants(spec: FamilySpec):
     if spec.milnor() != 2 * g + punctures - 1:
         raise ArithmeticError(f"rank identity fails for {spec}")
     return {"genus": g, "punctures": punctures, "milnor": spec.milnor()}
-
-
-def vanishing_cycle_model(spec: FamilySpec, seed=None):
-    schedule = path_schedule(spec)
-    table = intersection_table(spec)
-    lifts, degrees = grading_degrees(spec)
-    algebra = assemble_directed_algebra(spec, seed=seed)
-    inv = surface_invariants(spec)
-    return VanishingCycleModel(
-        spec, schedule, table, lifts, degrees, algebra, inv["genus"], inv["punctures"]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,13 @@ def cmd_transport_verify(args):
     return 0 if all(r["ok"] for r in reports) else 1
 
 
+def non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mfvc",
@@ -277,7 +284,8 @@ def build_parser():
         sp.add_argument("--format", choices=("json", "dot", "text"), default="json")
         sp.add_argument("--out", default=None)
         if degree_window:
-            sp.add_argument("--degree-window", dest="degree_window", type=int, default=6)
+            sp.add_argument("--degree-window", dest="degree_window", type=non_negative_int,
+                            default=6)
         if numeric:
             sp.add_argument("--eps", type=float, default=0.1)
             sp.add_argument("--delta", type=float, default=1e-3)

@@ -43,17 +43,35 @@ def milnor_and_counts(spec: FamilySpec):
     }
 
 
+def _b_side_failure(spec, a_alg, stage, exc):
+    return {
+        "spec": spec.label(),
+        "pass": False,
+        "objects": len(a_alg.objects),
+        "mismatches": [{"kind": "b_side", "stage": stage, "detail": str(exc)}],
+    }
+
+
 def mirror_check(spec: FamilySpec, window=DEGREE_WINDOW, table=None):
     """Compare hom dimensions in every degree and the full composition
     tables of the two sides under the object correspondence.
 
-    Returns a report dict with `pass` and a list of mismatches."""
+    Returns a report dict with `pass` and a list of mismatches.  When the
+    B side cannot be built (its hom table deviates from the closed form, or
+    a composition is degenerate), the report names that stage instead."""
     mismatches = []
     corr = correspondence(spec)
 
     a_alg = assemble_directed_algebra(spec)
-    table = table if table is not None and table.window == window else hom_table(spec, window)
-    b_alg = composition_table(spec, table)
+    if table is None or table.window != window:
+        try:
+            table = hom_table(spec, window)
+        except ArithmeticError as exc:
+            return _b_side_failure(spec, a_alg, "hom_table", exc)
+    try:
+        b_alg = composition_table(spec, table)
+    except ArithmeticError as exc:
+        return _b_side_failure(spec, a_alg, "composition_table", exc)
 
     if sorted(corr) != sorted(a_alg.objects):
         mismatches.append({"kind": "objects", "detail": "A-side object set mismatch"})

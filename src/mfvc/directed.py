@@ -60,13 +60,17 @@ class DirectedAlgebra:
             dim for degs in self.homs.values() for dim in degs.values()
         )
 
+    def _pairs_and_successors(self):
+        """nonzero_pairs() and, per object, its targets in the same order."""
+        pairs = self.nonzero_pairs()
+        succ = {}
+        for (a, b) in pairs:
+            succ.setdefault(a, []).append(b)
+        return pairs, succ
+
     def composable_triples(self):
-        out = []
-        for (a, b) in self.nonzero_pairs():
-            for (b2, c) in self.nonzero_pairs():
-                if b2 == b:
-                    out.append((a, b, c))
-        return out
+        pairs, succ = self._pairs_and_successors()
+        return [(a, b, c) for (a, b) in pairs for c in succ.get(b, ())]
 
     def coefficient(self, a, b, c):
         return self.compositions.get((a, b, c), Fraction(0))
@@ -74,10 +78,7 @@ class DirectedAlgebra:
     def check_associativity(self):
         """(h o g) o f == h o (g o f) for all composable triples of generators."""
         bad = []
-        pairs = self.nonzero_pairs()
-        succ = {}
-        for (a, b) in pairs:
-            succ.setdefault(a, []).append(b)
+        pairs, succ = self._pairs_and_successors()
         for (a, b) in pairs:
             for c in succ.get(b, ()):
                 for d in succ.get(c, ()):

@@ -7,10 +7,11 @@ polynomial w) subject to two relations depending on the family:
     chain:  p*xv + yv = cv,   q*yv = cv
     bp   :  p*xv      = cv,   q*yv = cv
 
-Elements are integer 3-vectors over (xv, yv, cv); equality is coset equality
-modulo the relation lattice.  Canonical forms come from the Hermite normal
-form of the lattice, structure (invariant factors) from the Smith normal
-form.  Everything is plain python integers, so all of it is exact.
+The Smith normal form of the relation matrix gives L = Z/d + Z, and elements
+are stored in those coordinates: a residue mod d and an integer weight.
+Integer 3-vectors over (xv, yv, cv) convert in and out through the Smith
+transform; the quotient L/Zc is reduced with a Hermite normal form.
+Everything is plain python integers, so all of it is exact.
 """
 
 FAMILIES = ("loop", "chain", "bp")
@@ -140,45 +141,74 @@ def smith_normal_form(rows):
 
 
 class GroupElement:
-    """Element of a GradingGroup, stored in canonical coset form."""
+    """Element of a GradingGroup in Smith coordinates.
 
-    __slots__ = ("group", "vec")
+    L is Z/d + Z with d = group.torsion_order, so an element is stored
+    canonically as its torsion residue r in [0, d) and its weight w, the
+    free coordinate signed to be positive on xv and yv.  Group operations,
+    equality and hashing act on (r, w) directly; no lattice reduction is
+    needed.
+    """
 
-    def __init__(self, group, vec):
+    __slots__ = ("group", "r", "w")
+
+    def __init__(self, group, r, w):
         self.group = group
-        self.vec = group.reduce_vec(vec)
+        self.r = r
+        self.w = w
 
     def __add__(self, other):
         assert self.group is other.group
-        return GroupElement(self.group, tuple(a + b for a, b in zip(self.vec, other.vec)))
+        g = self.group
+        return GroupElement(g, (self.r + other.r) % g.torsion_order, self.w + other.w)
 
     def __sub__(self, other):
         assert self.group is other.group
-        return GroupElement(self.group, tuple(a - b for a, b in zip(self.vec, other.vec)))
+        g = self.group
+        return GroupElement(g, (self.r - other.r) % g.torsion_order, self.w - other.w)
 
     def __neg__(self):
-        return GroupElement(self.group, tuple(-a for a in self.vec))
+        g = self.group
+        return GroupElement(g, -self.r % g.torsion_order, -self.w)
 
     def __rmul__(self, n):
-        return GroupElement(self.group, tuple(n * a for a in self.vec))
+        g = self.group
+        return GroupElement(g, n * self.r % g.torsion_order, n * self.w)
 
     def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.group is other.group and self.vec == other.vec
+        return (isinstance(other, GroupElement) and self.group is other.group
+                and self.w == other.w and self.r == other.r)
 
     def __hash__(self):
-        return hash(self.vec)
+        return hash((self.r, self.w))
 
     def is_zero(self):
-        return all(a == 0 for a in self.vec)
+        return self.r == 0 and self.w == 0
 
     def weight(self):
-        return self.group.weight(self.vec)
+        return self.w
+
+    @property
+    def vec(self):
+        """A canonical integer 3-vector over (xv, yv, cv) representing this element."""
+        return self.group._vector(self.r, self.w)
 
     def mod_c(self):
         return self.group.reduce_mod_c_vec(self.vec)
 
     def __repr__(self):
         return f"L{self.vec}"
+
+
+def _inverse_unimodular(V):
+    """Integer inverse of a 3x3 matrix of determinant +-1 (adjugate / det)."""
+    det = sum(V[0][j] * (V[1][(j + 1) % 3] * V[2][(j + 2) % 3]
+                         - V[1][(j + 2) % 3] * V[2][(j + 1) % 3]) for j in range(3))
+    if det not in (1, -1):
+        raise ArithmeticError("Smith transform is not unimodular")
+    return [[det * (V[(j + 1) % 3][(i + 1) % 3] * V[(j + 2) % 3][(i + 2) % 3]
+                    - V[(j + 1) % 3][(i + 2) % 3] * V[(j + 2) % 3][(i + 1) % 3])
+             for j in range(3)] for i in range(3)]
 
 
 class GradingGroup:
@@ -193,24 +223,30 @@ class GradingGroup:
         self.p = p
         self.q = q
         self.relations = _relation_rows(family, p, q)
-        self._hnf = hermite_normal_form(self.relations)
-        self._hnf_pivots = [next(j for j, a in enumerate(r) if a) for r in self._hnf]
         self._hnf_mod_c = hermite_normal_form(self.relations + [[0, 0, 1]])
         self._hnf_mod_c_pivots = [next(j for j, a in enumerate(r) if a) for r in self._hnf_mod_c]
 
-        D, U, V = smith_normal_form(self.relations)
-        self._snf = (D, U, V)
+        D, _, V = smith_normal_form(self.relations)
         diag = [D[i][i] for i in range(min(len(D), 3)) if D[i][i] != 0]
         if len(diag) != 2:
             raise ValueError("relation lattice is expected to have rank 2")
+        if diag[0] != 1:
+            raise ValueError("torsion of L is expected to be cyclic")
         self.torsion = tuple(d for d in diag if d > 1)
         self.free_rank = 3 - len(diag)
-        # Coordinates y = v*V split L into Z/d1 + Z/d2 + Z (free part last).
-        self._diag = diag
-        wx = self._free_coord((1, 0, 0))
-        self._weight_sign = 1 if wx > 0 else -1
-        if self.weight((1, 0, 0)) <= 0 or self.weight((0, 1, 0)) <= 0:
-            raise ValueError("monomial degrees must have positive free part")
+        # Coordinates y = v*V split L into Z/1 + Z/d + Z, d = torsion_order
+        # (free part last), so (y1 mod d, +-y2) is a canonical form; y0
+        # carries no information.
+        self.torsion_order = diag[1]
+        sign = 1 if V[0][2] > 0 else -1
+        self._residue_col = [V[i][1] for i in range(3)]
+        self._weight_col = [sign * V[i][2] for i in range(3)]
+        Vinv = _inverse_unimodular(V)
+        self._residue_row = Vinv[1]
+        self._weight_row = [sign * a for a in Vinv[2]]
+        # degree -> monomials, filled by polyring.monomials_of_exact_degree;
+        # held here so that it is freed together with the group
+        self.monomials_by_degree = {}
 
         Dq, _, _ = smith_normal_form(self.relations + [[0, 0, 1]])
         dq = [Dq[i][i] for i in range(3)]
@@ -219,33 +255,20 @@ class GradingGroup:
         self.order_mod_c = abs(dq[0] * dq[1] * dq[2])
         self.torsion_mod_c = tuple(abs(d) for d in dq if abs(d) > 1)
 
-        self.x = GroupElement(self, (1, 0, 0))
-        self.y = GroupElement(self, (0, 1, 0))
-        self.c = GroupElement(self, (0, 0, 1))
-        self.zero = GroupElement(self, (0, 0, 0))
+        self.x = self.element(1, 0)
+        self.y = self.element(0, 1)
+        self.c = self.element(0, 0, 1)
+        self.zero = self.element(0, 0)
+        if self.x.weight() <= 0 or self.y.weight() <= 0:
+            raise ValueError("monomial degrees must have positive free part")
         if not self.has_infinite_order(self.c):
             raise ValueError("cv is expected to have infinite order in L")
 
     # -- raw vector helpers ------------------------------------------------
 
-    def _coords(self, vec):
-        V = self._snf[2]
-        return tuple(sum(vec[i] * V[i][j] for i in range(3)) for j in range(3))
-
-    def _free_coord(self, vec):
-        return self._coords(vec)[2]
-
-    def weight(self, vec):
-        """Homomorphism L -> Z, positive on xv and yv; bounds monomial degrees."""
-        return self._weight_sign * self._free_coord(vec)
-
-    def reduce_vec(self, vec):
-        v = list(vec)
-        for row, piv in zip(self._hnf, self._hnf_pivots):
-            f = v[piv] // row[piv]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
+    def _vector(self, r, w):
+        """The integer 3-vector with Smith coordinates (0, r, +-w)."""
+        return tuple(r * a + w * b for a, b in zip(self._residue_row, self._weight_row))
 
     def reduce_mod_c_vec(self, vec):
         v = list(vec)
@@ -259,20 +282,20 @@ class GradingGroup:
 
     def element(self, a, b, c=0):
         """The element a*xv + b*yv + c*cv."""
-        return GroupElement(self, (a, b, c))
+        rc, wc = self._residue_col, self._weight_col
+        return GroupElement(self, (a * rc[0] + b * rc[1] + c * rc[2]) % self.torsion_order,
+                            a * wc[0] + b * wc[1] + c * wc[2])
 
     def monomial_degree(self, u, v):
-        return GroupElement(self, (u, v, 0))
+        return self.element(u, v)
 
     def reduce(self, e):
         """Canonical form (idempotent; elements already store it)."""
-        return GroupElement(self, e.vec)
+        return e
 
     def has_infinite_order(self, e):
-        if e.is_zero():
-            return False
-        # Free part is the last SNF coordinate; torsion elements have it zero.
-        return self._coords(e.vec)[2] != 0
+        # torsion elements are exactly those of weight zero
+        return e.w != 0
 
     def decompose_mod_c(self, d, l):
         """Find the integer m with d = m*cv + l in L, or None if there is none.
@@ -280,14 +303,10 @@ class GradingGroup:
         Uniqueness relies on cv having infinite order, which holds for all
         three families (asserted at construction)."""
         diff = d - l
-        yd = self._coords(diff.vec)
-        yc = self._coords((0, 0, 1))
-        if yc[2] == 0:
-            raise ArithmeticError("cv is torsion; decomposition not unique")
-        if yd[2] % yc[2] != 0:
+        if diff.w % self.c.w:
             return None
-        m = yd[2] // yc[2]
-        if (m * self.c + l) == d:
+        m = diff.w // self.c.w
+        if m * self.c == diff:
             return m
         return None
 

@@ -356,6 +356,12 @@ class HomCohomology:
         got = self._cohom.get(n)
         if got is None:
             src = self.term(n)
+            if not src:
+                # zero cohomology, and no differentials to build; most cells
+                # of a hom table are like this
+                got = CohomologyData(self, n, src, [], Subspace(ncols=0))
+                self._cohom[n] = got
+                return got
             d_out = self.diff(n)
             d_in = self.diff(n - 1)
             ker = nullspace(d_out, ncols=len(src)) if d_out else [
@@ -369,20 +375,18 @@ class HomCohomology:
                 if any(vec):
                     im_vectors.append(vec)
             im = Subspace(im_vectors, ncols=len(src))
-            total = Subspace(im_vectors, ncols=len(src))
+            # v + im enlarges the classes found so far iff its reduction
+            # against im does; that reduction, scaled, is the representative
+            classes = Subspace(ncols=len(src))
             reps = []
             for v in ker:
-                if total.add(v):
-                    reps.append(self._normalize(v, im))
+                red = im.reduce(v)
+                if classes.add(red):
+                    lead = next(c for c in red if c != 0)
+                    reps.append([c / lead for c in red])
             got = CohomologyData(self, n, src, reps, im)
             self._cohom[n] = got
         return got
-
-    @staticmethod
-    def _normalize(v, im):
-        red = im.reduce(v)
-        lead = next(c for c in red if c != 0)
-        return [c / lead for c in red]
 
 
 class CohomologyData:
@@ -424,23 +428,16 @@ class CohomologyData:
         return out
 
 
-def hom_cohomology(K: MatrixFactorisation, module: CyclicModule, window):
-    """Map degree -> (dim, representatives) over the window [n0, n1]."""
-    cx = HomCohomology(K, module)
-    out = {}
-    for n in range(window[0], window[1] + 1):
-        data = cx.cohomology(n)
-        out[n] = (data.dim, data.rep_strings())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # chain maps between factorisations
 
 
 class MFMorphism:
     """A degree-n chain map of matrix factorisations, stored as the two
-    matrices f^0 : K^0 -> H^n and f^{-1} : K^{-1} -> H^{n-1}."""
+    matrices f^0 : K^0 -> H^n and f^{-1} : K^{-1} -> H^{n-1}.
+
+    A morphism is not modified after construction, so the chain-map check
+    runs once and its answer is kept."""
 
     def __init__(self, source, target, degree, f0, f1):
         self.source = source
@@ -448,10 +445,13 @@ class MFMorphism:
         self.degree = degree
         self.f0 = f0
         self.f1 = f1
+        self._is_chain_map = None
 
     def is_chain_map(self):
-        e1, e2 = _boundary_matrices(self.source, self.target, self.degree, self.f0, self.f1)
-        return mat_is_zero(e1) and mat_is_zero(e2)
+        if self._is_chain_map is None:
+            e1, e2 = _boundary_matrices(self.source, self.target, self.degree, self.f0, self.f1)
+            self._is_chain_map = mat_is_zero(e1) and mat_is_zero(e2)
+        return self._is_chain_map
 
     def compose(self, other):
         """self after other (other: K -> H, self: H -> G)."""

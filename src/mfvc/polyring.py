@@ -70,10 +70,6 @@ class Poly:
                     self.terms[m] = c
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def monomial(cls, u, v, coeff=1):
         return cls({(u, v): Fraction(coeff)})
 
@@ -299,20 +295,23 @@ def groebner(generators):
 
 
 def monomials_of_exact_degree(group, d):
-    """All monomials of S with L-degree exactly d (finite by positivity of
-    the weight homomorphism)."""
-    w = d.weight()
-    if w < 0:
-        return []
-    wx, wy = group.x.weight(), group.y.weight()
-    out = []
-    for u in range(w // wx + 1):
-        rem = w - u * wx
-        if rem % wy:
-            continue
-        v = rem // wy
-        if group.monomial_degree(u, v) == d:
-            out.append((u, v))
+    """All monomials of S with L-degree exactly d, as a tuple (finite by
+    positivity of the weight homomorphism).  Cached per degree in
+    `group.monomials_by_degree`."""
+    out = group.monomials_by_degree.get(d)
+    if out is None:
+        w = d.weight()
+        wx, wy = group.x.weight(), group.y.weight()
+        found = []
+        if w >= 0:
+            for u in range(w // wx + 1):
+                rem = w - u * wx
+                if rem % wy:
+                    continue
+                v = rem // wy
+                if group.monomial_degree(u, v) == d:
+                    found.append((u, v))
+        out = group.monomials_by_degree[d] = tuple(found)
     return out
 
 
@@ -336,9 +335,6 @@ class QuotientRing:
         self.lead_terms = [g.lead()[0] for g in self.gb]
         self._nf_cache = {}
         self._std_cache = {}
-
-    def is_unit_ideal(self):
-        return any(lt == (0, 0) for lt in self.lead_terms)
 
     def is_finite_dimensional(self):
         """True when the staircase is bounded (pure powers of x and y lead)."""
@@ -378,17 +374,12 @@ class QuotientRing:
 
     def standard_monomials_exact(self, d: GroupElement):
         """Standard monomials of exact degree d: a basis of (S/I)_d."""
-        key = d.vec
-        cached = self._std_cache.get(key)
+        cached = self._std_cache.get(d)
         if cached is None:
             cached = [m for m in self.monomials_of_exact_degree(d) if self.is_standard(m)]
             cached.sort(key=mono_key)
-            self._std_cache[key] = cached
+            self._std_cache[d] = cached
         return cached
-
-    def piece_exact(self, d: GroupElement):
-        """Basis of the degree-d piece of R(shift)/I (monomials)."""
-        return self.standard_monomials_exact(d + self.shift)
 
     def graded_piece_basis(self, delta, bound=None):
         """Monomial basis of the piece of R(shift)/I in class [delta] of L/Zc.

@@ -93,3 +93,43 @@ def test_side_a_quiver():
     payload = json.loads(out)
     assert len(payload["vertices"]) == 4
     assert len(payload["arrows"]) == 3
+
+
+def test_negative_degree_window_is_rejected():
+    for command in ("mirror-check", "homtable"):
+        code, out, err = run_cli(command, "--family", "loop", "--p", "2", "--q", "3",
+                                 "--degree-window", "-1")
+        assert code == 2, command
+        assert out == ""
+        assert "error:" in err and "Traceback" not in err
+
+
+def _mirror_check_in_process(capsys):
+    from mfvc.cli import main
+
+    code = main(["mirror-check", "--family", "loop", "--p", "2", "--q", "3"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_b_side_hom_table_deviation_gives_report(monkeypatch, capsys):
+    from mfvc import bside
+
+    monkeypatch.setattr(bside, "expected_hom_dim", lambda spec, a, b, degree: 7)
+    code, payload = _mirror_check_in_process(capsys)
+    assert code == 1
+    assert payload["pass"] is False
+    [mismatch] = payload["mismatches"]
+    assert mismatch["kind"] == "b_side" and mismatch["stage"] == "hom_table"
+    assert "closed form" in mismatch["detail"]
+
+
+def test_b_side_composition_deviation_gives_report(monkeypatch, capsys):
+    from fractions import Fraction
+
+    from mfvc import bside
+
+    monkeypatch.setattr(bside, "compose_and_identify", lambda f, g, coh: [Fraction(2)])
+    code, payload = _mirror_check_in_process(capsys)
+    assert code == 1
+    [mismatch] = payload["mismatches"]
+    assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"

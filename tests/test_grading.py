@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mfvc.grading import make_grading_group, smith_normal_form
+from mfvc.grading import hermite_normal_form, make_grading_group, smith_normal_form
 
 FAMILIES = ("loop", "chain", "bp")
 
@@ -134,3 +134,59 @@ def test_mod_c_classes_count():
             for b in range(-12, 13):
                 seen.add(g.reduce_mod_c_vec((a, b, 0)))
         assert len(seen) == g.order_mod_c
+
+
+def _hnf_reduce(hnf, vec):
+    """Reference canonical form: reduce an integer 3-vector against the
+    Hermite normal form of the relation lattice (coset representative)."""
+    v = list(vec)
+    for row in hnf:
+        piv = next(j for j, a in enumerate(row) if a)
+        f = v[piv] // row[piv]
+        v = [a - f * b for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def _reference_weight(g, vec):
+    """The primitive functional killing both relations, positive on xv."""
+    r1, r2 = g.relations
+    phi = [r1[1] * r2[2] - r1[2] * r2[1], r1[2] * r2[0] - r1[0] * r2[2],
+           r1[0] * r2[1] - r1[1] * r2[0]]
+    k = math.gcd(*phi) * (1 if phi[0] > 0 else -1)
+    return sum(a * b for a, b in zip(vec, phi)) // k
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_smith_coordinates_agree_with_hnf_reference(family):
+    rng = random.Random(2024)
+    for p in range(2, 7):
+        for q in range(2, 7):
+            g = make_grading_group(family, p, q)
+            hnf = hermite_normal_form(g.relations)
+            c_vec = (0, 0, 1)
+            for _ in range(20):
+                a = tuple(rng.randint(-8, 8) for _ in range(3))
+                k1, k2 = rng.randint(-3, 3), rng.randint(-3, 3)
+                # b is a plus a lattice vector, plus m*cv, or unrelated to a
+                kind = rng.choice(("same", "c-multiple", "random"))
+                if kind == "random":
+                    b = tuple(rng.randint(-8, 8) for _ in range(3))
+                else:
+                    m = 0 if kind == "same" else rng.randint(-5, 5)
+                    b = tuple(x + k1 * r + k2 * s + m * y
+                              for x, r, s, y in zip(a, *g.relations, c_vec))
+                ea, eb = g.element(*a), g.element(*b)
+                same = _hnf_reduce(hnf, a) == _hnf_reduce(hnf, b)
+                assert (ea == eb) == same, (family, p, q, a, b)
+                if same:
+                    assert hash(ea) == hash(eb)
+                assert _hnf_reduce(hnf, ea.vec) == _hnf_reduce(hnf, a)
+                assert ea.weight() == _reference_weight(g, a)
+                assert ea.mod_c() == g.reduce_mod_c_vec(a)
+                # decompose_mod_c against a brute-force search over m
+                diff = tuple(x - y for x, y in zip(a, b))
+                brute = [m for m in range(-30, 31)
+                         if _hnf_reduce(hnf, tuple(x - m * y for x, y in zip(diff, c_vec)))
+                         == (0, 0, 0)]
+                assert len(brute) <= 1
+                assert g.decompose_mod_c(ea, eb) == (brute[0] if brute else None)

@@ -321,3 +321,36 @@ def test_compose_and_identify_rejects_non_chain_maps():
     assert not broken.is_chain_map()
     with pytest.raises(ValueError):
         compose_and_identify(gen, broken, HomCohomology(a, b.module))
+
+
+def test_chain_map_check_runs_once_per_morphism(monkeypatch):
+    from mfvc import mf
+
+    g = make_grading_group("loop", 3, 3)
+    a = build_basic_object(g, ("K0", 1, 1))
+    b = build_basic_object(g, ("K0", 2, 2))
+    gen = generator_morphism(a, b, 0, HomCohomology(a, b.module))
+    original = mf._boundary_matrices
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mf, "_boundary_matrices", counting)
+    ident = identity_morphism(a)
+    for _ in range(3):
+        compose_and_identify(gen, ident, HomCohomology(a, b.module))
+    assert len(calls) == 2  # gen and ident, each checked once
+
+
+def test_empty_term_has_zero_cohomology_without_differentials():
+    g = make_grading_group("loop", 3, 3)
+    a = build_basic_object(g, ("K0", 1, 1))
+    b = build_basic_object(g, ("K0", 2, 2))
+    coh = HomCohomology(a, b.module)
+    n = next(n for n in range(-12, 13) if not coh.term(n))
+    data = coh.cohomology(n)
+    assert data.dim == 0
+    assert data.identify([]) == []
+    assert not coh._diffs  # decided before any differential is built
