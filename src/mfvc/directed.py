@@ -193,31 +193,8 @@ def extract_quiver(algebra: DirectedAlgebra):
                 continue
             # consequences of shorter relations: u * r * v inside paths a->b
             consequence = Subspace(ncols=len(plist))
-            for rel in relations:
-                rel_paths = [(c, path) for c, path in rel]
-                ra = arrows[rel_paths[0][1][0]][0]
-                rb = arrows[rel_paths[0][1][-1]][1]
-                rlen = len(rel_paths[0][1])
-                for pre_len in range(0, length - rlen + 1):
-                    post_len = length - rlen - pre_len
-                    pres = ([[]] if a == ra else []) if pre_len == 0 else [
-                        p for p in paths.get(pre_len, {}).get((a, ra), [])
-                    ]
-                    posts = ([[]] if b == rb else []) if post_len == 0 else [
-                        p for p in paths.get(post_len, {}).get((rb, b), [])
-                    ]
-                    for pre in pres:
-                        for post in posts:
-                            vec = [Fraction(0)] * len(plist)
-                            ok = True
-                            for c, rpath in rel_paths:
-                                whole = tuple(pre + list(rpath) + post)
-                                if whole not in pindex:
-                                    ok = False
-                                    break
-                                vec[pindex[whole]] += c
-                            if ok and any(vec):
-                                consequence.add(vec)
+            for vec in _consequences(relations, arrows, paths, a, b, length, pindex):
+                consequence.add(vec)
             for vec in kernel:
                 if not consequence.contains(vec):
                     consequence.add(vec)
@@ -243,26 +220,32 @@ def path_algebra_dimension(algebra: DirectedAlgebra, quiver: QuiverWithRelations
     for (a, b, length), plist in by_pair.items():
         pindex = {tuple(p): i for i, p in enumerate(plist)}
         span = Subspace(ncols=len(plist))
-        for rel in quiver.relations:
-            rel_paths = [(c, path) for c, path in rel]
-            ra = quiver.arrows[rel_paths[0][1][0]][0]
-            rb = quiver.arrows[rel_paths[0][1][-1]][1]
-            rlen = len(rel_paths[0][1])
-            for pre_len in range(0, length - rlen + 1):
-                post_len = length - rlen - pre_len
-                pres = ([[]] if a == ra else []) if pre_len == 0 else paths.get(pre_len, {}).get((a, ra), [])
-                posts = ([[]] if b == rb else []) if post_len == 0 else paths.get(post_len, {}).get((rb, b), [])
-                for pre in pres:
-                    for post in posts:
-                        vec = [Fraction(0)] * len(plist)
-                        ok = True
-                        for c, rpath in rel_paths:
-                            whole = tuple(pre + list(rpath) + post)
-                            if whole not in pindex:
-                                ok = False
-                                break
-                            vec[pindex[whole]] += c
-                        if ok and any(vec):
-                            span.add(vec)
+        for vec in _consequences(quiver.relations, quiver.arrows, paths, a, b, length, pindex):
+            span.add(vec)
         total += len(plist) - span.dim()
     return total
+
+
+def _consequences(relations, arrows, paths, a, b, length, pindex):
+    """The nonzero products pre * r * post of each relation r with arrow
+    paths pre into its start and post out of its end, as coordinate vectors
+    over the length-`length` paths a -> b numbered by pindex."""
+    for rel in relations:
+        ra = arrows[rel[0][1][0]][0]
+        rb = arrows[rel[0][1][-1]][1]
+        rlen = len(rel[0][1])
+        for pre_len in range(0, length - rlen + 1):
+            post_len = length - rlen - pre_len
+            pres = ([[]] if a == ra else []) if pre_len == 0 else paths.get(pre_len, {}).get((a, ra), [])
+            posts = ([[]] if b == rb else []) if post_len == 0 else paths.get(post_len, {}).get((rb, b), [])
+            for pre in pres:
+                for post in posts:
+                    vec = [Fraction(0)] * len(pindex)
+                    for c, rpath in rel:
+                        whole = tuple(pre + list(rpath) + post)
+                        if whole not in pindex:
+                            break
+                        vec[pindex[whole]] += c
+                    else:
+                        if any(vec):
+                            yield vec

@@ -14,7 +14,7 @@ transform; the quotient L/Zc is reduced with a Hermite normal form.
 Everything is plain python integers, so all of it is exact.
 """
 
-FAMILIES = ("loop", "chain", "bp")
+from .families import FAMILIES
 
 
 def _relation_rows(family, p, q):

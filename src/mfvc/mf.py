@@ -364,10 +364,7 @@ class HomCohomology:
                 return got
             d_out = self.diff(n)
             d_in = self.diff(n - 1)
-            ker = nullspace(d_out, ncols=len(src)) if d_out else [
-                [Fraction(1) if i == j else Fraction(0) for j in range(len(src))]
-                for i in range(len(src))
-            ]
+            ker = nullspace(d_out, ncols=len(src))
             prev = self.term(n - 1)
             im_vectors = []
             for j in range(len(prev)):
@@ -396,7 +393,6 @@ class CohomologyData:
         self.coords = coords  # [(summand, monomial)]
         self.reps = reps      # class representatives, coordinate vectors
         self.im = im          # coboundary subspace
-        self._solver = None
 
     @property
     def dim(self):
