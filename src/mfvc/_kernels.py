@@ -1,48 +1,22 @@
 """Numeric kernels: parallel-transport integration and Newton enumeration.
 
-The hot inner loops are compiled with numba when it is available; setting
-MFVC_BACKEND=numpy forces the pure-numpy/python fallback (the same
-algorithms, uncompiled), MFVC_BACKEND=numba insists on the compiled path.
-`benchmarks/bench_kernels.py` compares the two.
+Plain numpy and python: Newton runs vectorised over all its seeds, the
+adaptive RK4 transport on complex scalars.
 """
 
 import math
-import os
 
 import numpy as np
 
-_BACKEND = os.environ.get("MFVC_BACKEND", "auto").lower()
-_HAVE_NUMBA = False
-if _BACKEND in ("auto", "numba"):
-    try:
-        import numba
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _BACKEND == "numba":
-            raise RuntimeError("MFVC_BACKEND=numba but numba is not importable")
-
-if os.environ.get("THREADS") and _HAVE_NUMBA:
-    try:
-        numba.set_num_threads(max(1, int(os.environ["THREADS"])))
-    except Exception:
-        pass
-
 
 def backend_name():
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-def _jit(f):
-    if _HAVE_NUMBA:
-        return numba.njit(cache=True)(f)
-    return f
+    """Always "numpy"; kept for callers that report the kernel backend."""
+    return "numpy"
 
 
 FAMILY_CODES = {"loop": 0, "chain": 1, "bp": 2, "local": 3}
 
 
-@_jit
 def _w_and_grad(code, p, q, eps, x, y):
     """(W, Wx, Wy) of the resonant perturbation, or of the local model."""
     if code == 0:  # x^p y + x y^q - eps x y
@@ -64,7 +38,6 @@ def _w_and_grad(code, p, q, eps, x, y):
     return W, Wx, Wy
 
 
-@_jit
 def _hessian(code, p, q, eps, x, y):
     if code == 0:
         hxx = p * (p - 1) * x ** (p - 2) * y
@@ -96,42 +69,11 @@ def gradient_and_hessian(family, p, q, eps, x, y):
 # Newton enumeration of critical points
 
 
-@_jit
-def _newton_scalar(code, p, q, eps, x, y, iters, tol):
-    for _ in range(iters):
-        _, wx, wy = _w_and_grad(code, p, q, eps, x, y)
-        if abs(wx) < tol and abs(wy) < tol:
-            return x, y, True
-        hxx, hxy, hyy = _hessian(code, p, q, eps, x, y)
-        det = hxx * hyy - hxy * hxy
-        if abs(det) < 1e-14:
-            return x, y, False
-        dx = (wx * hyy - wy * hxy) / det
-        dy = (wy * hxx - wx * hxy) / det
-        x = x - dx
-        y = y - dy
-        if abs(x) > 1e6 or abs(y) > 1e6:
-            return x, y, False
-    _, wx, wy = _w_and_grad(code, p, q, eps, x, y)
-    return x, y, abs(wx) < tol and abs(wy) < tol
+def newton_enumerate(family, p, q, eps, zx, zy, iters=80, tol=1e-10):
+    """Vectorised Newton from every seed (zx[k], zy[k]) at once, with masking.
 
-
-@_jit
-def _newton_batch_loop(code, p, q, eps, zx, zy, iters, tol):
-    n = zx.shape[0]
-    X = np.empty(n, dtype=np.complex128)
-    Y = np.empty(n, dtype=np.complex128)
-    ok = np.zeros(n, dtype=np.bool_)
-    for k in range(n):
-        x, y, good = _newton_scalar(code, p, q, eps, zx[k], zy[k], iters, tol)
-        X[k] = x
-        Y[k] = y
-        ok[k] = good
-    return X, Y, ok
-
-
-def _newton_batch_numpy(code, p, q, eps, zx, zy, iters, tol):
-    """Vectorized fallback: whole-array Newton with masking."""
+    Returns (x, y, ok) arrays; ok marks the seeds that reached |Wx|, |Wy| < tol."""
+    code = FAMILY_CODES[family]
     x = zx.astype(np.complex128).copy()
     y = zy.astype(np.complex128).copy()
     active = np.ones(x.shape, dtype=bool)
@@ -156,18 +98,10 @@ def _newton_batch_numpy(code, p, q, eps, zx, zy, iters, tol):
     return x, y, ok
 
 
-def newton_enumerate(family, p, q, eps, zx, zy, iters=80, tol=1e-10):
-    code = FAMILY_CODES[family]
-    if _HAVE_NUMBA:
-        return _newton_batch_loop(code, p, q, eps, zx, zy, iters, tol)
-    return _newton_batch_numpy(code, p, q, eps, zx, zy, iters, tol)
-
-
 # ---------------------------------------------------------------------------
 # parallel transport
 
 
-@_jit
 def _rhs(code, p, q, eps, delta, x, y, t):
     # c(t) = -delta * exp(i t); dot c = -i delta exp(i t)
     cdot = -delta * 1j * (math.cos(t) + 1j * math.sin(t))
@@ -178,7 +112,6 @@ def _rhs(code, p, q, eps, delta, x, y, t):
     return fx, fy, norm2
 
 
-@_jit
 def _rk4_step(code, p, q, eps, delta, x, y, t, h):
     k1x, k1y, n1 = _rhs(code, p, q, eps, delta, x, y, t)
     k2x, k2y, n2 = _rhs(code, p, q, eps, delta, x + 0.5 * h * k1x, y + 0.5 * h * k1y, t + 0.5 * h)
@@ -190,7 +123,6 @@ def _rk4_step(code, p, q, eps, delta, x, y, t, h):
     return nx, ny, nmin
 
 
-@_jit
 def _project_to_fibre(code, p, q, eps, delta, x, y, t):
     # Newton in the gradient direction: move z by lam * conj(grad W)
     target = -delta * (math.cos(t) + 1j * math.sin(t))
@@ -205,7 +137,6 @@ def _project_to_fibre(code, p, q, eps, delta, x, y, t):
     return x, y
 
 
-@_jit
 def _transport(code, p, q, eps, delta, x0, y0, t0, t1, step_tol, max_steps, project):
     """Adaptive RK4 with step doubling and optional per-step projection.
 
@@ -253,7 +184,6 @@ def _transport(code, p, q, eps, delta, x0, y0, t0, t1, step_tol, max_steps, proj
     return x, y, steps, max_defect, max_drift, 0
 
 
-@_jit
 def _transport_fixed(code, p, q, eps, delta, x0, y0, t0, t1, n_steps, project):
     x, y = x0, y0
     h = (t1 - t0) / n_steps

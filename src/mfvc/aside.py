@@ -319,37 +319,29 @@ def _grading_degrees(schedule: PathSchedule, table):
 
 
 def sweep_square_signs(A, B, right, up, square_values=None):
-    """Row-by-row sweep making every little square commute.
+    """Row-by-row sweep making every little square commute, then a check.
 
     right[(i, j)] signs the arrow (i, j) -> (i+1, j) (1 <= i <= A-1,
     1 <= j <= B); up[(i, j)] signs (i, j) -> (i, j+1).  square_values may
     supply the two raw composite values of the square at (i, j); by default
     they are the plain edge-sign products.  When a square's two values
     disagree the sign of its top edge is flipped, which no earlier square
-    sees; one pass bottom-to-top therefore leaves every square commuting."""
+    sees; one pass bottom-to-top therefore leaves every square commuting.
+    Raises ArithmeticError if, after the pass, some square does not."""
     right = dict(right)
     up = dict(up)
     if square_values is None:
         def square_values(i, j, rs, us):
             return rs[(i, j)] * us[(i + 1, j)], us[(i, j)] * rs[(i, j + 1)]
-    for j in range(1, B):
-        for i in range(1, A):
-            v1, v2 = square_values(i, j, right, up)
-            if v1 != v2:
-                right[(i, j + 1)] = -right[(i, j + 1)]
-                v1, v2 = square_values(i, j, right, up)
-                if v1 != v2:
-                    raise ArithmeticError("flipping the top edge did not fix the square")
-    return right, up
-
-
-def sign_rectify(A, B, right, up, square_values=None):
-    """Sweep and verify: returns signs under which all squares commute."""
-    right, up = sweep_square_signs(A, B, right, up, square_values)
-    if square_values is None:
-        for j in range(1, B):
-            for i in range(1, A):
-                assert right[(i, j)] * up[(i + 1, j)] == up[(i, j)] * right[(i, j + 1)]
+    squares = [(i, j) for j in range(1, B) for i in range(1, A)]
+    for (i, j) in squares:
+        v1, v2 = square_values(i, j, right, up)
+        if v1 != v2:
+            right[(i, j + 1)] = -right[(i, j + 1)]
+    for (i, j) in squares:
+        v1, v2 = square_values(i, j, right, up)
+        if v1 != v2:
+            raise ArithmeticError(f"square ({i}, {j}) does not commute after the sign sweep")
     return right, up
 
 
@@ -379,7 +371,7 @@ def assemble_directed_algebra(spec: FamilySpec, seed=None):
     A, B = spec.p - 1, spec.q - 1
     if seed is not None and A >= 2 and B >= 2:
         right, up = random_grid_signs(A, B, seed)
-        sign_rectify(A, B, right, up)
+        sweep_square_signs(A, B, right, up)
     homs = {pair: {degrees[pair]: c} for pair, c in table.items()}
     algebra = DirectedAlgebra(schedule.order, homs)
     comps = {}

@@ -8,7 +8,7 @@ basic objects ends up in degree 0.
 
 from fractions import Fraction
 
-from .directed import DirectedAlgebra, extract_quiver, path_algebra_dimension
+from .directed import DirectedAlgebra, display_label, extract_quiver, path_algebra_dimension
 from .families import FamilySpec
 from .grading import make_grading_group
 from .mf import HomCohomology, build_basic_object, compose_and_identify, generator_morphism
@@ -25,15 +25,7 @@ class BObject:
         self.offset = offset
 
     def display(self):
-        kind = self.label[0]
-        suffix = "[3]" if self.offset else ""
-        if kind == "K0":
-            return f"K0({self.label[1]},{self.label[2]})"
-        if kind == "Kx":
-            return f"Kx({self.label[1]}){suffix}"
-        if kind == "Ky":
-            return f"Ky({self.label[1]}){suffix}"
-        return f"Kf{suffix}"
+        return display_label(self.label)
 
     def __repr__(self):
         return self.display()
@@ -124,10 +116,7 @@ class HomTable:
         for X in self.objects:
             for Y in self.objects:
                 for d in range(self.window[0], self.window[1] + 1):
-                    if X.label == Y.label:
-                        dim = 1 if d == 0 else 0
-                    else:
-                        dim = self.dims.get((X.label, Y.label, d), 0)
+                    dim = self.dim(X.label, Y.label, d)
                     if not dim:
                         continue
                     n = d + Y.offset - X.offset

@@ -10,6 +10,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .directed import display_label
 from .families import FAMILIES, FamilySpec
 
 SCHEMA = "1"
@@ -77,25 +78,6 @@ def parse_dot(text):
     return nodes, edges
 
 
-def _display_label(label):
-    kind = label[0]
-    if kind == "K0":
-        return f"K0({label[1]},{label[2]})"
-    if kind == "Kx":
-        return f"Kx({label[1]})[3]"
-    if kind == "Ky":
-        return f"Ky({label[1]})[3]"
-    if kind == "Kf":
-        return "Kf[3]"
-    if kind == "V0":
-        return f"V0({label[1]},{label[2]})"
-    if kind == "Vyf":
-        return f"Vyf({label[1]})"
-    if kind == "Vxf":
-        return f"Vxf({label[1]})"
-    return "Vxy"
-
-
 def _vertex_groups(labels):
     groups = {}
     for lab in labels:
@@ -141,8 +123,8 @@ def cmd_quiver(args):
         payload = {
             "schema": SCHEMA,
             "spec": spec.label(),
-            "A": build("A").to_json_dict(_display_label, _object_shift),
-            "B": build("B").to_json_dict(_display_label, _object_shift),
+            "A": build("A").to_json_dict(display_label, _object_shift),
+            "B": build("B").to_json_dict(display_label, _object_shift),
             "grading_group": make_grading_group(spec.family, spec.p, spec.q).invariants(),
         }
         _emit(args, payload)
@@ -150,13 +132,13 @@ def cmd_quiver(args):
 
     quiver = build(args.side)
     if args.format == "dot":
-        text = quiver_to_dot(quiver, _display_label, _vertex_groups(quiver.vertices))
+        text = quiver_to_dot(quiver, display_label, _vertex_groups(quiver.vertices))
         if args.out:
             open(args.out, "w").write(text)
         else:
             sys.stdout.write(text)
     else:
-        payload = quiver.to_json_dict(_display_label, _object_shift)
+        payload = quiver.to_json_dict(display_label, _object_shift)
         payload["spec"] = spec.label()
         payload["side"] = args.side
         payload["grading_group"] = make_grading_group(spec.family, spec.p, spec.q).invariants()
@@ -207,9 +189,9 @@ def cmd_invariants(args):
         "decomposition": spec.milnor_decomposition(),
         "schedule": {f"{l},{m}": frac_str(th) for (l, m), th in sorted(sched.theta.items())},
         "fingers": [[list(a), list(b)] for a, b in sched.fingers],
-        "order": [_display_label(lab) for lab in sched.order],
+        "order": [display_label(lab) for lab in sched.order],
         "intersections": [
-            {"src": _display_label(a), "tgt": _display_label(b), "count": c}
+            {"src": display_label(a), "tgt": display_label(b), "count": c}
             for (a, b), c in sorted(intersection_table(spec).items(),
                                     key=lambda kv: (sched.order.index(kv[0][0]),
                                                     sched.order.index(kv[0][1])))
@@ -220,12 +202,12 @@ def cmd_invariants(args):
 
 
 def cmd_signs(args):
-    from .aside import random_grid_signs, sign_rectify
+    from .aside import random_grid_signs, sweep_square_signs
 
     spec = _spec_from_args(args)
     A, B = spec.p - 1, spec.q - 1
     right, up = random_grid_signs(A, B, args.seed)
-    fixed_r, fixed_u = sign_rectify(A, B, right, up)
+    fixed_r, fixed_u = sweep_square_signs(A, B, right, up)
     squares = [
         {"i": i, "j": j,
          "commutes": fixed_r[(i, j)] * fixed_u[(i + 1, j)] == fixed_u[(i, j)] * fixed_r[(i, j + 1)]}

@@ -9,6 +9,21 @@ scalar per composable triple.
 
 from fractions import Fraction
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+# B-side objects supported on the components of w = 0, displayed with their [3]
+_SHIFTED_KINDS = ("Kx", "Ky", "Kf")
+
+
+def display_label(label):
+    """Display name of an object label of either side: K0(i,j), Kx(i)[3],
+    Ky(j)[3] and Kf[3] on the B side; V0(l,m), Vyf(l), Vxf(m) and Vxy on the
+    A side."""
+    kind, *index = label
+    name = f"{kind}({','.join(map(str, index))})" if index else kind
+    return name + "[3]" if kind in _SHIFTED_KINDS else name
+
 
 class DirectedAlgebra:
     """Ordered objects, per-degree hom dimensions, and a composition table.
@@ -73,7 +88,7 @@ class DirectedAlgebra:
         return [(a, b, c) for (a, b) in pairs for c in succ.get(b, ())]
 
     def coefficient(self, a, b, c):
-        return self.compositions.get((a, b, c), Fraction(0))
+        return self.compositions.get((a, b, c), _ZERO)
 
     def check_associativity(self):
         """(h o g) o f == h o (g o f) for all composable triples of generators."""
@@ -90,7 +105,7 @@ class DirectedAlgebra:
 
     def all_compositions_positive(self):
         for (a, b, c) in self.composable_triples():
-            expected = Fraction(1) if self.hom_dim(a, c, self.generator_degree(a, b) + self.generator_degree(b, c)) else Fraction(0)
+            expected = _ONE if self.hom_dim(a, c, self.generator_degree(a, b) + self.generator_degree(b, c)) else _ZERO
             if self.coefficient(a, b, c) != expected:
                 return False
         return True

@@ -191,10 +191,6 @@ class MatrixFactorisation:
         return f"MF({self.label})"
 
 
-def validate_mf(K):
-    return K.validate()
-
-
 # ---------------------------------------------------------------------------
 # the basic objects of each family
 
@@ -519,12 +515,12 @@ def _boundary_matrices(K, H, n, f0, f1):
 def chain_map_space(K, H, n):
     """Basis of the space of degree-n chain maps K -> H, as MFMorphisms."""
     group = K.group
-    deg0, deg1 = _entry_degrees(K, H, n)
+    degs = _entry_degrees(K, H, n)  # (deg0, deg1): entry degrees of f0 and f1
     unknowns = []  # (which, s, t, monomial)
-    for which, degs in ((0, deg0), (1, deg1)):
+    for which in (0, 1):
         for s in range(H.rank):
             for t in range(K.rank):
-                for mono in monomials_of_exact_degree(group, degs[s][t]):
+                for mono in monomials_of_exact_degree(group, degs[which][s][t]):
                     unknowns.append((which, s, t, mono))
     if not unknowns:
         return []
@@ -546,39 +542,24 @@ def chain_map_space(K, H, n):
             rows.append(row)
 
     sign = 1 if n % 2 else -1
-    # e1[s][t]: sum_u H.dA[s][u]*f0[u][t]  (+/-)  sum_u f1[s][u]*K.dB[u][t]
-    HA = H.d1 if n % 2 == 0 else H.d0
-    KB = K.d1
-    for s in range(H.rank):
-        for t in range(K.rank):
-            contrib = {}
-            for u in range(H.rank):
-                if HA[s][u]:
-                    for mono in monomials_of_exact_degree(group, deg0[u][t]):
-                        key = (0, u, t, mono)
-                        contrib[key] = contrib.get(key, Poly()) + HA[s][u].mul_mono(mono)
-            for u in range(K.rank):
-                if KB[u][t]:
-                    for mono in monomials_of_exact_degree(group, deg1[s][u]):
-                        key = (1, s, u, mono)
-                        contrib[key] = contrib.get(key, Poly()) + KB[u][t].mul_mono(mono) * sign
-            add_equations(contrib)
-    HA2 = H.d0 if n % 2 == 0 else H.d1
-    KB2 = K.d0
-    for s in range(H.rank):
-        for t in range(K.rank):
-            contrib = {}
-            for u in range(H.rank):
-                if HA2[s][u]:
-                    for mono in monomials_of_exact_degree(group, deg1[u][t]):
-                        key = (1, u, t, mono)
-                        contrib[key] = contrib.get(key, Poly()) + HA2[s][u].mul_mono(mono)
-            for u in range(K.rank):
-                if KB2[u][t]:
-                    for mono in monomials_of_exact_degree(group, deg0[s][u]):
-                        key = (0, s, u, mono)
-                        contrib[key] = contrib.get(key, Poly()) + KB2[u][t].mul_mono(mono) * sign
-            add_equations(contrib)
+    # component a of the boundary, b the other one:
+    #   e[s][t] = sum_u H.dA[s][u]*f_a[u][t]  (+/-)  sum_u f_b[s][u]*K.dB[u][t]
+    for a, b, HA, KB in ((0, 1, H.d1 if n % 2 == 0 else H.d0, K.d1),
+                         (1, 0, H.d0 if n % 2 == 0 else H.d1, K.d0)):
+        for s in range(H.rank):
+            for t in range(K.rank):
+                contrib = {}
+                for u in range(H.rank):
+                    if HA[s][u]:
+                        for mono in monomials_of_exact_degree(group, degs[a][u][t]):
+                            key = (a, u, t, mono)
+                            contrib[key] = contrib.get(key, Poly()) + HA[s][u].mul_mono(mono)
+                for u in range(K.rank):
+                    if KB[u][t]:
+                        for mono in monomials_of_exact_degree(group, degs[b][s][u]):
+                            key = (b, s, u, mono)
+                            contrib[key] = contrib.get(key, Poly()) + KB[u][t].mul_mono(mono) * sign
+                add_equations(contrib)
 
     basis = nullspace(rows, ncols=len(unknowns))
     out = []

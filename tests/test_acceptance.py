@@ -17,8 +17,8 @@ from mfvc.aside import (
     numeric_morsification_check,
     path_schedule,
     random_grid_signs,
-    sign_rectify,
     surface_invariants,
+    sweep_square_signs,
 )
 from mfvc.bside import basic_objects, expected_hom_dim, hom_table
 from mfvc.compare import mirror_check
@@ -173,7 +173,7 @@ def test_criterion_7_sign_rectification():
         for B in range(2, 7):
             for seed in range(4):
                 right, up = random_grid_signs(A, B, seed * 31 + A * 7 + B)
-                r2, u2 = sign_rectify(A, B, right, up)
+                r2, u2 = sweep_square_signs(A, B, right, up)
                 seeds_used += 1
                 for i in range(1, A):
                     for j in range(1, B):

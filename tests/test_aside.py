@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from mfvc.aside import (
     assemble_directed_algebra,
     disjointness_certificate,
@@ -16,8 +18,8 @@ from mfvc.aside import (
     phi_profile_end,
     random_grid_signs,
     shared_value_counts,
-    sign_rectify,
     surface_invariants,
+    sweep_square_signs,
     theta_turns,
 )
 from mfvc.bside import HomTable
@@ -250,7 +252,7 @@ def test_sign_sweep_fixpoint_on_positive_input():
     A, B = 4, 5
     right = {(i, j): 1 for i in range(1, A) for j in range(1, B + 1)}
     up = {(i, j): 1 for i in range(1, A + 1) for j in range(1, B)}
-    r2, u2 = sign_rectify(A, B, dict(right), dict(up))
+    r2, u2 = sweep_square_signs(A, B, dict(right), dict(up))
     assert r2 == right and u2 == up
 
 
@@ -259,20 +261,30 @@ def test_sign_sweep_single_square_all_assignments():
         signs = [1 if bits & (1 << k) else -1 for k in range(4)]
         right = {(1, 1): signs[0], (1, 2): signs[1]}
         up = {(1, 1): signs[2], (2, 1): signs[3]}
-        r2, u2 = sign_rectify(2, 2, right, up)
+        r2, u2 = sweep_square_signs(2, 2, right, up)
         assert r2[(1, 1)] * u2[(2, 1)] == u2[(1, 1)] * r2[(1, 2)]
 
 
 def test_sign_sweep_random_grids():
     for seed in range(100):
         right, up = random_grid_signs(5, 5, seed)
-        r2, u2 = sign_rectify(5, 5, right, up)
+        r2, u2 = sweep_square_signs(5, 5, right, up)
         for i in range(1, 5):
             for j in range(1, 5):
                 assert r2[(i, j)] * u2[(i + 1, j)] == u2[(i, j)] * r2[(i, j + 1)]
         # idempotent
-        r3, u3 = sign_rectify(5, 5, r2, u2)
+        r3, u3 = sweep_square_signs(5, 5, r2, u2)
         assert r3 == r2 and u3 == u2
+
+
+def test_sign_sweep_raises_when_no_flip_fixes_a_square():
+    # one composite of each square vanishes, so no choice of signs commutes
+    def square_values(i, j, rs, us):
+        return 0 * rs[(i, j)] * us[(i + 1, j)], us[(i, j)] * rs[(i, j + 1)]
+
+    right, up = random_grid_signs(3, 3, 0)
+    with pytest.raises(ArithmeticError):
+        sweep_square_signs(3, 3, right, up, square_values)
 
 
 def test_rectified_tables_agree_across_seeds():

@@ -11,7 +11,6 @@ from mfvc.mf import (
     compose_and_identify,
     generator_morphism,
     identity_morphism,
-    validate_mf,
 )
 from mfvc.polyring import Poly, poly_x
 
@@ -33,7 +32,7 @@ def test_basic_objects_validate(family, p, q):
     g = make_grading_group(family, p, q)
     for label in labels_for(family, p, q):
         K = build_basic_object(g, label)
-        assert validate_mf(K) == [], (family, p, q, label)
+        assert K.validate() == [], (family, p, q, label)
 
 
 def test_invalid_labels_rejected():
