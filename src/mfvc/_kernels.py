@@ -16,6 +16,8 @@ def backend_name():
 
 FAMILY_CODES = {"loop": 0, "chain": 1, "bp": 2, "local": 3}
 
+_STEP_TOL = 1e-11  # local error tolerance of the adaptive transport step
+
 
 def _w_and_grad(code, p, q, eps, x, y):
     """(W, Wx, Wy) of the resonant perturbation, or of the local model."""
@@ -137,8 +139,9 @@ def _project_to_fibre(code, p, q, eps, delta, x, y, t):
     return x, y
 
 
-def _transport(code, p, q, eps, delta, x0, y0, t0, t1, step_tol, max_steps, project):
-    """Adaptive RK4 with step doubling and optional per-step projection.
+def _transport(code, p, q, eps, delta, x0, y0, t0, t1, max_steps):
+    """Adaptive RK4 with step doubling (local error tolerance _STEP_TOL) and
+    a projection back to the fibre after every step.
 
     Returns (x, y, steps, max_defect, max_drift, status); status 0 = ok,
     1 = near-critical abort, 2 = step budget exhausted."""
@@ -161,13 +164,12 @@ def _transport(code, p, q, eps, delta, x0, y0, t0, t1, step_tol, max_steps, proj
         if min(n1, min(n2, n3)) < 1e-16:
             return x, y, steps, max_defect, max_drift, 1
         err = max(abs(x1 - x2), abs(y1 - y2))
-        if err > step_tol and abs(h) > 1e-13:
+        if err > _STEP_TOL and abs(h) > 1e-13:
             h = 0.5 * h
             continue
         x, y = x2, y2
         t = t + h
-        if project:
-            x, y = _project_to_fibre(code, p, q, eps, delta, x, y, t)
+        x, y = _project_to_fibre(code, p, q, eps, delta, x, y, t)
         W, wx, wy = _w_and_grad(code, p, q, eps, x, y)
         target = -delta * (math.cos(t) + 1j * math.sin(t))
         defect = abs(W - target)
@@ -179,31 +181,28 @@ def _transport(code, p, q, eps, delta, x0, y0, t0, t1, step_tol, max_steps, proj
         steps += 1
         if steps >= max_steps:
             return x, y, steps, max_defect, max_drift, 2
-        if err < 0.01 * step_tol:
+        if err < 0.01 * _STEP_TOL:
             h = 2.0 * h
     return x, y, steps, max_defect, max_drift, 0
 
 
-def _transport_fixed(code, p, q, eps, delta, x0, y0, t0, t1, n_steps, project):
+def _transport_fixed(code, p, q, eps, delta, x0, y0, t0, t1, n_steps):
     x, y = x0, y0
     h = (t1 - t0) / n_steps
     t = t0
     for _ in range(n_steps):
         x, y, _ = _rk4_step(code, p, q, eps, delta, x, y, t, h)
         t = t + h
-        if project:
-            x, y = _project_to_fibre(code, p, q, eps, delta, x, y, t)
     return x, y
 
 
-def transport(family, p, q, eps, delta, x0, y0, t0, t1,
-              step_tol=1e-11, max_steps=100000, project=True):
+def transport(family, p, q, eps, delta, x0, y0, t0, t1, max_steps=100000):
     code = FAMILY_CODES[family]
     return _transport(code, p, q, eps, delta, complex(x0), complex(y0),
-                      float(t0), float(t1), step_tol, max_steps, project)
+                      float(t0), float(t1), max_steps)
 
 
-def transport_fixed(family, p, q, eps, delta, x0, y0, t0, t1, n_steps, project=False):
+def transport_fixed(family, p, q, eps, delta, x0, y0, t0, t1, n_steps):
     code = FAMILY_CODES[family]
     return _transport_fixed(code, p, q, eps, delta, complex(x0), complex(y0),
-                            float(t0), float(t1), int(n_steps), project)
+                            float(t0), float(t1), int(n_steps))

@@ -8,7 +8,8 @@ basic objects ends up in degree 0.
 
 from fractions import Fraction
 
-from .directed import DirectedAlgebra, display_label, extract_quiver, path_algebra_dimension
+from .directed import (DirectedAlgebra, display_label, extract_quiver, object_shift,
+                       path_algebra_dimension)
 from .families import FamilySpec
 from .grading import make_grading_group
 from .mf import HomCohomology, build_basic_object, compose_and_identify, generator_morphism
@@ -35,21 +36,15 @@ def basic_objects(spec: FamilySpec):
     """The ordered exceptional collection for the family."""
     group = make_grading_group(spec.family, spec.p, spec.q)
     p, q = spec.p, spec.q
-    objs = []
-    grid = sorted(
-        ((i, j) for i in range(1, p) for j in range(1, q)),
-        key=lambda ij: (ij[0] + ij[1], ij[0]),
-    )
-    for (i, j) in grid:
-        objs.append(BObject(("K0", i, j), build_basic_object(group, ("K0", i, j)), 0))
+    grid = sorted(((i, j) for i in range(1, p) for j in range(1, q)),
+                  key=lambda ij: (ij[0] + ij[1], ij[0]))
+    labels = [("K0", i, j) for (i, j) in grid]
     if spec.family == "loop":
-        for i in range(1, p):
-            objs.append(BObject(("Kx", i), build_basic_object(group, ("Kx", i)), 3))
+        labels += [("Kx", i) for i in range(1, p)]
     if spec.family in ("loop", "chain"):
-        for j in range(1, q):
-            objs.append(BObject(("Ky", j), build_basic_object(group, ("Ky", j)), 3))
-        objs.append(BObject(("Kf",), build_basic_object(group, ("Kf",)), 3))
-    return objs
+        labels += [("Ky", j) for j in range(1, q)] + [("Kf",)]
+    return [BObject(label, build_basic_object(group, label), object_shift(label))
+            for label in labels]
 
 
 def expected_hom_dim(spec: FamilySpec, a, b, degree):

@@ -10,7 +10,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .directed import display_label
+from .directed import display_label, object_shift
 from .families import FAMILIES, FamilySpec
 
 SCHEMA = "1"
@@ -99,10 +99,6 @@ def cmd_milnor(args):
     return 0
 
 
-def _object_shift(label):
-    return 3 if label[0] in ("Kx", "Ky", "Kf") else 0
-
-
 def cmd_quiver(args):
     from .aside import assemble_directed_algebra
     from .bside import composition_table
@@ -123,8 +119,8 @@ def cmd_quiver(args):
         payload = {
             "schema": SCHEMA,
             "spec": spec.label(),
-            "A": build("A").to_json_dict(display_label, _object_shift),
-            "B": build("B").to_json_dict(display_label, _object_shift),
+            "A": build("A").to_json_dict(display_label, object_shift),
+            "B": build("B").to_json_dict(display_label, object_shift),
             "grading_group": make_grading_group(spec.family, spec.p, spec.q).invariants(),
         }
         _emit(args, payload)
@@ -138,7 +134,7 @@ def cmd_quiver(args):
         else:
             sys.stdout.write(text)
     else:
-        payload = quiver.to_json_dict(display_label, _object_shift)
+        payload = quiver.to_json_dict(display_label, object_shift)
         payload["spec"] = spec.label()
         payload["side"] = args.side
         payload["grading_group"] = make_grading_group(spec.family, spec.p, spec.q).invariants()

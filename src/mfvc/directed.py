@@ -12,8 +12,12 @@ from fractions import Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# B-side objects supported on the components of w = 0, displayed with their [3]
-_SHIFTED_KINDS = ("Kx", "Ky", "Kf")
+
+def object_shift(label):
+    """Cohomological shift of an object label: 3 for the B-side objects
+    Kx(i), Ky(j) and Kf supported on the components of w = 0, 0 for every
+    other object of either side."""
+    return 3 if label[0] in ("Kx", "Ky", "Kf") else 0
 
 
 def display_label(label):
@@ -22,7 +26,8 @@ def display_label(label):
     A side."""
     kind, *index = label
     name = f"{kind}({','.join(map(str, index))})" if index else kind
-    return name + "[3]" if kind in _SHIFTED_KINDS else name
+    shift = object_shift(label)
+    return f"{name}[{shift}]" if shift else name
 
 
 class DirectedAlgebra:

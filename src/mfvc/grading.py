@@ -10,8 +10,9 @@ polynomial w) subject to two relations depending on the family:
 The Smith normal form of the relation matrix gives L = Z/d + Z, and elements
 are stored in those coordinates: a residue mod d and an integer weight.
 Integer 3-vectors over (xv, yv, cv) convert in and out through the Smith
-transform; the quotient L/Zc is reduced with a Hermite normal form.
-Everything is plain python integers, so all of it is exact.
+transform.  Since cv has positive weight, each class of the quotient L/Zc
+has exactly one element of weight in [0, weight(cv)), which serves as its
+canonical form.  Everything is plain python integers, so all of it is exact.
 """
 
 from .families import FAMILIES
@@ -25,48 +26,6 @@ def _relation_rows(family, p, q):
     if family == "bp":
         return [[p, 0, -1], [0, q, -1]]
     raise ValueError(f"unknown family {family!r}")
-
-
-def hermite_normal_form(rows):
-    """Row-style HNF of an integer matrix: echelon rows with positive pivots,
-    entries above each pivot reduced into [0, pivot)."""
-    mat = [list(r) for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    result = []
-    col = 0
-    while mat and col < ncols:
-        pivots = [r for r in mat if r[col] != 0]
-        if not pivots:
-            col += 1
-            continue
-        # Euclidean elimination in this column.
-        while True:
-            pivots = [r for r in mat if r[col] != 0]
-            if len(pivots) <= 1:
-                break
-            pivots.sort(key=lambda r: abs(r[col]))
-            small = pivots[0]
-            for r in pivots[1:]:
-                f = r[col] // small[col]
-                for j in range(ncols):
-                    r[j] -= f * small[j]
-            mat = [r for r in mat if any(r)]
-        pivots = [r for r in mat if r[col] != 0]
-        if pivots:
-            piv = pivots[0]
-            if piv[col] < 0:
-                piv = [-a for a in piv]
-            result.append(piv)
-            mat = [r for r in mat if r is not pivots[0] and any(r)]
-        col += 1
-    # Reduce above-pivot entries for a canonical echelon.
-    for i in range(len(result) - 1, -1, -1):
-        piv_col = next(j for j, a in enumerate(result[i]) if a != 0)
-        for k in range(i):
-            f = result[k][piv_col] // result[i][piv_col]
-            if f:
-                result[k] = [a - f * b for a, b in zip(result[k], result[i])]
-    return result
 
 
 def smith_normal_form(rows):
@@ -194,7 +153,12 @@ class GroupElement:
         return self.group._vector(self.r, self.w)
 
     def mod_c(self):
-        return self.group.reduce_mod_c_vec(self.vec)
+        """The canonical element of this class in L/Zc: the one with weight
+        in [0, c.w), unique because c has positive weight."""
+        g = self.group
+        c = g.c
+        k = self.w // c.w
+        return GroupElement(g, (self.r - k * c.r) % g.torsion_order, self.w - k * c.w)
 
     def __repr__(self):
         return f"L{self.vec}"
@@ -223,8 +187,6 @@ class GradingGroup:
         self.p = p
         self.q = q
         self.relations = _relation_rows(family, p, q)
-        self._hnf_mod_c = hermite_normal_form(self.relations + [[0, 0, 1]])
-        self._hnf_mod_c_pivots = [next(j for j, a in enumerate(r) if a) for r in self._hnf_mod_c]
 
         D, _, V = smith_normal_form(self.relations)
         diag = [D[i][i] for i in range(min(len(D), 3)) if D[i][i] != 0]
@@ -261,22 +223,14 @@ class GradingGroup:
         self.zero = self.element(0, 0)
         if self.x.weight() <= 0 or self.y.weight() <= 0:
             raise ValueError("monomial degrees must have positive free part")
-        if not self.has_infinite_order(self.c):
-            raise ValueError("cv is expected to have infinite order in L")
+        if self.c.weight() <= 0:  # so cv has infinite order and mod_c is canonical
+            raise ValueError("cv is expected to have positive weight")
 
     # -- raw vector helpers ------------------------------------------------
 
     def _vector(self, r, w):
         """The integer 3-vector with Smith coordinates (0, r, +-w)."""
         return tuple(r * a + w * b for a, b in zip(self._residue_row, self._weight_row))
-
-    def reduce_mod_c_vec(self, vec):
-        v = list(vec)
-        for row, piv in zip(self._hnf_mod_c, self._hnf_mod_c_pivots):
-            f = v[piv] // row[piv]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
 
     # -- public api ---------------------------------------------------------
 
@@ -285,30 +239,6 @@ class GradingGroup:
         rc, wc = self._residue_col, self._weight_col
         return GroupElement(self, (a * rc[0] + b * rc[1] + c * rc[2]) % self.torsion_order,
                             a * wc[0] + b * wc[1] + c * wc[2])
-
-    def monomial_degree(self, u, v):
-        return self.element(u, v)
-
-    def reduce(self, e):
-        """Canonical form (idempotent; elements already store it)."""
-        return e
-
-    def has_infinite_order(self, e):
-        # torsion elements are exactly those of weight zero
-        return e.w != 0
-
-    def decompose_mod_c(self, d, l):
-        """Find the integer m with d = m*cv + l in L, or None if there is none.
-
-        Uniqueness relies on cv having infinite order, which holds for all
-        three families (asserted at construction)."""
-        diff = d - l
-        if diff.w % self.c.w:
-            return None
-        m = diff.w // self.c.w
-        if m * self.c == diff:
-            return m
-        return None
 
     def invariants(self):
         """(free rank, torsion factors) of L and of L/Z*cv."""

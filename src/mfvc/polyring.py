@@ -157,7 +157,7 @@ class Poly:
         """The common L-degree of all terms, or None if inhomogeneous."""
         deg = None
         for (u, v) in self.terms:
-            d = group.monomial_degree(u, v)
+            d = group.element(u, v)
             if deg is None:
                 deg = d
             elif deg != d:
@@ -309,7 +309,7 @@ def monomials_of_exact_degree(group, d):
                 if rem % wy:
                     continue
                 v = rem // wy
-                if group.monomial_degree(u, v) == d:
+                if group.element(u, v) == d:
                     found.append((u, v))
         out = group.monomials_by_degree[d] = tuple(found)
     return out
@@ -369,14 +369,11 @@ class QuotientRing:
 
     # -- piece enumeration ---------------------------------------------------
 
-    def monomials_of_exact_degree(self, d: GroupElement):
-        return monomials_of_exact_degree(self.group, d)
-
     def standard_monomials_exact(self, d: GroupElement):
         """Standard monomials of exact degree d: a basis of (S/I)_d."""
         cached = self._std_cache.get(d)
         if cached is None:
-            cached = [m for m in self.monomials_of_exact_degree(d) if self.is_standard(m)]
+            cached = [m for m in monomials_of_exact_degree(self.group, d) if self.is_standard(m)]
             cached.sort(key=mono_key)
             self._std_cache[d] = cached
         return cached
@@ -385,34 +382,27 @@ class QuotientRing:
         """Monomial basis of the piece of R(shift)/I in class [delta] of L/Zc.
 
         delta is a GroupElement used as the exact representative l of the
-        class.  Returns [(monomial, m)] where the monomial has exact degree
-        l + shift + m*c.  Requires a finite staircase, or an explicit
-        exponent bound for the enumeration.
+        class.  Returns [(monomial, m)] sorted by monomial: the standard
+        monomials of exact degree l + shift + m*c, joined over every m whose
+        weight fits the exponent box.  The box is the staircase when it is
+        finite; otherwise an explicit exponent bound is required and the
+        monomials are kept to exponents <= bound.
         """
         g = self.group
         if not isinstance(delta, GroupElement):
             raise TypeError("delta must be a GroupElement representative")
-        l = delta
         box = self.staircase_bound()
         if box is None:
             if bound is None:
                 raise ValueError("infinite-dimensional piece: supply an exponent bound")
             box = (bound + 1, bound + 1)
-        target = (l + self.shift).mod_c()
+        base = delta + self.shift
+        top = (box[0] - 1) * g.x.w + (box[1] - 1) * g.y.w
         out = []
-        base = l + self.shift
-        for u in range(box[0]):
-            for v in range(box[1]):
-                if not self.is_standard((u, v)):
-                    continue
-                if g.reduce_mod_c_vec((u, v, 0)) != target:
-                    continue
-                m = g.decompose_mod_c(g.monomial_degree(u, v), base)
-                if m is None:
-                    # degree differs from base by a torsion element; cannot
-                    # happen when classes mod c agree and c has infinite order
-                    raise ArithmeticError("class matched but no c-power decomposition")
-                out.append(((u, v), m))
+        for m in range(-(base.w // g.c.w), (top - base.w) // g.c.w + 1):
+            for mono in self.standard_monomials_exact(base + m * g.c):
+                if mono[0] < box[0] and mono[1] < box[1]:
+                    out.append((mono, m))
         out.sort(key=lambda t: mono_key(t[0]))
         return out
 
@@ -443,7 +433,7 @@ def brute_force_piece_dim(group, generators, shift, delta_rep, bound):
         (u, v)
         for u in range(bound + 1)
         for v in range(bound + 1)
-        if group.reduce_mod_c_vec((u, v, 0)) == target
+        if group.element(u, v).mod_c() == target
     ]
     if not monos:
         return 0
@@ -463,7 +453,7 @@ def brute_force_piece_dim(group, generators, shift, delta_rep, bound):
                 if any(m not in index for m in shifted):
                     continue
                 first = next(iter(shifted))
-                if group.reduce_mod_c_vec((first[0], first[1], 0)) != target:
+                if group.element(*first).mod_c() != target:
                     continue
                 row = [Fraction(0)] * len(monos)
                 for m, c in shifted.items():

@@ -26,9 +26,7 @@ class TransportProblem:
     y0: complex
     t_start: float       # path c(t) = -delta e^{it}, t from t_start to t_end
     t_end: float
-    step_tol: float = 1e-11
     max_steps: int = 100000
-    project: bool = True
 
 
 class TransportError(RuntimeError):
@@ -49,8 +47,7 @@ def integrate_parallel_transport(problem: TransportProblem):
         raise TransportError(f"initial point is not on the fibre: defect {abs(W0 - start_target):.3e}")
     x, y, steps, defect, drift, status = _kernels.transport(
         problem.family, problem.p, problem.q, problem.eps, problem.delta,
-        problem.x0, problem.y0, problem.t_start, problem.t_end,
-        problem.step_tol, problem.max_steps, problem.project,
+        problem.x0, problem.y0, problem.t_start, problem.t_end, problem.max_steps,
     )
     if status == 1:
         raise TransportError("aborted near a critical point (|dW| too small)")
@@ -121,7 +118,7 @@ def convergence_study(spec: FamilySpec, l, m, s, delta=1e-3, eps=0.1,
     n = base_steps
     for _ in range(rounds):
         x, _ = _kernels.transport_fixed("local", spec.p, spec.q, eps, delta,
-                                        x0, y0, theta, 0.0, n, project=False)
+                                        x0, y0, theta, 0.0, n)
         errors.append(abs(x - target))
         n *= 2
     return errors

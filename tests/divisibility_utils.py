@@ -14,13 +14,13 @@ def class_buckets(family, p, q, bound):
         buckets = {}
         for u in range(bound + 1):
             for v in range(bound + 1):
-                buckets.setdefault(g.reduce_mod_c_vec((u, v, 0)), []).append((u, v))
+                buckets.setdefault(g.element(u, v).mod_c(), []).append((u, v))
         _BUCKET_CACHE[key] = (g, buckets)
     return _BUCKET_CACHE[key]
 
 
 def monomials_in_class(g, buckets, a, b):
-    return buckets.get(g.reduce_mod_c_vec((a, b, 0)), [])
+    return buckets.get(g.element(a, b).mod_c(), [])
 
 
 def in_monomial_ideal(mono, gens):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mfvc.grading import hermite_normal_form, make_grading_group, smith_normal_form
+from mfvc.grading import make_grading_group, smith_normal_form
 
 FAMILIES = ("loop", "chain", "bp")
 
@@ -46,7 +46,7 @@ def test_hnf_reduces_relations_to_zero():
 def test_structure_invariants(family, p, q):
     g = make_grading_group(family, p, q)
     assert g.order_mod_c == expected_order_mod_c(family, p, q)
-    assert g.has_infinite_order(g.c)
+    assert g.c.weight() > 0  # so c has infinite order: torsion has weight 0
     # L = Z + Z/d with d computed, not assumed
     d = {"loop": math.gcd(p - 1, q - 1), "chain": math.gcd(p, q - 1), "bp": math.gcd(p, q)}[family]
     assert g.free_rank == 1
@@ -73,17 +73,6 @@ def test_examples_from_each_family():
     assert (3 * g.x - g.c).is_zero()
 
 
-def test_reduce_is_idempotent_and_additive():
-    rng = random.Random(3)
-    for family in FAMILIES:
-        g = make_grading_group(family, 3, 5)
-        for _ in range(50):
-            a = g.element(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
-            b = g.element(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
-            assert g.reduce(a) == a
-            assert g.reduce(a + b) == g.reduce(g.reduce(a) + g.reduce(b))
-
-
 def test_loop_defining_relation_reduces_to_zero():
     for p in range(2, 7):
         for q in range(2, 7):
@@ -91,30 +80,33 @@ def test_loop_defining_relation_reduces_to_zero():
             assert ((p - 1) * g.x + (1 - q) * g.y).is_zero()
 
 
-def test_decompose_mod_c_round_trip():
+def test_mod_c_is_constant_on_c_cosets():
     rng = random.Random(11)
     for family in FAMILIES:
         g = make_grading_group(family, 4, 3)
         for _ in range(50):
             l = g.element(rng.randint(-8, 8), rng.randint(-8, 8), rng.randint(-3, 3))
+            cls = l.mod_c()
+            # the canonical element: weight in [0, c.w), differing from l by a multiple of c
+            assert 0 <= cls.weight() < g.c.weight()
+            assert cls.mod_c() == cls
+            assert l - cls == ((l - cls).weight() // g.c.weight()) * g.c
             for m in range(-20, 21):
-                d = m * g.c + l
-                assert g.decompose_mod_c(d, l) == m
+                assert (m * g.c + l).mod_c() == cls
 
 
-def test_decompose_mod_c_trivial_and_empty():
+def test_mod_c_same_and_different_classes():
     g = make_grading_group("loop", 2, 2)
     l = g.element(1, 2)
-    assert g.decompose_mod_c(l, l) == 0
-    assert g.decompose_mod_c(l + g.c, l) == 1
+    assert (l + g.c).mod_c() == l.mod_c()
     # In loop(2,2) the defining relation collapses x and y to the same
-    # element, so x = y + 0*c; brute force over m in [-10, 10] agrees.
+    # element, so x and y share a class.
     assert (g.x - g.y).is_zero()
-    assert g.decompose_mod_c(g.x, g.y) == 0
-    # A genuinely empty case: in loop(2,3), x - y = 3x is nonzero in
-    # L/Zc = Z/5, so no decomposition exists.
+    assert g.x.mod_c() == g.y.mod_c()
+    # Distinct classes: in loop(2,3), x - y = 3x is nonzero in L/Zc = Z/5,
+    # so x is not y + m*c for any m.
     g23 = make_grading_group("loop", 2, 3)
-    assert g23.decompose_mod_c(g23.x, g23.y) is None
+    assert g23.x.mod_c() != g23.y.mod_c()
     assert all((m * g23.c + g23.y) != g23.x for m in range(-10, 11))
 
 
@@ -132,8 +124,50 @@ def test_mod_c_classes_count():
         seen = set()
         for a in range(-12, 13):
             for b in range(-12, 13):
-                seen.add(g.reduce_mod_c_vec((a, b, 0)))
+                seen.add(g.element(a, b).mod_c())
         assert len(seen) == g.order_mod_c
+
+
+def hermite_normal_form(rows):
+    """Row-style HNF of an integer matrix: echelon rows with positive pivots,
+    entries above each pivot reduced into [0, pivot)."""
+    mat = [list(r) for r in rows if any(r)]
+    ncols = len(rows[0]) if rows else 0
+    result = []
+    col = 0
+    while mat and col < ncols:
+        pivots = [r for r in mat if r[col] != 0]
+        if not pivots:
+            col += 1
+            continue
+        # Euclidean elimination in this column.
+        while True:
+            pivots = [r for r in mat if r[col] != 0]
+            if len(pivots) <= 1:
+                break
+            pivots.sort(key=lambda r: abs(r[col]))
+            small = pivots[0]
+            for r in pivots[1:]:
+                f = r[col] // small[col]
+                for j in range(ncols):
+                    r[j] -= f * small[j]
+            mat = [r for r in mat if any(r)]
+        pivots = [r for r in mat if r[col] != 0]
+        if pivots:
+            piv = pivots[0]
+            if piv[col] < 0:
+                piv = [-a for a in piv]
+            result.append(piv)
+            mat = [r for r in mat if r is not pivots[0] and any(r)]
+        col += 1
+    # Reduce above-pivot entries for a canonical echelon.
+    for i in range(len(result) - 1, -1, -1):
+        piv_col = next(j for j, a in enumerate(result[i]) if a != 0)
+        for k in range(i):
+            f = result[k][piv_col] // result[i][piv_col]
+            if f:
+                result[k] = [a - f * b for a, b in zip(result[k], result[i])]
+    return result
 
 
 def _hnf_reduce(hnf, vec):
@@ -163,6 +197,7 @@ def test_smith_coordinates_agree_with_hnf_reference(family):
         for q in range(2, 7):
             g = make_grading_group(family, p, q)
             hnf = hermite_normal_form(g.relations)
+            hnf_mod_c = hermite_normal_form(g.relations + [[0, 0, 1]])
             c_vec = (0, 0, 1)
             for _ in range(20):
                 a = tuple(rng.randint(-8, 8) for _ in range(3))
@@ -182,11 +217,14 @@ def test_smith_coordinates_agree_with_hnf_reference(family):
                     assert hash(ea) == hash(eb)
                 assert _hnf_reduce(hnf, ea.vec) == _hnf_reduce(hnf, a)
                 assert ea.weight() == _reference_weight(g, a)
-                assert ea.mod_c() == g.reduce_mod_c_vec(a)
-                # decompose_mod_c against a brute-force search over m
+                # classes mod c against the HNF of the relations plus cv
+                same_mod_c = _hnf_reduce(hnf_mod_c, a) == _hnf_reduce(hnf_mod_c, b)
+                assert (ea.mod_c() == eb.mod_c()) == same_mod_c, (family, p, q, a, b)
+                assert _hnf_reduce(hnf_mod_c, ea.mod_c().vec) == _hnf_reduce(hnf_mod_c, a)
+                # and against a brute-force search for m with a = b + m*cv
                 diff = tuple(x - y for x, y in zip(a, b))
                 brute = [m for m in range(-30, 31)
                          if _hnf_reduce(hnf, tuple(x - m * y for x, y in zip(diff, c_vec)))
                          == (0, 0, 0)]
                 assert len(brute) <= 1
-                assert g.decompose_mod_c(ea, eb) == (brute[0] if brute else None)
+                assert same_mod_c == bool(brute)

@@ -163,6 +163,40 @@ def test_graded_piece_matches_oracle_randomized():
         cases += 1
 
 
+def test_graded_piece_matches_oracle_shifted_and_unbounded():
+    # Nonzero shifts on finite staircases, and infinite staircases with an
+    # exponent bound.  The infinite ones come from monomial ideals: there
+    # the oracle's box truncation (multiples lying wholly inside the box)
+    # keeps exactly the standard monomials of the box, so both counts agree.
+    rng = random.Random(5)
+    for case in range(150):
+        family = rng.choice(["loop", "chain", "bp"])
+        p, q = rng.randint(2, 5), rng.randint(2, 5)
+        g = make_grading_group(family, p, q)
+        if case % 2:
+            gens = [poly_x(rng.randint(1, p)), poly_y(rng.randint(1, q))]
+            if rng.random() < 0.5:
+                gens.append(family_w(family, p, q))
+        else:
+            gens = rng.choice([
+                [poly_x(rng.randint(1, p))],
+                [poly_y(rng.randint(1, q))],
+                [Poly.monomial(rng.randint(1, p), rng.randint(1, q))],
+                [poly_x(rng.randint(2, p + 1)), Poly.monomial(1, rng.randint(1, q))],
+            ])
+        shift = g.element(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-1, 1))
+        delta = g.element(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-1, 1))
+        ring = QuotientRing(g, gens, shift=shift)
+        assert ring.is_finite_dimensional() == bool(case % 2)
+        bound = rng.randint(p + q, 3 * p * q)
+        basis = ring.graded_piece_basis(delta, bound=bound)
+        for mono, m in basis:
+            assert g.element(*mono) == delta + shift + m * g.c
+            assert max(mono) <= bound and ring.is_standard(mono)
+        oracle = brute_force_piece_dim(g, gens, shift, delta, bound)
+        assert len(basis) == oracle, (family, p, q, [str(x) for x in gens], shift, delta)
+
+
 # ---------------------------------------------------------------------------
 # the divisibility facts behind every hom computation
 
