@@ -1,31 +1,27 @@
 """Small exact linear algebra over Q, eliminating on sparse rows.
 
-The public functions take and return dense rows (lists of Fraction).
-Inside, a row is a dict {column: Fraction} that holds only nonzero
+A row or vector is a dict {column: Fraction} that holds only nonzero
 entries; the matrices here are monomial or binomial differentials and
 chain-map equations, so most entries are zero and are never touched.
+`nullspace`, `solve` and `Subspace` take and return such dicts, and take
+the column count where a dict cannot supply it.  Entries given as `int`
+are accepted: every dict that comes back holds `Fraction`s, and zero
+entries given on input are dropped.  `rank` alone takes dense rows (lists),
+since its callers, the brute-force piece-dimension oracle and the benchmark
+harness, build dense rows.
 
 A row space is kept in reduced row echelon form as a dict from pivot column
 to its row, scaled to 1 at the pivot.  Every other pivot column is zero in
 each row.  Two helpers do all the elimination: `_reduce` clears the pivot
 columns of a vector and `_insert` adds a reduced vector as a new pivot row.
-`rref`, `nullspace`, `solve` and `Subspace` run on them; `rank` needs only
-forward elimination.  The reduced echelon form of a matrix is unique, so
-the results do not depend on the order rows are inserted in.
+`nullspace`, `solve` and `Subspace` run on them; `rank` needs only forward
+elimination.  The reduced echelon form of a matrix is unique, so the
+results do not depend on the order rows are inserted in.
 """
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _sparse(vec):
-    return {c: a if type(a) is Fraction else Fraction(a) for c, a in enumerate(vec) if a}
-
-
-def _dense(row, ncols):
-    return [row.get(c, _ZERO) for c in range(ncols)]
 
 
 def _axpy(target, f, row):
@@ -39,16 +35,16 @@ def _axpy(target, f, row):
 
 
 def _reduce(vec, pivots):
-    """vec (sparse) reduced against the pivot rows, as a new dict.
+    """vec reduced against the pivot rows, as a new dict of Fractions.
 
     One pass over the pivot columns vec touches is enough: a pivot row is
     zero in every other pivot column, so subtracting it leaves the vector's
     entries there as they were.
     """
-    out = dict(vec)
+    out = {c: a if type(a) is Fraction else Fraction(a) for c, a in vec.items() if a}
     for p, f in vec.items():
         row = pivots.get(p)
-        if row is not None:
+        if row is not None and f:
             _axpy(out, f, row)
     return out
 
@@ -70,27 +66,18 @@ def _echelon(rows):
     """Reduced echelon form of the row space: {pivot column: sparse row}."""
     pivots = {}
     for r in rows:
-        v = _reduce(_sparse(r), pivots)
+        v = _reduce(r, pivots)
         if v:
             _insert(v, pivots)
     return pivots
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = _echelon(rows)
-    cols = sorted(pivots)
-    return [_dense(pivots[p], ncols) for p in cols], cols
-
-
 def rank(rows):
-    """Rank by forward elimination: pivot rows are not cleared above."""
+    """Rank of a matrix given as dense rows, by forward elimination: pivot
+    rows are not cleared above."""
     pivots = {}
     for r in rows:
-        v = _sparse(r)
+        v = {c: a if type(a) is Fraction else Fraction(a) for c, a in enumerate(r) if a}
         while v:
             p = min(v)
             row = pivots.get(p)
@@ -101,74 +88,54 @@ def rank(rows):
     return len(pivots)
 
 
-def nullspace(rows, ncols=None):
-    """Basis of the right nullspace of the matrix (rows over Q), one vector
-    per free column in ascending order, with 1 there and 0 at the others."""
-    if not rows:
-        return [[_ONE if i == j else _ZERO for j in range(ncols)] for i in range(ncols)] if ncols else []
-    ncols = len(rows[0])
+def nullspace(rows, ncols):
+    """Basis of the right nullspace of the matrix with these rows and ncols
+    columns: one vector per free column in ascending order, with 1 there,
+    0 at the other free columns and minus the column's reduced entries at
+    the pivots."""
     pivots = _echelon(rows)
     by_free = {}
     for p, row in pivots.items():
         for c, a in row.items():
             if c != p:
-                by_free.setdefault(c, []).append((p, a))
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [_ZERO] * ncols
-        v[fc] = _ONE
-        for p, a in by_free.get(fc, ()):
-            v[p] = -a
-        basis.append(v)
-    return basis
+                by_free.setdefault(c, {})[p] = -a
+    return [{fc: _ONE, **by_free.get(fc, {})} for fc in range(ncols) if fc not in pivots]
 
 
-def solve(rows, rhs):
-    """One solution of A x = b, or None if inconsistent.  rhs is a column.
-    Free variables are set to 0."""
-    if not rows:
-        return [] if all(b == 0 for b in rhs) else None
-    ncols = len(rows[0])
-    pivots = _echelon(list(r) + [b] for r, b in zip(rows, rhs))
+def solve(rows, rhs, ncols):
+    """One solution x of A x = b, or None if there is none.
+
+    rows are the rows of A over columns 0..ncols-1, and rhs is b as a dict
+    {row index: value}.  Free variables are set to 0."""
+    pivots = _echelon({**r, ncols: rhs[i]} if i in rhs else r for i, r in enumerate(rows))
     if ncols in pivots:
         return None
-    x = [_ZERO] * ncols
-    for p, row in pivots.items():
-        x[p] = row.get(ncols, _ZERO)
-    return x
+    return {p: row[ncols] for p, row in pivots.items() if ncols in row}
 
 
 class Subspace:
     """Row space with incremental membership testing and reduction."""
 
-    def __init__(self, vectors=(), ncols=None):
-        self.ncols = ncols
+    def __init__(self, vectors=()):
         self._pivots = {}
         for v in vectors:
             self.add(v)
 
-    @property
-    def rows(self):
-        """Reduced echelon basis, dense, in ascending pivot order."""
-        return [_dense(self._pivots[p], self.ncols) for p in sorted(self._pivots)]
-
     def reduce(self, vec):
-        return _dense(_reduce(_sparse(vec), self._pivots), len(vec))
+        """vec reduced against the reduced echelon basis: zero in every
+        pivot column, and equal to vec modulo the space."""
+        return _reduce(vec, self._pivots)
 
     def add(self, vec):
         """Add a vector; returns True if it enlarged the space."""
-        if self.ncols is None:
-            self.ncols = len(vec)
-        v = _reduce(_sparse(vec), self._pivots)
+        v = _reduce(vec, self._pivots)
         if not v:
             return False
         _insert(v, self._pivots)
         return True
 
     def contains(self, vec):
-        return not _reduce(_sparse(vec), self._pivots)
+        return not _reduce(vec, self._pivots)
 
     def dim(self):
         return len(self._pivots)

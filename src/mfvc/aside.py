@@ -356,22 +356,18 @@ def random_grid_signs(A, B, seed):
 # the directed algebra
 
 
-def assemble_directed_algebra(spec: FamilySpec, seed=None):
+def assemble_directed_algebra(spec: FamilySpec):
     """Directed algebra of the vanishing cycles.
 
     Hom dimensions come from the intersection table, all generators in
     degree 0 by the lift computation.  Compositions: each composable triple
     bounds exactly one triangular region, so composites of generators are
-    signed generators, and after the sign sweep (run here on a seeded
-    random assignment when requested) all signs are +1."""
+    signed generators; `sweep_square_signs` shows that the signs of the
+    grid can always be rectified, so every composite into a nonzero hom is
+    set to +1 and every other one to 0."""
     schedule = path_schedule(spec)
     table = _intersections(schedule)
     _, degrees = _grading_degrees(schedule, table)
-    # a random initial sign assignment must rectify to the same table
-    A, B = spec.p - 1, spec.q - 1
-    if seed is not None and A >= 2 and B >= 2:
-        right, up = random_grid_signs(A, B, seed)
-        sweep_square_signs(A, B, right, up)
     homs = {pair: {degrees[pair]: c} for pair, c in table.items()}
     algebra = DirectedAlgebra(schedule.order, homs)
     comps = {}

@@ -171,22 +171,18 @@ def _raw_composition_table(table: HomTable):
 def _rescale_to_positive(table: HomTable, coeffs):
     """Generator rescalings making every composition coefficient +1.
 
-    Runs the row-by-row square sweep on the grid (the same procedure the
-    vanishing-cycle side uses), then fixes the scale of every longer
-    generator from a canonical decomposition."""
+    Runs the row-by-row square sweep on the grid of K0 objects (the same
+    procedure the vanishing-cycle side uses).  Every other nonzero pair
+    (a, b), taken by increasing gap between the positions of a and b, gets
+    the scale of its factorisation a -> z -> b through the first object z
+    strictly between them whose two homs are nonzero, or 1 if there is no
+    such z.  `composition_table` checks that the result is all +1."""
     from .aside import sweep_square_signs
 
     spec = table.spec
     p, q = spec.p, spec.q
-    scale = {}
-    right_sign = {}
-    up_sign = {}
-    for i in range(1, p - 1):
-        for j in range(1, q):
-            right_sign[(i, j)] = Fraction(1)
-    for i in range(1, p):
-        for j in range(1, q - 1):
-            up_sign[(i, j)] = Fraction(1)
+    right_sign = {(i, j): Fraction(1) for i in range(1, p - 1) for j in range(1, q)}
+    up_sign = {(i, j): Fraction(1) for i in range(1, p) for j in range(1, q - 1)}
 
     def square_values(i, j, rs, us):
         a, bR, bU, c = (("K0", i, j), ("K0", i + 1, j), ("K0", i, j + 1), ("K0", i + 1, j + 1))
@@ -196,60 +192,24 @@ def _rescale_to_positive(table: HomTable, coeffs):
 
     right_sign, up_sign = sweep_square_signs(p - 1, q - 1, right_sign, up_sign, square_values)
 
+    scale = {}
     for (i, j), s in right_sign.items():
         scale[(("K0", i, j), ("K0", i + 1, j))] = s
     for (i, j), s in up_sign.items():
         scale[(("K0", i, j), ("K0", i, j + 1))] = s
 
-    # remaining length-1 arrows (into the shifted objects) keep scale one
     skeleton = table.skeleton()
+    objects, position = skeleton.objects, skeleton.position
     pairs = skeleton.nonzero_pairs()
-
-    def arrow_length(a, b):
-        # 1 + grid distance to the vertex the terminal arrow leaves from
-        if a[0] == "K0" and b[0] == "K0":
-            return (b[1] - a[1]) + (b[2] - a[2])
-        if a[0] == "K0":
-            if b[0] == "Kx":
-                return (spec.q - 1 - a[2]) + 1
-            if b[0] == "Ky":
-                return (spec.p - 1 - a[1]) + 1
-            return (spec.p - 1 - a[1]) + (spec.q - 1 - a[2]) + 1
-        raise ValueError((a, b))
-
-    for (a, b) in sorted(pairs, key=lambda ab: arrow_length(*ab)):
+    nonzero = set(pairs)
+    for (a, b) in sorted(pairs, key=lambda ab: position[ab[1]] - position[ab[0]]):
         if (a, b) in scale:
             continue
-        if arrow_length(a, b) == 1:
-            scale[(a, b)] = Fraction(1)
-            continue
-        # canonical split: first arrow out of a on a path to b
-        mid = _first_step(spec, a, b)
-        scale[(a, b)] = coeffs[(a, mid, b)] * scale[(a, mid)] * scale[(mid, b)]
+        mid = next((z for z in objects[position[a] + 1:position[b]]
+                    if (a, z) in nonzero and (z, b) in nonzero), None)
+        scale[(a, b)] = (Fraction(1) if mid is None
+                         else coeffs[(a, mid, b)] * scale[(a, mid)] * scale[(mid, b)])
     return scale
-
-
-def _first_step(spec, a, b):
-    """First vertex after a on the canonical monotone path from a to b."""
-    assert a[0] == "K0"
-    i, j = a[1], a[2]
-    if b[0] == "K0":
-        if b[1] > i:
-            return ("K0", i + 1, j)
-        return ("K0", i, j + 1)
-    if b[0] == "Kx":
-        if j < spec.q - 1:
-            return ("K0", i, j + 1)
-        return ("Kx", i)
-    if b[0] == "Ky":
-        if i < spec.p - 1:
-            return ("K0", i + 1, j)
-        return ("Ky", j)
-    if i < spec.p - 1:
-        return ("K0", i + 1, j)
-    if j < spec.q - 1:
-        return ("K0", i, j + 1)
-    return ("Kf",)
 
 
 def composition_table(spec: FamilySpec, table: HomTable = None):

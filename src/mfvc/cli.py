@@ -24,13 +24,17 @@ def _spec_from_args(args):
     return FamilySpec(args.family, args.p, args.q)
 
 
-def _emit(args, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(args, text):
+    """Write a command's output to --out, or to stdout when it is not given."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, payload):
+    _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +99,7 @@ def cmd_milnor(args):
         _emit(args, {"schema": SCHEMA, "spec": spec.label(), "milnor": spec.milnor(),
                      "decomposition": spec.milnor_decomposition()})
     else:
-        print(spec.milnor())
+        _write(args, f"{spec.milnor()}\n")
     return 0
 
 
@@ -128,11 +132,7 @@ def cmd_quiver(args):
 
     quiver = build(args.side)
     if args.format == "dot":
-        text = quiver_to_dot(quiver, display_label, _vertex_groups(quiver.vertices))
-        if args.out:
-            open(args.out, "w").write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, quiver_to_dot(quiver, display_label, _vertex_groups(quiver.vertices)))
     else:
         payload = quiver.to_json_dict(display_label, object_shift)
         payload["spec"] = spec.label()
@@ -232,11 +232,7 @@ def cmd_transport_verify(args):
     lines = ["l,m,s,angle_error,modulus_error,steps"]
     for r in reports:
         lines.append(f"{r['l']},{r['m']},{r['s']},{r['angle_error']:.3e},{r['modulus_error']:.3e},{r['steps']}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        open(args.out, "w").write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, "\n".join(lines) + "\n")
     return 0 if all(r["ok"] for r in reports) else 1
 
 
@@ -255,11 +251,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, degree_window=False, numeric=False, seed=False):
+    def add_common(sp, formats=("json",), degree_window=False, numeric=False, seed=False):
+        # formats: the output formats the command writes, the first the default
         sp.add_argument("--family", required=True, choices=FAMILIES)
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--q", type=int, required=True)
-        sp.add_argument("--format", choices=("json", "dot", "text"), default="json")
+        if formats:
+            sp.add_argument("--format", choices=formats, default=formats[0])
         sp.add_argument("--out", default=None)
         if degree_window:
             sp.add_argument("--degree-window", dest="degree_window", type=non_negative_int,
@@ -272,11 +270,11 @@ def build_parser():
             sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("milnor", help="Milnor number and its decomposition")
-    add_common(sp)
-    sp.set_defaults(func=cmd_milnor, format="text")
+    add_common(sp, formats=("text", "json"))
+    sp.set_defaults(func=cmd_milnor)
 
     sp = sub.add_parser("quiver", help="Gabriel quiver with relations")
-    add_common(sp)
+    add_common(sp, formats=("json", "dot"))
     sp.add_argument("--side", choices=("A", "B", "both"), default="B")
     sp.set_defaults(func=cmd_quiver)
 
@@ -297,7 +295,7 @@ def build_parser():
     sp.set_defaults(func=cmd_signs)
 
     sp = sub.add_parser("transport-verify", help="closed form vs numeric transport (CSV)")
-    add_common(sp, numeric=True)
+    add_common(sp, formats=(), numeric=True)
     sp.set_defaults(func=cmd_transport_verify)
 
     return parser

@@ -3,7 +3,7 @@ factorisation algebra must agree under the index correspondence
 i + l = p - 1, j + m = q - 1."""
 
 from .aside import assemble_directed_algebra
-from .bside import DEGREE_WINDOW, HomTable, composition_table, hom_table
+from .bside import DEGREE_WINDOW, basic_objects, composition_table, hom_table
 from .families import FamilySpec
 
 
@@ -32,14 +32,14 @@ def correspondence(spec: FamilySpec):
 
 def milnor_and_counts(spec: FamilySpec):
     a_objects = len(assemble_directed_algebra(spec).objects)
-    table = HomTable(spec)
+    b_objects = len(basic_objects(spec))
     return {
         "spec": spec.label(),
         "milnor": spec.milnor(),
         "decomposition": spec.milnor_decomposition(),
         "a_objects": a_objects,
-        "b_objects": len(table.objects),
-        "equal": a_objects == len(table.objects) == spec.milnor(),
+        "b_objects": b_objects,
+        "equal": a_objects == b_objects == spec.milnor(),
     }
 
 

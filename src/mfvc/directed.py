@@ -187,8 +187,8 @@ def extract_quiver(algebra: DirectedAlgebra):
         paths[maxlen] = nxt
 
     relations = []
-    # consequences[(a,b)] holds the subspace of already-generated kernel
-    # elements among paths a->b, in the coordinate order of path_list
+    # vectors over the paths a->b of one length are sparse dicts keyed by
+    # position in plist
     for length in range(2, maxlen + 1):
         for (a, b), plist in sorted(paths[length].items(),
                                     key=lambda kv: (algebra.position[kv[0][0]], algebra.position[kv[0][1]])):
@@ -196,30 +196,17 @@ def extract_quiver(algebra: DirectedAlgebra):
             # kernel of the evaluation: all paths evaluate to the generator
             # (coefficient +1 post-rectification) or to zero
             target_dim = algebra.hom_dim(a, b, sum(algebra.generator_degree(*arrows[k]) for k in plist[0]))
-            kernel = []
             if target_dim:
-                first = plist[0]
-                for p in plist[1:]:
-                    vec = [Fraction(0)] * len(plist)
-                    vec[pindex[tuple(p)]] = Fraction(1)
-                    vec[pindex[tuple(first)]] -= Fraction(1)
-                    kernel.append(vec)
+                kernel = [{0: -_ONE, k: _ONE} for k in range(1, len(plist))]
             else:
-                for p in plist:
-                    vec = [Fraction(0)] * len(plist)
-                    vec[pindex[tuple(p)]] = Fraction(1)
-                    kernel.append(vec)
+                kernel = [{k: _ONE} for k in range(len(plist))]
             if not kernel:
                 continue
             # consequences of shorter relations: u * r * v inside paths a->b
-            consequence = Subspace(ncols=len(plist))
-            for vec in _consequences(relations, arrows, paths, a, b, length, pindex):
-                consequence.add(vec)
+            consequence = Subspace(_consequences(relations, arrows, paths, a, b, length, pindex))
             for vec in kernel:
-                if not consequence.contains(vec):
-                    consequence.add(vec)
-                    rel = [(c, tuple(plist[i])) for i, c in enumerate(vec) if c]
-                    relations.append([(c, list(path)) for c, path in rel])
+                if consequence.add(vec):
+                    relations.append([(vec[k], list(plist[k])) for k in sorted(vec)])
 
     return QuiverWithRelations(algebra.objects, arrows, relations), paths
 
@@ -239,17 +226,16 @@ def path_algebra_dimension(algebra: DirectedAlgebra, quiver: QuiverWithRelations
             by_pair.setdefault((a, b, length), plist)
     for (a, b, length), plist in by_pair.items():
         pindex = {tuple(p): i for i, p in enumerate(plist)}
-        span = Subspace(ncols=len(plist))
-        for vec in _consequences(quiver.relations, quiver.arrows, paths, a, b, length, pindex):
-            span.add(vec)
+        span = Subspace(_consequences(quiver.relations, quiver.arrows, paths, a, b, length, pindex))
         total += len(plist) - span.dim()
     return total
 
 
 def _consequences(relations, arrows, paths, a, b, length, pindex):
-    """The nonzero products pre * r * post of each relation r with arrow
-    paths pre into its start and post out of its end, as coordinate vectors
-    over the length-`length` paths a -> b numbered by pindex."""
+    """The products pre * r * post of each relation r with arrow paths pre
+    into its start and post out of its end, as sparse vectors over the
+    length-`length` paths a -> b numbered by pindex.  The terms of a
+    relation are distinct paths, so each product is nonzero."""
     for rel in relations:
         ra = arrows[rel[0][1][0]][0]
         rb = arrows[rel[0][1][-1]][1]
@@ -260,12 +246,11 @@ def _consequences(relations, arrows, paths, a, b, length, pindex):
             posts = ([[]] if b == rb else []) if post_len == 0 else paths.get(post_len, {}).get((rb, b), [])
             for pre in pres:
                 for post in posts:
-                    vec = [Fraction(0)] * len(pindex)
+                    vec = {}
                     for c, rpath in rel:
-                        whole = tuple(pre + list(rpath) + post)
-                        if whole not in pindex:
+                        k = pindex.get(tuple(pre + list(rpath) + post))
+                        if k is None:
                             break
-                        vec[pindex[whole]] += c
+                        vec[k] = c
                     else:
-                        if any(vec):
-                            yield vec
+                        yield vec

@@ -33,6 +33,9 @@ from .polyring import (
     poly_y,
 )
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 # ---------------------------------------------------------------------------
 # polynomial matrices
@@ -326,25 +329,22 @@ class HomCohomology:
         return self.K.d0 if n % 2 == 0 else self.K.d1
 
     def diff(self, n):
-        """Matrix of term(n) -> term(n+1), rows over term(n+1) coordinates."""
+        """Images of the basis vectors of term(n) in term(n+1): one sparse
+        column {term(n+1) index: coefficient} per term(n) coordinate."""
         got = self._diffs.get(n)
         if got is None:
-            src = self.term(n)
-            tgt = self.term(n + 1)
-            tgt_index = {c: i for i, c in enumerate(tgt)}
+            tgt_index = {c: i for i, c in enumerate(self.term(n + 1))}
             P = self._structure_matrix(n)
-            cols = []
-            for (t, mono) in src:
-                col = [Fraction(0)] * len(tgt)
+            got = []
+            for (t, mono) in self.term(n):
+                col = {}
                 for s in range(self.K.rank):
                     entry = P[t][s]
-                    if not entry:
-                        continue
-                    prod = self.module.nf(entry.mul_mono(mono))
-                    for pm, pc in prod.terms.items():
-                        col[tgt_index[(s, pm)]] += pc
-                cols.append(col)
-            got = [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))]
+                    if entry:
+                        prod = self.module.nf(entry.mul_mono(mono))
+                        for pm, pc in prod.terms.items():
+                            col[tgt_index[(s, pm)]] = pc
+                got.append(col)
             self._diffs[n] = got
         return got
 
@@ -355,28 +355,26 @@ class HomCohomology:
             if not src:
                 # zero cohomology, and no differentials to build; most cells
                 # of a hom table are like this
-                got = CohomologyData(self, n, src, [], Subspace(ncols=0))
+                got = CohomologyData(self, n, src, [], Subspace())
                 self._cohom[n] = got
                 return got
-            d_out = self.diff(n)
-            d_in = self.diff(n - 1)
-            ker = nullspace(d_out, ncols=len(src))
-            prev = self.term(n - 1)
-            im_vectors = []
-            for j in range(len(prev)):
-                vec = [d_in[i][j] for i in range(len(src))]
-                if any(vec):
-                    im_vectors.append(vec)
-            im = Subspace(im_vectors, ncols=len(src))
+            # the kernel needs the rows of the outgoing differential; the
+            # coboundaries are the columns of the incoming one
+            rows = {}
+            for j, col in enumerate(self.diff(n)):
+                for i, a in col.items():
+                    rows.setdefault(i, {})[j] = a
+            ker = nullspace(list(rows.values()), len(src))
+            im = Subspace(col for col in self.diff(n - 1) if col)
             # v + im enlarges the classes found so far iff its reduction
             # against im does; that reduction, scaled, is the representative
-            classes = Subspace(ncols=len(src))
+            classes = Subspace()
             reps = []
             for v in ker:
                 red = im.reduce(v)
                 if classes.add(red):
-                    lead = next(c for c in red if c != 0)
-                    reps.append([c / lead for c in red])
+                    lead = red[min(red)]
+                    reps.append({c: a / lead for c, a in red.items()})
             got = CohomologyData(self, n, src, reps, im)
             self._cohom[n] = got
         return got
@@ -387,7 +385,7 @@ class CohomologyData:
         self.parent = parent
         self.degree = degree
         self.coords = coords  # [(summand, monomial)]
-        self.reps = reps      # class representatives, coordinate vectors
+        self.reps = reps      # class representatives, sparse coordinate vectors
         self.im = im          # coboundary subspace
 
     @property
@@ -395,27 +393,32 @@ class CohomologyData:
         return len(self.reps)
 
     def identify(self, vector):
-        """Coordinates of a cocycle's class in the representative basis."""
+        """Coordinates of a cocycle's class in the representative basis, as a
+        list; vector is a sparse coordinate vector."""
         if not self.reps:
             if self.im.contains(vector):
                 return []
             raise ArithmeticError("vector is not a coboundary in zero cohomology")
-        # representatives are stored already reduced against the coboundaries
-        reduced = self.im.reduce(vector)
-        rows = [[r[i] for r in self.reps] for i in range(len(vector))]
-        coeffs = solve(rows, reduced)
+        # representatives are stored already reduced against the coboundaries;
+        # one equation per coordinate, one unknown per representative
+        rows = [{} for _ in self.coords]
+        for k, rep in enumerate(self.reps):
+            for i, a in rep.items():
+                rows[i][k] = a
+        coeffs = solve(rows, self.im.reduce(vector), self.dim)
         if coeffs is None:
             raise ArithmeticError("class identification failed (not a cocycle class?)")
-        return coeffs
+        return [coeffs.get(k, _ZERO) for k in range(self.dim)]
 
     def rep_strings(self):
         out = []
         for rep in self.reps:
             parts = []
-            for c, (t, mono) in zip(rep, self.coords):
-                if c:
-                    coeff = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                    parts.append(f"{coeff}{mono_str(mono)}@{t}")
+            for k in sorted(rep):
+                c = rep[k]
+                t, mono = self.coords[k]
+                coeff = "" if c == 1 else ("-" if c == -1 else f"{c}*")
+                parts.append(f"{coeff}{mono_str(mono)}@{t}")
             out.append(" + ".join(parts).replace("+ -", "- ") or "0")
         return out
 
@@ -459,12 +462,12 @@ class MFMorphism:
         )
 
     def buchweitz_vector(self, cohom: HomCohomology):
-        """Projection onto the target's module, in term coordinates."""
+        """Projection onto the target's module, as a sparse vector over the
+        term coordinates."""
         n = self.degree
         comp = self.f0 if n % 2 == 0 else self.f1
-        coords = cohom.term(n)
-        index = {c: i for i, c in enumerate(coords)}
-        vec = [Fraction(0)] * len(coords)
+        index = {c: i for i, c in enumerate(cohom.term(n))}
+        vec = {}
         H = self.target
         for t in range(self.source.rank):
             val = Poly()
@@ -473,7 +476,7 @@ class MFMorphism:
                     val = val + H.aug[s] * comp[s][t]
             val = H.module.nf(val)
             for m, c in val.terms.items():
-                vec[index[(t, m)]] += c
+                vec[index[(t, m)]] = c
         return vec
 
 
@@ -535,11 +538,8 @@ def chain_map_space(K, H, n):
             for mono, c in contrib.terms.items():
                 bucket = support.setdefault(mono, {})
                 bucket[u] = bucket.get(u, 0) + c
-        for mono, entry in support.items():
-            row = [Fraction(0)] * len(unknowns)
-            for u, c in entry.items():
-                row[uindex[u]] += c
-            rows.append(row)
+        for entry in support.values():
+            rows.append({uindex[u]: c for u, c in entry.items() if c})
 
     sign = 1 if n % 2 else -1
     # component a of the boundary, b the other one:
@@ -561,15 +561,15 @@ def chain_map_space(K, H, n):
                             contrib[key] = contrib.get(key, Poly()) + KB[u][t].mul_mono(mono) * sign
                 add_equations(contrib)
 
-    basis = nullspace(rows, ncols=len(unknowns))
+    basis = nullspace(rows, len(unknowns))
     out = []
     for vec in basis:
         f0 = [[Poly() for _ in range(K.rank)] for _ in range(H.rank)]
         f1 = [[Poly() for _ in range(K.rank)] for _ in range(H.rank)]
-        for val, (which, s, t, mono) in zip(vec, unknowns):
-            if val:
-                target = f0 if which == 0 else f1
-                target[s][t] = target[s][t] + Poly.monomial(*mono) * val
+        for k, val in vec.items():
+            which, s, t, mono = unknowns[k]
+            target = f0 if which == 0 else f1
+            target[s][t] = target[s][t] + Poly.monomial(*mono) * val
         out.append(MFMorphism(K, H, n, f0, f1))
     return out
 
@@ -587,19 +587,21 @@ def generator_morphism(K, H, n, cohom: HomCohomology, class_index=0):
     maps = chain_map_space(K, H, n)
     if not maps:
         raise ArithmeticError("no chain maps at all in this degree")
-    classes = [data.identify(f.buchweitz_vector(cohom)) for f in maps]
-    # find a rational combination of the chain maps with class = e_{class_index}
-    rows = [[classes[j][i] for j in range(len(maps))] for i in range(data.dim)]
-    rhs = [Fraction(1) if i == class_index else Fraction(0) for i in range(data.dim)]
-    coeffs = solve(rows, rhs)
+    # find a rational combination of the chain maps with class = e_{class_index}:
+    # one equation per class coordinate, one unknown per chain map
+    rows = [{} for _ in range(data.dim)]
+    for j, f in enumerate(maps):
+        for i, a in enumerate(data.identify(f.buchweitz_vector(cohom))):
+            if a:
+                rows[i][j] = a
+    coeffs = solve(rows, {class_index: _ONE}, len(maps))
     if coeffs is None:
         raise ArithmeticError("chain-map lift of the cohomology class not found")
     f0 = [[Poly() for _ in range(K.rank)] for _ in range(H.rank)]
     f1 = [[Poly() for _ in range(K.rank)] for _ in range(H.rank)]
-    for cf, f in zip(coeffs, maps):
-        if cf:
-            f0 = mat_add(f0, mat_scale(f.f0, cf))
-            f1 = mat_add(f1, mat_scale(f.f1, cf))
+    for j, cf in sorted(coeffs.items()):
+        f0 = mat_add(f0, mat_scale(maps[j].f0, cf))
+        f1 = mat_add(f1, mat_scale(maps[j].f1, cf))
     return MFMorphism(K, H, n, f0, f1)
 
 

@@ -266,15 +266,16 @@ def test_sign_sweep_single_square_all_assignments():
 
 
 def test_sign_sweep_random_grids():
-    for seed in range(100):
-        right, up = random_grid_signs(5, 5, seed)
-        r2, u2 = sweep_square_signs(5, 5, right, up)
-        for i in range(1, 5):
-            for j in range(1, 5):
-                assert r2[(i, j)] * u2[(i + 1, j)] == u2[(i, j)] * r2[(i, j + 1)]
-        # idempotent
-        r3, u3 = sweep_square_signs(5, 5, r2, u2)
-        assert r3 == r2 and u3 == u2
+    for n, seeds in ((5, range(100)), (3, range(20))):
+        for seed in seeds:
+            right, up = random_grid_signs(n, n, seed)
+            r2, u2 = sweep_square_signs(n, n, right, up)
+            for i in range(1, n):
+                for j in range(1, n):
+                    assert r2[(i, j)] * u2[(i + 1, j)] == u2[(i, j)] * r2[(i, j + 1)]
+            # idempotent
+            r3, u3 = sweep_square_signs(n, n, r2, u2)
+            assert r3 == r2 and u3 == u2
 
 
 def test_sign_sweep_raises_when_no_flip_fixes_a_square():
@@ -285,13 +286,6 @@ def test_sign_sweep_raises_when_no_flip_fixes_a_square():
     right, up = random_grid_signs(3, 3, 0)
     with pytest.raises(ArithmeticError):
         sweep_square_signs(3, 3, right, up, square_values)
-
-
-def test_rectified_tables_agree_across_seeds():
-    spec = FamilySpec("loop", 4, 4)
-    reference = assemble_directed_algebra(spec, seed=None).compositions
-    for seed in range(20):
-        assert assemble_directed_algebra(spec, seed=seed).compositions == reference
 
 
 def test_bp22_degenerate_algebra():

@@ -133,3 +133,26 @@ def test_b_side_composition_deviation_gives_report(monkeypatch, capsys):
     assert code == 1
     [mismatch] = payload["mismatches"]
     assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"
+
+
+def test_format_a_command_does_not_write_exits_2():
+    for args in (
+        ("mirror-check", "--family", "loop", "--p", "2", "--q", "3", "--format", "dot"),
+        ("quiver", "--family", "loop", "--p", "2", "--q", "3", "--format", "text"),
+        ("transport-verify", "--family", "loop", "--p", "2", "--q", "2", "--format", "json"),
+    ):
+        code, out, err = run_cli(*args)
+        assert code == 2, args
+        assert out == "" and "Traceback" not in err
+
+
+def test_out_writes_the_same_bytes_as_stdout(tmp_path):
+    for args in (
+        ("milnor", "--family", "chain", "--p", "3", "--q", "4"),
+        ("quiver", "--family", "bp", "--p", "3", "--q", "3", "--format", "dot"),
+        ("invariants", "--family", "loop", "--p", "2", "--q", "3"),
+    ):
+        path = tmp_path / "out.txt"
+        code, out, _ = run_cli(*args)
+        assert run_cli(*args, "--out", str(path)) == (code, "", "")
+        assert path.read_text() == out, args

@@ -1,15 +1,17 @@
 """The sparse elimination of `mfvc._linalg` against dense reference code.
 
-The reference functions below are the dense `Fraction` elimination that
-`_linalg` used before it moved to sparse rows.  The reduced row echelon form
-of a matrix is unique, so both must agree exactly: the same pivots, the same
-nullspace basis, the same particular solution and the same reduced vectors.
+The reference functions below are a dense `Fraction` elimination.  The
+reduced row echelon form of a matrix is unique, so both must agree exactly:
+the same rank, the same nullspace basis, the same particular solution and
+the same reduced vectors.  `_linalg` takes and returns sparse dict rows
+(all but `rank`); the tests convert to and from dense lists only here, at
+the boundary.
 """
 
 import random
 from fractions import Fraction
 
-from mfvc._linalg import Subspace, nullspace, rank, rref, solve
+from mfvc._linalg import Subspace, nullspace, rank, solve
 
 
 # ---------------------------------------------------------------------------
@@ -103,26 +105,32 @@ def random_cases(seed, count):
     return [random_matrix(rng) for _ in range(count)]
 
 
-def assert_exact(got, want):
-    """Equal values, and every entry a Fraction as in the reference."""
-    assert got == want
-    for row in got:
-        assert all(type(a) is Fraction for a in row)
+def sparse(vec):
+    return {c: a for c, a in enumerate(vec) if a}
 
 
-def test_rref_and_rank_match_reference():
+def dense(vec, ncols):
+    """A returned dict as a dense list, after checking that it holds only
+    nonzero Fractions inside the column range."""
+    assert all(type(a) is Fraction and a != 0 for a in vec.values()), vec
+    assert all(0 <= c < ncols for c in vec), vec
+    return [vec.get(c, Fraction(0)) for c in range(ncols)]
+
+
+def unit(c, ncols):
+    return [Fraction(1) if i == c else Fraction(0) for i in range(ncols)]
+
+
+def test_rank_matches_reference():
     for rows in random_cases(11, 300):
-        red, piv = rref(rows)
-        want_red, want_piv = ref_rref(rows)
-        assert piv == want_piv
-        assert_exact(red, want_red)
-        assert rank(rows) == len(want_piv)
+        assert rank(rows) == len(ref_rref(rows)[1])
 
 
 def test_nullspace_matches_reference():
     for rows in random_cases(12, 300):
-        basis = nullspace(rows, ncols=len(rows[0]))
-        assert_exact(basis, ref_nullspace(rows))
+        ncols = len(rows[0])
+        basis = [dense(v, ncols) for v in nullspace([sparse(r) for r in rows], ncols)]
+        assert basis == ref_nullspace(rows)
         for v in basis:
             assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
 
@@ -130,89 +138,101 @@ def test_nullspace_matches_reference():
 def test_solve_matches_reference():
     rng = random.Random(13)
     for rows in random_cases(14, 300):
+        ncols = len(rows[0])
         if rng.random() < 0.5:
             # consistent: the image of a random vector
             x0 = [Fraction(rng.randint(-2, 2)) for _ in rows[0]]
             rhs = [sum(a * b for a, b in zip(r, x0)) for r in rows]
         else:
             rhs = [Fraction(rng.randint(-2, 2)) for _ in rows]
-        got = solve(rows, rhs)
+        got = solve([sparse(r) for r in rows], sparse(rhs), ncols)
         want = ref_solve(rows, rhs)
         if want is None:
             assert got is None
         else:
-            assert_exact([got], [want])
-            assert [sum(a * b for a, b in zip(r, got)) for r in rows] == rhs
+            x = dense(got, ncols)
+            assert x == want
+            assert [sum(a * b for a, b in zip(r, x)) for r in rows] == rhs
 
 
 def test_subspace_matches_reference():
     rng = random.Random(15)
     for rows in random_cases(16, 300):
         ncols = len(rows[0])
-        span = Subspace(ncols=ncols)
+        span = Subspace()
         for i, v in enumerate(rows):
             before_red, before_piv = ref_rref(rows[:i])
             after_red, after_piv = ref_rref(rows[:i + 1])
             grows = len(after_piv) > len(before_piv)
-            assert span.contains(v) is not grows
-            assert_exact([span.reduce(v)], [ref_reduce(before_red, before_piv, v)])
-            assert span.add(v) is grows
+            assert span.contains(sparse(v)) is not grows
+            assert dense(span.reduce(sparse(v)), ncols) == ref_reduce(before_red, before_piv, v)
+            assert span.add(sparse(v)) is grows
             assert span.dim() == len(after_piv)
-            assert_exact(span.rows, after_red)
+            # the reductions of the unit vectors determine the echelon basis
+            for c in range(ncols):
+                assert dense(span.reduce({c: Fraction(1)}), ncols) == \
+                    ref_reduce(after_red, after_piv, unit(c, ncols))
         probe = [Fraction(rng.randint(-2, 2)) for _ in range(ncols)]
         red, piv = ref_rref(rows)
-        assert_exact([span.reduce(probe)], [ref_reduce(red, piv, probe)])
-        assert Subspace(rows).rows == span.rows
+        assert dense(span.reduce(sparse(probe)), ncols) == ref_reduce(red, piv, probe)
+        whole = Subspace([sparse(r) for r in rows])
+        assert whole.dim() == span.dim()
+        for c in range(ncols):
+            assert whole.reduce({c: Fraction(1)}) == span.reduce({c: Fraction(1)})
 
 
 def test_subspace_add_reports_growth():
     span = Subspace()
-    v = [Fraction(0), Fraction(2), Fraction(-1)]
+    v = {1: Fraction(2), 2: Fraction(-1)}
     assert span.add(v) is True
     assert span.add(v) is False
-    assert span.add([2 * a for a in v]) is False
-    assert span.dim() == 1 and span.ncols == 3
-    assert span.rows == [[0, 1, Fraction(-1, 2)]]
-    assert span.contains([0, 0, 0]) and not span.contains([1, 0, 0])
-    assert span.add([0, 0, 0]) is False
+    assert span.add({c: 2 * a for c, a in v.items()}) is False
+    assert span.dim() == 1
+    assert span.reduce({1: Fraction(1)}) == {2: Fraction(1, 2)}
+    assert span.contains({}) and not span.contains({0: Fraction(1)})
+    assert span.add({}) is False
 
 
 def test_zero_rows_and_empty_input():
-    zero = [[Fraction(0)] * 3, [Fraction(0)] * 3]
-    assert rref(zero) == ([], [])
-    assert rank(zero) == 0
-    assert nullspace(zero) == ref_nullspace(zero) == [
-        [1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert solve(zero, [0, 0]) == [0, 0, 0]
-    assert solve(zero, [0, 1]) is None
-    assert rref([]) == ([], [])
+    zero = [{}, {}]
+    assert rank([[Fraction(0)] * 3, [Fraction(0)] * 3]) == 0
+    assert nullspace(zero, 3) == [sparse(r) for r in ref_nullspace([[Fraction(0)] * 3] * 2)] == [
+        {0: 1}, {1: 1}, {2: 1}]
+    assert solve(zero, {}, 3) == {}
+    assert solve(zero, {1: Fraction(1)}, 3) is None
     assert rank([]) == 0
-    assert nullspace([]) == []
-    assert solve([], []) == [] and solve([], [0]) == []
-    assert solve([], [1]) is None
+    assert nullspace([], 0) == []
+    assert solve([], {}, 0) == {} and solve([], {}, 2) == {}
+    assert solve([{}], {0: Fraction(1)}, 0) is None
     empty = Subspace()
-    assert empty.dim() == 0 and empty.rows == [] and empty.ncols is None
-    assert Subspace(ncols=0).rows == []
+    assert empty.dim() == 0 and empty.reduce({}) == {}
+    assert empty.reduce({0: Fraction(0), 1: Fraction(3)}) == {1: Fraction(3)}
 
 
 def test_nullspace_ncols_without_rows_is_identity():
-    basis = nullspace([], ncols=3)
-    assert_exact(basis, ref_nullspace([], ncols=3))
-    assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert nullspace([], ncols=0) == []
+    basis = nullspace([], 3)
+    assert [dense(v, 3) for v in basis] == ref_nullspace([], ncols=3)
+    assert basis == [{0: 1}, {1: 1}, {2: 1}]
+    assert nullspace([], 0) == []
 
 
 def test_inconsistent_solve():
     rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    assert solve(rows, [Fraction(1), Fraction(3)]) is None
+    sparse_rows = [sparse(r) for r in rows]
+    assert solve(sparse_rows, {0: Fraction(1), 1: Fraction(3)}, 2) is None
     assert ref_solve(rows, [Fraction(1), Fraction(3)]) is None
-    assert solve(rows, [Fraction(1), Fraction(2)]) == [1, 0]
+    assert dense(solve(sparse_rows, {0: Fraction(1), 1: Fraction(2)}, 2), 2) == [1, 0]
 
 
 def test_integer_input_gives_fractions():
     # entries may arrive as ints; results are exact Fractions, never floats
-    red, piv = rref([[2, 1], [4, 3]])
-    assert piv == [0, 1]
-    assert_exact(red, [[1, 0], [0, 1]])
-    assert_exact(nullspace([[2, 1, 0]]), [[Fraction(-1, 2), 1, 0], [0, 0, 1]])
-    assert_exact([solve([[2, 0], [0, 3]], [1, 1])], [[Fraction(1, 2), Fraction(1, 3)]])
+    assert rank([[2, 1], [4, 3]]) == 2 and rank([[2, 1], [4, 2]]) == 1
+    [v, w] = nullspace([{0: 2, 1: 1}], 3)
+    assert dense(v, 3) == [Fraction(-1, 2), 1, 0] and dense(w, 3) == [0, 0, 1]
+    x = solve([{0: 2}, {1: 3}], {0: 1, 1: 1}, 2)
+    assert dense(x, 2) == [Fraction(1, 2), Fraction(1, 3)]
+    span = Subspace([{0: 2, 1: 1}])
+    assert dense(span.reduce({1: 1}), 2) == [0, 1]
+    assert dense(span.reduce({0: 1}), 2) == [0, Fraction(-1, 2)]
+    assert dense(span.reduce({0: 3, 1: 0}), 2) == [0, Fraction(-3, 2)]
+    assert span.contains({0: 4, 1: 2}) and not span.contains({1: 1})
