@@ -139,14 +139,16 @@ def _project_to_fibre(code, p, q, eps, delta, x, y, t):
     return x, y
 
 
-def _transport(code, p, q, eps, delta, x0, y0, t0, t1, max_steps):
+def transport(family, p, q, eps, delta, x0, y0, t0, t1, max_steps=100000):
     """Adaptive RK4 with step doubling (local error tolerance _STEP_TOL) and
     a projection back to the fibre after every step.
 
     Returns (x, y, steps, max_defect, max_drift, status); status 0 = ok,
     1 = near-critical abort, 2 = step budget exhausted."""
-    x, y = x0, y0
-    t = t0
+    code = FAMILY_CODES[family]
+    x, y = complex(x0), complex(y0)
+    t = t0 = float(t0)
+    t1 = float(t1)
     span = t1 - t0
     if span == 0.0:
         return x, y, 0, 0.0, 0.0, 0
@@ -154,7 +156,7 @@ def _transport(code, p, q, eps, delta, x0, y0, t0, t1, max_steps):
     steps = 0
     max_defect = 0.0
     max_drift = 0.0
-    r0 = abs(x0)
+    r0 = abs(x)
     while (span > 0 and t < t1) or (span < 0 and t > t1):
         if (span > 0 and t + h > t1) or (span < 0 and t + h < t1):
             h = t1 - t
@@ -186,23 +188,14 @@ def _transport(code, p, q, eps, delta, x0, y0, t0, t1, max_steps):
     return x, y, steps, max_defect, max_drift, 0
 
 
-def _transport_fixed(code, p, q, eps, delta, x0, y0, t0, t1, n_steps):
-    x, y = x0, y0
+def transport_fixed(family, p, q, eps, delta, x0, y0, t0, t1, n_steps):
+    """n_steps fixed RK4 steps, without projection; returns (x, y)."""
+    code = FAMILY_CODES[family]
+    x, y = complex(x0), complex(y0)
+    t0, t1, n_steps = float(t0), float(t1), int(n_steps)
     h = (t1 - t0) / n_steps
     t = t0
     for _ in range(n_steps):
         x, y, _ = _rk4_step(code, p, q, eps, delta, x, y, t, h)
         t = t + h
     return x, y
-
-
-def transport(family, p, q, eps, delta, x0, y0, t0, t1, max_steps=100000):
-    code = FAMILY_CODES[family]
-    return _transport(code, p, q, eps, delta, complex(x0), complex(y0),
-                      float(t0), float(t1), max_steps)
-
-
-def transport_fixed(family, p, q, eps, delta, x0, y0, t0, t1, n_steps):
-    code = FAMILY_CODES[family]
-    return _transport_fixed(code, p, q, eps, delta, complex(x0), complex(y0),
-                            float(t0), float(t1), int(n_steps))

@@ -360,24 +360,17 @@ def assemble_directed_algebra(spec: FamilySpec):
     """Directed algebra of the vanishing cycles.
 
     Hom dimensions come from the intersection table, all generators in
-    degree 0 by the lift computation.  Compositions: each composable triple
-    bounds exactly one triangular region, so composites of generators are
-    signed generators; `sweep_square_signs` shows that the signs of the
-    grid can always be rectified, so every composite into a nonzero hom is
-    set to +1 and every other one to 0."""
+    degree 0 by the lift computation.  Each composable triple bounds
+    exactly one triangular region, so composites of generators are signed
+    generators, and `sweep_square_signs` shows that the signs of the grid
+    can always be rectified.  Every composite into a nonzero hom is then
+    +1 times the generator and every other one is 0, which is the law
+    `DirectedAlgebra.coefficient` reads off the homs."""
     schedule = path_schedule(spec)
     table = _intersections(schedule)
     _, degrees = _grading_degrees(schedule, table)
     homs = {pair: {degrees[pair]: c} for pair, c in table.items()}
-    algebra = DirectedAlgebra(schedule.order, homs)
-    comps = {}
-    for (a, b, c) in algebra.composable_triples():
-        if algebra.hom_dim(a, c):
-            comps[(a, b, c)] = Fraction(1)
-        else:
-            comps[(a, b, c)] = Fraction(0)
-    algebra.compositions = comps
-    return algebra
+    return DirectedAlgebra(schedule.order, homs)
 
 
 def surface_invariants(spec: FamilySpec):

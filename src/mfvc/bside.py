@@ -101,8 +101,6 @@ class HomTable:
         return next(o for o in self.objects if o.label == label)
 
     def dim(self, a, b, degree=0):
-        if a == b:
-            return 1 if degree == 0 else 0
         return self.dims.get((a, b, degree), 0)
 
     def rows(self):
@@ -138,34 +136,28 @@ def hom_table(spec: FamilySpec, window=DEGREE_WINDOW):
 
 
 def _raw_composition_table(table: HomTable):
-    """Generator morphisms for every nonzero pair and the coefficients of
-    all their pairwise composites."""
+    """(a, b, c) -> the class of  gen(b,c) o gen(a,b)  in hom(a,c), for every
+    composable triple of generator morphisms: a nonzero scalar times the
+    generator of hom(a,c), or 0 when hom(a,c) vanishes."""
+    skeleton = table.skeleton()
     gens = {}
-    for (a, b) in table.skeleton().nonzero_pairs():
+    for (a, b) in skeleton.nonzero_pairs():
         X, Y = table.object(a), table.object(b)
         n = Y.offset - X.offset  # displayed degree 0
         gens[(a, b)] = generator_morphism(X.mf, Y.mf, n, table.cohomology(a, b))
     coeffs = {}
-    pairs = list(gens)
-    by_source = {}
-    for (a, b) in pairs:
-        by_source.setdefault(a, []).append(b)
-    for (a, b) in pairs:
-        for c in by_source.get(b, ()):
-            f = gens[(b, c)]
-            g = gens[(a, b)]
-            coh = table.cohomology(a, c)
-            vec = compose_and_identify(f, g, coh)
-            if table.dim(a, c):
-                if len(vec) != 1 or vec[0] == 0:
-                    raise ArithmeticError(f"degenerate composition {a} -> {b} -> {c}")
-                coeffs[(a, b, c)] = vec[0]
-            else:
-                # hom space vanishes; the composite must be a coboundary
-                if vec:
-                    raise ArithmeticError(f"nonzero composite into zero hom space {a}->{b}->{c}")
-                coeffs[(a, b, c)] = Fraction(0)
-    return gens, coeffs
+    for (a, b, c) in skeleton.composable_triples():
+        vec = compose_and_identify(gens[(b, c)], gens[(a, b)], table.cohomology(a, c))
+        if table.dim(a, c):
+            if len(vec) != 1 or vec[0] == 0:
+                raise ArithmeticError(f"degenerate composition {a} -> {b} -> {c}")
+            coeffs[(a, b, c)] = vec[0]
+        else:
+            # hom space vanishes; the composite must be a coboundary
+            if vec:
+                raise ArithmeticError(f"nonzero composite into zero hom space {a}->{b}->{c}")
+            coeffs[(a, b, c)] = Fraction(0)
+    return coeffs
 
 
 def _rescale_to_positive(table: HomTable, coeffs):
@@ -213,24 +205,23 @@ def _rescale_to_positive(table: HomTable, coeffs):
 
 
 def composition_table(spec: FamilySpec, table: HomTable = None):
-    """DirectedAlgebra with all composition coefficients rectified to +1."""
+    """The B-side DirectedAlgebra, once its composites are shown to rectify.
+
+    Every composite of generators into a nonzero hom must be a sign times
+    the generator, and after the rescaling of `_rescale_to_positive` it
+    must be +1 (v * s(a,b) * s(b,c) == s(a,c) for each raw value v).  Then
+    the algebra is fixed by its homs, and the skeleton of the table is
+    returned; ArithmeticError otherwise."""
     table = table or hom_table(spec)
-    gens, raw = _raw_composition_table(table)
+    raw = _raw_composition_table(table)
     for v in raw.values():
         if v != 0 and abs(v) != 1:
             raise ArithmeticError(f"composition coefficient {v} is not a sign")
     scale = _rescale_to_positive(table, raw)
-    rectified = {}
     for (a, b, c), v in raw.items():
-        if v == 0:
-            rectified[(a, b, c)] = Fraction(0)
-        else:
-            rectified[(a, b, c)] = v * scale[(a, b)] * scale[(b, c)] / scale[(a, c)]
-    skeleton = table.skeleton()
-    algebra = DirectedAlgebra(skeleton.objects, skeleton.homs, rectified)
-    if not algebra.all_compositions_positive():
-        raise ArithmeticError("sign rectification left a negative composition")
-    return algebra
+        if v != 0 and v * scale[(a, b)] * scale[(b, c)] != scale[(a, c)]:
+            raise ArithmeticError(f"sign rectification left {a} -> {b} -> {c} negative")
+    return table.skeleton()
 
 
 def check_exceptional_and_tilting(spec: FamilySpec, table: HomTable = None):
@@ -250,10 +241,8 @@ def check_exceptional_and_tilting(spec: FamilySpec, table: HomTable = None):
         "order": [o.display() for o in table.objects],
     }
     for X in table.objects:
-        coh = table.cohomology(X.label, X.label)
         for d in range(window[0], window[1] + 1):
-            dim = coh.cohomology(d).dim
-            if (d == 0 and dim != 1) or (d != 0 and dim != 0):
+            if table.dim(X.label, X.label, d) != int(d == 0):
                 report["exceptional"] = False
     if any(d != 0 for d in report["nonzero_degrees"]):
         report["tilting"] = False

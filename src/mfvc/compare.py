@@ -53,12 +53,21 @@ def _b_side_failure(spec, a_alg, stage, exc):
 
 
 def mirror_check(spec: FamilySpec, window=DEGREE_WINDOW, table=None):
-    """Compare hom dimensions in every degree and the full composition
-    tables of the two sides under the object correspondence.
+    """Compare the two sides under the object correspondence: (a) hom
+    dimensions in every degree of the window, (b) both sides in degree 0
+    and directed, and associativity.
+
+    On each side every composite of generators into a nonzero hom is +1
+    times the generator: `composition_table` checks it on the B side, the
+    sign sweep gives it on the A side.  So each composition law is read off
+    the hom pattern, and once (a) passes, the two patterns, hence the two
+    composition tables, are equal under the correspondence.  Associativity
+    depends only on that pattern, so it is checked once, on the B side.
 
     Returns a report dict with `pass` and a list of mismatches.  When the
     B side cannot be built (its hom table deviates from the closed form, or
-    a composition is degenerate), the report names that stage instead."""
+    a composition is degenerate or does not rectify), the report names that
+    stage instead."""
     mismatches = []
     corr = correspondence(spec)
 
@@ -94,34 +103,17 @@ def mirror_check(spec: FamilySpec, window=DEGREE_WINDOW, table=None):
                         "degree": d, "a": da, "b": db,
                     })
 
-    # (b) composition tables (both rectified to +1 coefficients)
-    a_triples = {t: a_alg.coefficient(*t) for t in a_alg.composable_triples()}
-    b_triples = {t: b_alg.coefficient(*t) for t in b_alg.composable_triples()}
-    for (a, b, c), coeff in a_triples.items():
-        bt = (corr[a], corr[b], corr[c])
-        if bt not in b_triples:
-            mismatches.append({"kind": "composition_missing", "triple": str((a, b, c))})
-        elif b_triples[bt] != coeff:
-            mismatches.append({
-                "kind": "composition", "triple": str((a, b, c)),
-                "a": str(coeff), "b": str(b_triples[bt]),
-            })
-    extra = set(b_triples) - {(corr[a], corr[b], corr[c]) for (a, b, c) in a_triples}
-    for t in sorted(extra):
-        mismatches.append({"kind": "composition_extra", "triple": str(t)})
-
-    # (c) both sides concentrated in degree 0 (formality witness)
+    # (b) both sides concentrated in degree 0 (formality witness)
     if not a_alg.degrees_concentrated_in_zero():
         mismatches.append({"kind": "degrees", "side": "A"})
     if not b_alg.degrees_concentrated_in_zero():
         mismatches.append({"kind": "degrees", "side": "B"})
     if not a_alg.is_directed() or not b_alg.is_directed():
         mismatches.append({"kind": "directedness"})
-    for side, alg in (("A", a_alg), ("B", b_alg)):
-        violations = alg.check_associativity()
-        if violations:
-            mismatches.append({"kind": "associativity", "side": side,
-                               "detail": str(violations[:2])})
+    violations = b_alg.check_associativity()
+    if violations:
+        mismatches.append({"kind": "associativity", "side": "B",
+                           "detail": str(violations[:2])})
 
     return {
         "spec": spec.label(),

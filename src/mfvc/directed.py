@@ -2,14 +2,14 @@
 matrix-factorisation side and the vanishing-cycle side.
 
 All hom spaces between distinct objects here are at most one-dimensional
-and endomorphisms are scalars, so a directed algebra is determined by the
-object order, the set of nonzero hom pairs (with their degrees), and one
-scalar per composable triple.
+and endomorphisms are scalars.  Once every composite of generators into a
+nonzero hom is rectified to +1 times the generator, a directed algebra is
+determined by the object order and the nonzero hom pairs with their
+degrees.
 """
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -31,19 +31,26 @@ def display_label(label):
 
 
 class DirectedAlgebra:
-    """Ordered objects, per-degree hom dimensions, and a composition table.
+    """Ordered objects and per-degree hom dimensions.
 
     homs: dict (src, tgt) -> {degree: dim}; identity endomorphisms are
-    implicit and not stored.  compositions: dict (a, b, c) -> Fraction,
-    the coefficient in  gen(b,c) o gen(a,b) = coeff * gen(a,c)  (0 when
-    hom(a,c) vanishes).
+    implicit and not stored.  Both sides rectify every composite of
+    generators into a nonzero hom to +1 times the generator (the B side
+    checks it in `bside.composition_table`, the A side argues it in
+    `aside.assemble_directed_algebra`), so the algebra is fixed by its homs
+    and `coefficient` reads the composition law off them.
     """
 
-    def __init__(self, objects, homs, compositions=None):
+    def __init__(self, objects, homs):
         self.objects = list(objects)
         self.position = {obj: i for i, obj in enumerate(self.objects)}
         self.homs = dict(homs)
-        self.compositions = dict(compositions or {})
+        # the degree of each hom concentrated in a single degree
+        self._degree = {}
+        for pair, degs in self.homs.items():
+            nonzero = [d for d, dim in degs.items() if dim]
+            if len(nonzero) == 1:
+                self._degree[pair] = nonzero[0]
 
     def hom_dim(self, a, b, degree=0):
         if a == b:
@@ -59,10 +66,9 @@ class DirectedAlgebra:
         return (self.position[a], self.position[b])
 
     def generator_degree(self, a, b):
-        degs = [d for d, dim in self.homs.get((a, b), {}).items() if dim]
-        if len(degs) != 1:
+        if (a, b) not in self._degree:
             raise ValueError(f"hom({a},{b}) is not one-dimensional")
-        return degs[0]
+        return self._degree[(a, b)]
 
     def is_directed(self):
         """No morphisms backwards and scalar endomorphisms."""
@@ -93,10 +99,20 @@ class DirectedAlgebra:
         return [(a, b, c) for (a, b) in pairs for c in succ.get(b, ())]
 
     def coefficient(self, a, b, c):
-        return self.compositions.get((a, b, c), _ZERO)
+        """The k in  gen(b,c) o gen(a,b) = k * gen(a,c): 1 when the homs
+        a->b, b->c and a->c are nonzero and the generator degrees add up,
+        0 otherwise."""
+        deg = self._degree
+        ab, bc, ac = deg.get((a, b)), deg.get((b, c)), deg.get((a, c))
+        return int(None not in (ab, bc, ac) and ab + bc == ac)
 
     def check_associativity(self):
-        """(h o g) o f == h o (g o f) for all composable triples of generators."""
+        """(h o g) o f == h o (g o f) for all composable triples of generators.
+
+        The coefficients come from the hom pattern alone, so this checks the
+        pattern: with every generator in degree 0, each path a->b->c->d of
+        nonzero homs with a->d nonzero needs a->c and b->d both nonzero or
+        both zero."""
         bad = []
         pairs, succ = self._pairs_and_successors()
         for (a, b) in pairs:
@@ -107,13 +123,6 @@ class DirectedAlgebra:
                     if left != right:
                         bad.append((a, b, c, d, left, right))
         return bad
-
-    def all_compositions_positive(self):
-        for (a, b, c) in self.composable_triples():
-            expected = _ONE if self.hom_dim(a, c, self.generator_degree(a, b) + self.generator_degree(b, c)) else _ZERO
-            if self.coefficient(a, b, c) != expected:
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------

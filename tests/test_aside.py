@@ -302,7 +302,6 @@ def test_algebra_directed_and_positive():
         alg = assemble_directed_algebra(FamilySpec(fam, p, q))
         assert alg.is_directed()
         assert alg.degrees_concentrated_in_zero()
-        assert alg.all_compositions_positive()
         assert alg.check_associativity() == []
 
 

@@ -104,10 +104,10 @@ def test_negative_degree_window_is_rejected():
         assert "error:" in err and "Traceback" not in err
 
 
-def _mirror_check_in_process(capsys):
+def _mirror_check_in_process(capsys, p="2", q="3"):
     from mfvc.cli import main
 
-    code = main(["mirror-check", "--family", "loop", "--p", "2", "--q", "3"])
+    code = main(["mirror-check", "--family", "loop", "--p", p, "--q", q])
     return code, json.loads(capsys.readouterr().out)
 
 
@@ -130,6 +130,29 @@ def test_b_side_composition_deviation_gives_report(monkeypatch, capsys):
 
     monkeypatch.setattr(bside, "compose_and_identify", lambda f, g, coh: [Fraction(2)])
     code, payload = _mirror_check_in_process(capsys)
+    assert code == 1
+    [mismatch] = payload["mismatches"]
+    assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"
+
+
+def test_negated_b_side_composite_gives_report(monkeypatch, capsys):
+    # no rescaling of the generators absorbs a sign flip of the loop(3,3)
+    # composite K0(1,1) -> K0(2,2) -> Kf
+    from mfvc import bside
+
+    compose = bside.compose_and_identify
+    negated = []
+
+    def negate_one(f, g, coh):
+        vec = compose(f, g, coh)
+        if (g.source.label, g.target.label, f.target.label) == ("K0(1,1)", "K0(2,2)", "Kf"):
+            negated.append(vec)
+            return [-v for v in vec]
+        return vec
+
+    monkeypatch.setattr(bside, "compose_and_identify", negate_one)
+    code, payload = _mirror_check_in_process(capsys, "3", "3")
+    assert len(negated) == 1 and negated[0] != [0]
     assert code == 1
     [mismatch] = payload["mismatches"]
     assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"

@@ -61,3 +61,23 @@ def test_quivers_agree_across_sides():
         assert len(qa.vertices) == len(qb.vertices)
         assert sorted((corr[a], corr[b]) for (a, b) in qa.arrows) == sorted(qb.arrows)
         assert len(qa.relations) == len(qb.relations)
+
+
+def test_dropped_a_side_pair_is_a_hom_dim_mismatch(monkeypatch):
+    from mfvc import compare
+    from mfvc.aside import assemble_directed_algebra
+    from mfvc.directed import DirectedAlgebra
+
+    spec = FamilySpec("loop", 3, 3)
+    full = assemble_directed_algebra(spec)
+    dropped = (("V0", 0, 0), ("Vxy",))
+    assert full.hom_dim(*dropped) == 1
+    homs = {pair: degs for pair, degs in full.homs.items() if pair != dropped}
+    monkeypatch.setattr(compare, "assemble_directed_algebra",
+                        lambda spec: DirectedAlgebra(full.objects, homs))
+    report = mirror_check(spec)
+    assert report["pass"] is False
+    assert [m for m in report["mismatches"] if m["kind"] == "hom_dim"] == [
+        {"kind": "hom_dim", "pair": (str(dropped[0]), str(dropped[1])),
+         "degree": 0, "a": 0, "b": 1},
+    ]

@@ -1,6 +1,7 @@
 import pytest
 
 from mfvc.aside import assemble_directed_algebra
+from mfvc.directed import DirectedAlgebra
 from mfvc.families import FamilySpec
 
 
@@ -20,3 +21,13 @@ def test_composable_triples_match_the_double_loop(family):
     triples = algebra.composable_triples()
     assert triples  # every family has composable generators at (4,5)
     assert triples == naive_composable_triples(algebra)
+
+
+def test_check_associativity_flags_a_pattern_that_cannot_compose():
+    # a->b->c->d with b->d and a->d nonzero but a->c zero:
+    # (h o g) o f = 0 while h o (g o f) = gen(a,d)
+    pairs = [("a", "b"), ("b", "c"), ("c", "d"), ("b", "d"), ("a", "d")]
+    algebra = DirectedAlgebra("abcd", {pair: {0: 1} for pair in pairs})
+    assert algebra.check_associativity() == [("a", "b", "c", "d", 0, 1)]
+    algebra = DirectedAlgebra("abcd", {pair: {0: 1} for pair in pairs + [("a", "c")]})
+    assert algebra.check_associativity() == []
