@@ -359,18 +359,18 @@ def random_grid_signs(A, B, seed):
 def assemble_directed_algebra(spec: FamilySpec):
     """Directed algebra of the vanishing cycles.
 
-    Hom dimensions come from the intersection table, all generators in
-    degree 0 by the lift computation.  Each composable triple bounds
-    exactly one triangular region, so composites of generators are signed
-    generators, and `sweep_square_signs` shows that the signs of the grid
-    can always be rectified.  Every composite into a nonzero hom is then
-    +1 times the generator and every other one is 0, which is the law
-    `DirectedAlgebra.coefficient` reads off the homs."""
+    The nonzero homs are the pairs of the intersection table, whose counts
+    are 0 or 1, and `_grading_degrees` raises ArithmeticError unless the
+    lift computation puts every generator in degree 0.  Each composable
+    triple bounds exactly one triangular region, so composites of
+    generators are signed generators, and `sweep_square_signs` shows that
+    the signs of the grid can always be rectified.  Every composite into a
+    nonzero hom is then +1 times the generator and every other one is 0,
+    which is the law `DirectedAlgebra.coefficient` reads off the pairs."""
     schedule = path_schedule(spec)
     table = _intersections(schedule)
-    _, degrees = _grading_degrees(schedule, table)
-    homs = {pair: {degrees[pair]: c} for pair, c in table.items()}
-    return DirectedAlgebra(schedule.order, homs)
+    _grading_degrees(schedule, table)
+    return DirectedAlgebra(schedule.order, table)
 
 
 def surface_invariants(spec: FamilySpec):

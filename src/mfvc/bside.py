@@ -121,17 +121,19 @@ class HomTable:
         return out
 
     def skeleton(self):
-        homs = {}
-        for (a, b, d), dim in self.dims.items():
-            if a != b:
-                homs.setdefault((a, b), {})[d] = dim
-        return DirectedAlgebra([o.label for o in self.objects], homs)
+        """The DirectedAlgebra on the nonzero homs between distinct objects.
+
+        Raises ArithmeticError unless the table matches the closed form,
+        which makes each of those homs one-dimensional in degree 0."""
+        if self.mismatches:
+            raise ArithmeticError(f"hom table deviates from the closed form: {self.mismatches[:3]}")
+        return DirectedAlgebra([o.label for o in self.objects],
+                               [(a, b) for (a, b, _) in self.dims if a != b])
 
 
 def hom_table(spec: FamilySpec, window=DEGREE_WINDOW):
     table = HomTable(spec, window)
-    if not table.matches_closed_form():
-        raise ArithmeticError(f"hom table deviates from the closed form: {table.mismatches[:3]}")
+    table.skeleton()  # raises unless the table matches the closed form
     return table
 
 
@@ -192,9 +194,8 @@ def _rescale_to_positive(table: HomTable, coeffs):
 
     skeleton = table.skeleton()
     objects, position = skeleton.objects, skeleton.position
-    pairs = skeleton.nonzero_pairs()
-    nonzero = set(pairs)
-    for (a, b) in sorted(pairs, key=lambda ab: position[ab[1]] - position[ab[0]]):
+    nonzero = skeleton.pairs
+    for (a, b) in sorted(skeleton.nonzero_pairs(), key=lambda ab: position[ab[1]] - position[ab[0]]):
         if (a, b) in scale:
             continue
         mid = next((z for z in objects[position[a] + 1:position[b]]

@@ -2,7 +2,9 @@
 
 Subcommands: quiver, homtable, mirror-check, transport-verify, invariants,
 signs, milnor.  Exit codes: 0 success / check passed, 1 check failed,
-2 invalid input.  JSON output is deterministic for fixed flags and seed.
+2 invalid input.  A check that fails inside a computation (an
+ArithmeticError) prints `error: ...` on stderr and exits 1.  JSON output
+is deterministic for fixed flags and seed.
 """
 
 import argparse
@@ -309,9 +311,12 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError,) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a check inside the computation failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 matrix-factorisation side and the vanishing-cycle side.
 
 All hom spaces between distinct objects here are at most one-dimensional
-and endomorphisms are scalars.  Once every composite of generators into a
-nonzero hom is rectified to +1 times the generator, a directed algebra is
-determined by the object order and the nonzero hom pairs with their
-degrees.
+and sit in degree 0, and endomorphisms are scalars.  Once every composite
+of generators into a nonzero hom is rectified to +1 times the generator, a
+directed algebra is determined by the object order and the nonzero hom
+pairs.
 """
 
 from fractions import Fraction
@@ -31,60 +31,39 @@ def display_label(label):
 
 
 class DirectedAlgebra:
-    """Ordered objects and per-degree hom dimensions.
+    """Ordered objects and the pairs (a, b) of distinct objects with
+    hom(a, b) nonzero.
 
-    homs: dict (src, tgt) -> {degree: dim}; identity endomorphisms are
-    implicit and not stored.  Both sides rectify every composite of
-    generators into a nonzero hom to +1 times the generator (the B side
-    checks it in `bside.composition_table`, the A side argues it in
-    `aside.assemble_directed_algebra`), so the algebra is fixed by its homs
-    and `coefficient` reads the composition law off them.
+    Every such hom is one-dimensional in degree 0, and endomorphisms are
+    scalars.  Each side enforces this when it builds its algebra: the A side
+    in `aside._grading_degrees` (its intersection counts are 0 or 1), the B
+    side in `bside.hom_table`, which matches the closed form.  Both sides
+    rectify every composite of generators into a nonzero hom to +1 times
+    the generator (the B side checks it in `bside.composition_table`, the
+    A side argues it in `aside.assemble_directed_algebra`), so the algebra
+    is fixed by its pairs and `coefficient` reads the composition law off
+    them.
     """
 
-    def __init__(self, objects, homs):
+    def __init__(self, objects, pairs):
         self.objects = list(objects)
         self.position = {obj: i for i, obj in enumerate(self.objects)}
-        self.homs = dict(homs)
-        # the degree of each hom concentrated in a single degree
-        self._degree = {}
-        for pair, degs in self.homs.items():
-            nonzero = [d for d, dim in degs.items() if dim]
-            if len(nonzero) == 1:
-                self._degree[pair] = nonzero[0]
+        self.pairs = frozenset(pairs)
 
-    def hom_dim(self, a, b, degree=0):
-        if a == b:
-            return 1 if degree == 0 else 0
-        return self.homs.get((a, b), {}).get(degree, 0)
+    def hom_dim(self, a, b):
+        return int(a == b or (a, b) in self.pairs)
 
     def nonzero_pairs(self):
-        return [(a, b) for (a, b), degs in sorted(self.homs.items(), key=self._pair_key)
-                if any(degs.values())]
-
-    def _pair_key(self, item):
-        (a, b), _ = item
-        return (self.position[a], self.position[b])
-
-    def generator_degree(self, a, b):
-        if (a, b) not in self._degree:
-            raise ValueError(f"hom({a},{b}) is not one-dimensional")
-        return self._degree[(a, b)]
+        position = self.position
+        return sorted(self.pairs, key=lambda ab: (position[ab[0]], position[ab[1]]))
 
     def is_directed(self):
         """No morphisms backwards and scalar endomorphisms."""
-        for (a, b), degs in self.homs.items():
-            if any(degs.values()) and self.position[a] >= self.position[b]:
-                return False
-        return True
-
-    def degrees_concentrated_in_zero(self):
-        return all(d == 0 for degs in self.homs.values() for d, dim in degs.items() if dim)
+        return all(self.position[a] < self.position[b] for (a, b) in self.pairs)
 
     def total_hom_dim(self):
         """Identities plus all generators."""
-        return len(self.objects) + sum(
-            dim for degs in self.homs.values() for dim in degs.values()
-        )
+        return len(self.objects) + len(self.pairs)
 
     def _pairs_and_successors(self):
         """nonzero_pairs() and, per object, its targets in the same order."""
@@ -100,19 +79,16 @@ class DirectedAlgebra:
 
     def coefficient(self, a, b, c):
         """The k in  gen(b,c) o gen(a,b) = k * gen(a,c): 1 when the homs
-        a->b, b->c and a->c are nonzero and the generator degrees add up,
-        0 otherwise."""
-        deg = self._degree
-        ab, bc, ac = deg.get((a, b)), deg.get((b, c)), deg.get((a, c))
-        return int(None not in (ab, bc, ac) and ab + bc == ac)
+        a->b, b->c and a->c are nonzero, 0 otherwise."""
+        pairs = self.pairs
+        return int((a, b) in pairs and (b, c) in pairs and (a, c) in pairs)
 
     def check_associativity(self):
         """(h o g) o f == h o (g o f) for all composable triples of generators.
 
-        The coefficients come from the hom pattern alone, so this checks the
-        pattern: with every generator in degree 0, each path a->b->c->d of
-        nonzero homs with a->d nonzero needs a->c and b->d both nonzero or
-        both zero."""
+        The coefficients come from the pairs alone, so this checks the
+        pattern: each path a->b->c->d of nonzero homs with a->d nonzero
+        needs a->c and b->d both nonzero or both zero."""
         bad = []
         pairs, succ = self._pairs_and_successors()
         for (a, b) in pairs:
@@ -165,9 +141,9 @@ def extract_quiver(algebra: DirectedAlgebra):
     """
     from ._linalg import Subspace
 
-    pairs = set(algebra.nonzero_pairs())
+    pairs = algebra.pairs
     arrows = []
-    for (a, b) in sorted(pairs, key=lambda ab: (algebra.position[ab[0]], algebra.position[ab[1]])):
+    for (a, b) in algebra.nonzero_pairs():
         composite = any(
             (a, z) in pairs and (z, b) in pairs
             for z in algebra.objects
@@ -204,8 +180,7 @@ def extract_quiver(algebra: DirectedAlgebra):
             pindex = {tuple(p): i for i, p in enumerate(plist)}
             # kernel of the evaluation: all paths evaluate to the generator
             # (coefficient +1 post-rectification) or to zero
-            target_dim = algebra.hom_dim(a, b, sum(algebra.generator_degree(*arrows[k]) for k in plist[0]))
-            if target_dim:
+            if (a, b) in pairs:
                 kernel = [{0: -_ONE, k: _ONE} for k in range(1, len(plist))]
             else:
                 kernel = [{k: _ONE} for k in range(len(plist))]

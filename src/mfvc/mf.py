@@ -487,20 +487,10 @@ def identity_morphism(K):
 
 
 def _entry_degrees(K, H, n):
-    """Exact L-degrees of the entries of (f0, f1) for a degree-n morphism."""
-    c = K.group.c
-    if n % 2 == 0:
-        m = n // 2
-        f0 = [[H.even_shifts[s] + m * c - K.even_shifts[t] for t in range(K.rank)]
-              for s in range(H.rank)]
-        f1 = [[H.odd_shifts[s] + m * c - K.odd_shifts[t] for t in range(K.rank)]
-              for s in range(H.rank)]
-    else:
-        m = (n - 1) // 2
-        f0 = [[H.odd_shifts[s] + (m + 1) * c - K.even_shifts[t] for t in range(K.rank)]
-              for s in range(H.rank)]
-        f1 = [[H.even_shifts[s] + m * c - K.odd_shifts[t] for t in range(K.rank)]
-              for s in range(H.rank)]
+    """Exact L-degrees of the entries of (f0, f1) for a degree-n morphism:
+    f0 maps K^0 to H^n and f1 maps K^{-1} to H^{n-1}."""
+    f0 = [[a - b for b in K.term_shifts(0)] for a in H.term_shifts(-n)]
+    f1 = [[a - b for b in K.term_shifts(1)] for a in H.term_shifts(1 - n)]
     return f0, f1
 
 

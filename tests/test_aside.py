@@ -301,7 +301,6 @@ def test_algebra_directed_and_positive():
     for fam, p, q in [("loop", 3, 3), ("chain", 3, 2), ("bp", 2, 2), ("bp", 4, 4)]:
         alg = assemble_directed_algebra(FamilySpec(fam, p, q))
         assert alg.is_directed()
-        assert alg.degrees_concentrated_in_zero()
         assert alg.check_associativity() == []
 
 

@@ -32,6 +32,26 @@ def test_hom_table_matches_closed_form(fam, p, q):
     assert table.matches_closed_form()
 
 
+def test_skeleton_raises_on_a_table_off_the_closed_form(monkeypatch):
+    # a closed form that puts hom(K0(1,1), K0(1,2)) in degree 1: the table
+    # computes it in degree 0, and the skeleton must not drop the difference
+    from mfvc import bside
+
+    closed_form = bside.expected_hom_dim
+    moved = (("K0", 1, 1), ("K0", 1, 2))
+
+    def moved_to_degree_1(spec, a, b, degree):
+        if (a, b) == moved:
+            return int(degree == 1)
+        return closed_form(spec, a, b, degree)
+
+    monkeypatch.setattr(bside, "expected_hom_dim", moved_to_degree_1)
+    table = bside.HomTable(FamilySpec("loop", 2, 3))
+    assert [(m["degree"], m["dim"], m["expected"]) for m in table.mismatches] == [(0, 1, 0), (1, 0, 1)]
+    with pytest.raises(ArithmeticError, match="closed form"):
+        table.skeleton()
+
+
 def test_hom_table_examples_loop33():
     table = hom_table(FamilySpec("loop", 3, 3))
     assert table.dim(("K0", 1, 1), ("K0", 2, 2)) == 1

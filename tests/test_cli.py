@@ -158,6 +158,45 @@ def test_negated_b_side_composite_gives_report(monkeypatch, capsys):
     assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"
 
 
+def test_a_side_generator_off_degree_0_gives_report(monkeypatch, capsys):
+    # give the second interior cycle of loop(2,3) a larger path angle than
+    # the first: its lift becomes the larger of the two, and the generator
+    # between them lands in degree 1
+    import dataclasses
+
+    from mfvc import aside
+    from mfvc.families import FamilySpec
+
+    grading_degrees = aside._grading_degrees
+
+    def perturbed(schedule, table):
+        first, second = (lab[1:] for lab in schedule.order[:2])
+        theta = dict(schedule.theta)
+        theta[second] = theta[first] + 1
+        return grading_degrees(dataclasses.replace(schedule, theta=theta), table)
+
+    monkeypatch.setattr(aside, "_grading_degrees", perturbed)
+    code, payload = _mirror_check_in_process(capsys)
+    assert code == 1
+    assert payload["pass"] is False
+    assert payload["objects"] == FamilySpec("loop", 2, 3).milnor()
+    [mismatch] = payload["mismatches"]
+    assert mismatch["kind"] == "a_side" and mismatch["stage"] == "assemble_directed_algebra"
+    assert "degree 1" in mismatch["detail"]
+
+
+def test_failed_check_in_a_command_is_an_error_line(monkeypatch, capsys):
+    from mfvc import bside
+    from mfvc.cli import main
+
+    monkeypatch.setattr(bside, "expected_hom_dim", lambda spec, a, b, degree: 7)
+    code = main(["homtable", "--family", "loop", "--p", "2", "--q", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "closed form" in err and "Traceback" not in err
+
+
 def test_format_a_command_does_not_write_exits_2():
     for args in (
         ("mirror-check", "--family", "loop", "--p", "2", "--q", "3", "--format", "dot"),

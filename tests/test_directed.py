@@ -27,7 +27,7 @@ def test_check_associativity_flags_a_pattern_that_cannot_compose():
     # a->b->c->d with b->d and a->d nonzero but a->c zero:
     # (h o g) o f = 0 while h o (g o f) = gen(a,d)
     pairs = [("a", "b"), ("b", "c"), ("c", "d"), ("b", "d"), ("a", "d")]
-    algebra = DirectedAlgebra("abcd", {pair: {0: 1} for pair in pairs})
+    algebra = DirectedAlgebra("abcd", pairs)
     assert algebra.check_associativity() == [("a", "b", "c", "d", 0, 1)]
-    algebra = DirectedAlgebra("abcd", {pair: {0: 1} for pair in pairs + [("a", "c")]})
+    algebra = DirectedAlgebra("abcd", pairs + [("a", "c")])
     assert algebra.check_associativity() == []
