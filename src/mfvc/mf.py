@@ -313,6 +313,37 @@ class HomCohomology:
         self._diffs = {}
         self._cohom = {}
 
+    def degree_support(self):
+        """(lo, hi): every n with term(n) nonempty has lo <= n <= hi, and
+        hi is None when the module's staircase is infinite.
+
+        Summand a of K^{-n}, n = 2m + parity, contributes the piece of the
+        module of weight m*w(c) + w(total_shift) - w(a).  A piece has weight
+        >= 0, and for a finite staircase (bx, by) at most the weight of
+        x^(bx-1) y^(by-1).  Solving for m, per summand and parity, and taking
+        the hull gives the interval, from weights alone.  When no summand can
+        be nonempty the interval is empty (lo > hi)."""
+        g = self.K.group
+        wc = g.c.w
+        base = self.module.total_shift().w
+        box = self.module.ring.staircase_bound()
+        top = None if box is None else (box[0] - 1) * g.x.w + (box[1] - 1) * g.y.w
+        los, his = [], []
+        for parity, shifts in ((0, self.K.even_shifts), (1, self.K.odd_shifts)):
+            for a in shifts:
+                gap = a.w - base  # the piece has weight m*wc - gap
+                m_lo = -(-gap // wc)
+                if top is None:
+                    los.append(2 * m_lo + parity)
+                    continue
+                m_hi = (top + gap) // wc
+                if m_lo <= m_hi:
+                    los.append(2 * m_lo + parity)
+                    his.append(2 * m_hi + parity)
+        if top is None:
+            return min(los), None
+        return (min(los), max(his)) if los else (1, 0)
+
     def term(self, n):
         got = self._terms.get(n)
         if got is None:

@@ -1,6 +1,7 @@
 import pytest
 
 from mfvc.bside import (
+    DEGREE_WINDOW,
     _raw_composition_table,
     _rescale_to_positive,
     basic_objects,
@@ -11,6 +12,7 @@ from mfvc.bside import (
 )
 from mfvc.directed import path_algebra_dimension, extract_quiver
 from mfvc.families import FamilySpec
+from mfvc.mf import HomCohomology
 
 
 def test_object_counts():
@@ -30,6 +32,33 @@ def test_object_counts():
 def test_hom_table_matches_closed_form(fam, p, q):
     table = hom_table(FamilySpec(fam, p, q))
     assert table.matches_closed_form()
+
+
+@pytest.mark.parametrize("fam", ["loop", "chain", "bp"])
+def test_degree_support_holds_every_nonempty_term(fam):
+    # the weight interval must contain every nonempty Buchweitz term, and
+    # for a finite-staircase target it must lie inside the degrees the
+    # default window visits, so that the window misses no class there
+    supported = finite = 0
+    for p in range(2, 6):
+        for q in range(2, 6):
+            objects = basic_objects(FamilySpec(fam, p, q))
+            for X in objects:
+                for Y in objects:
+                    coh = HomCohomology(X.mf, Y.mf.module)
+                    lo, hi = coh.degree_support()
+                    for n in range(-15, 16):
+                        if coh.term(n):
+                            assert lo <= n and (hi is None or n <= hi), (fam, p, q, X, Y, n)
+                            supported += 1
+                    if Y.mf.module.ring.staircase_bound() is not None:
+                        assert hi is not None
+                        offset = Y.offset - X.offset
+                        if lo <= hi:
+                            assert DEGREE_WINDOW[0] + offset <= lo
+                            assert hi <= DEGREE_WINDOW[1] + offset
+                        finite += 1
+    assert supported and finite
 
 
 def test_skeleton_raises_on_a_table_off_the_closed_form(monkeypatch):

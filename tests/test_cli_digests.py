@@ -78,6 +78,18 @@ PINNED_DIGESTS = {
         "13e3a8f10dc16cc0664281510224b79ddf19d3c891956f7d4512b179e978c4bd",
     ("loop", 2, 4, "milnor --format json"):
         "a036ab90cff8aad68480d8fe56bd616811ea8499783bf00c1eb155a87b70126e",
+    # non-default windows: which cells the hom table computes depends on
+    # the window, so both a narrower and a wider one are pinned
+    ("loop", 3, 3, "homtable --degree-window 0"):
+        "b15e340d35e1f50f07b6ee3e3f21a72348e65f011e587d1d18116e67def0a798",
+    ("loop", 3, 3, "homtable --degree-window 9"):
+        "29b24bace9d8a9d27942412d54435eae6a2a0ef181399af3b8dfbcc27b82035e",
+    ("chain", 4, 5, "homtable --degree-window 0"):
+        "9fa26ab4a9e81c7de186d752c53f527e5787d5957928db3c5ddc929531e7acc1",
+    ("chain", 4, 5, "homtable --degree-window 9"):
+        "531b5815381cd0f9d9cdcce79a3f0798bb711df3ef5f579012c169fc092eecf5",
+    ("bp", 5, 3, "mirror-check --degree-window 0"):
+        "14da8eea674a66f750731ade8ec780de7c4ad60de2aeec0e7495edee9aabda33",
 }
 
 
