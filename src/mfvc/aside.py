@@ -244,13 +244,9 @@ def neck_crossings_from_profile(spec: FamilySpec, lm, LM):
     return 1 if (start < 0 < end or end < 0 < start) else 0
 
 
-def intersection_table(spec: FamilySpec):
+def intersection_table(schedule: PathSchedule):
     """Geometric intersection counts between distinct vanishing cycles,
     keyed by ordered pairs (earlier, later) in the schedule order."""
-    return _intersections(path_schedule(spec))
-
-
-def _intersections(schedule: PathSchedule):
     order = schedule.order
     pos = {lab: k for k, lab in enumerate(order)}
     table = {}
@@ -295,7 +291,7 @@ def grading_degrees(spec: FamilySpec):
     sit at -1/2, except the bp waist which moves first in the order and
     takes +1/2.  Every generator must land in degree 0."""
     schedule = path_schedule(spec)
-    return _grading_degrees(schedule, _intersections(schedule))
+    return _grading_degrees(schedule, intersection_table(schedule))
 
 
 def _grading_degrees(schedule: PathSchedule, table):
@@ -318,28 +314,29 @@ def _grading_degrees(schedule: PathSchedule, table):
     return lifts, degrees
 
 
-def sweep_square_signs(A, B, right, up, square_values=None):
+def sweep_square_signs(A, B, right, up):
     """Row-by-row sweep making every little square commute, then a check.
 
     right[(i, j)] signs the arrow (i, j) -> (i+1, j) (1 <= i <= A-1,
-    1 <= j <= B); up[(i, j)] signs (i, j) -> (i, j+1).  square_values may
-    supply the two raw composite values of the square at (i, j); by default
-    they are the plain edge-sign products.  When a square's two values
-    disagree the sign of its top edge is flipped, which no earlier square
-    sees; one pass bottom-to-top therefore leaves every square commuting.
-    Raises ArithmeticError if, after the pass, some square does not."""
+    1 <= j <= B); up[(i, j)] signs (i, j) -> (i, j+1).  The two composites
+    of the square at (i, j) are the products of its edge signs.  When they
+    disagree the sign of the square's top edge is flipped, which no earlier
+    square sees; one pass bottom-to-top therefore leaves every square
+    commuting.  Raises ArithmeticError if, after the pass, some square does
+    not (a zero edge, say)."""
     right = dict(right)
     up = dict(up)
-    if square_values is None:
-        def square_values(i, j, rs, us):
-            return rs[(i, j)] * us[(i + 1, j)], us[(i, j)] * rs[(i, j + 1)]
+
+    def square_values(i, j):
+        return right[(i, j)] * up[(i + 1, j)], up[(i, j)] * right[(i, j + 1)]
+
     squares = [(i, j) for j in range(1, B) for i in range(1, A)]
     for (i, j) in squares:
-        v1, v2 = square_values(i, j, right, up)
+        v1, v2 = square_values(i, j)
         if v1 != v2:
             right[(i, j + 1)] = -right[(i, j + 1)]
     for (i, j) in squares:
-        v1, v2 = square_values(i, j, right, up)
+        v1, v2 = square_values(i, j)
         if v1 != v2:
             raise ArithmeticError(f"square ({i}, {j}) does not commute after the sign sweep")
     return right, up
@@ -368,7 +365,7 @@ def assemble_directed_algebra(spec: FamilySpec):
     nonzero hom is then +1 times the generator and every other one is 0,
     which is the law `DirectedAlgebra.coefficient` reads off the pairs."""
     schedule = path_schedule(spec)
-    table = _intersections(schedule)
+    table = intersection_table(schedule)
     _grading_degrees(schedule, table)
     return DirectedAlgebra(schedule.order, table)
 

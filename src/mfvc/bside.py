@@ -1,12 +1,11 @@
-"""The matrix-factorisation side: basic objects, hom tables, composition,
-tilting check, and quiver extraction.
+"""The matrix-factorisation side: basic objects, hom tables checked against
+the closed form (which is the tilting statement), composition, and quiver
+extraction.
 
 Objects supported at the origin carry no shift; the objects supported on
 the components of w = 0 are shifted by [3] so that every morphism between
 basic objects ends up in degree 0.
 """
-
-from fractions import Fraction
 
 from .directed import (DirectedAlgebra, display_label, extract_quiver, object_shift,
                        path_algebra_dimension)
@@ -147,126 +146,31 @@ def hom_table(spec: FamilySpec, window=DEGREE_WINDOW):
     return table
 
 
-def _raw_composition_table(table: HomTable):
-    """(a, b, c) -> the class of  gen(b,c) o gen(a,b)  in hom(a,c), for every
-    composable triple of generator morphisms: a nonzero scalar times the
-    generator of hom(a,c), or 0 when hom(a,c) vanishes."""
+def composition_table(spec: FamilySpec, table: HomTable = None):
+    """The B-side DirectedAlgebra, once every composite of generators is
+    shown to be exactly +1 or 0.
+
+    Each generator of a nonzero hom is lifted once to a chain map.  For
+    every composable triple a -> b -> c, the class of gen(b,c) o gen(a,b)
+    in hom(a,c) must be [1] (+1 times the generator) when (a, c) is a
+    nonzero pair and [] (a coboundary) otherwise.  Then the algebra is
+    fixed by its homs, and the skeleton of the table is returned;
+    ArithmeticError at the first triple that deviates."""
+    table = table or hom_table(spec)
     skeleton = table.skeleton()
     gens = {}
     for (a, b) in skeleton.nonzero_pairs():
         X, Y = table.object(a), table.object(b)
         n = Y.offset - X.offset  # displayed degree 0
         gens[(a, b)] = generator_morphism(X.mf, Y.mf, n, table.cohomology(a, b))
-    coeffs = {}
     for (a, b, c) in skeleton.composable_triples():
         vec = compose_and_identify(gens[(b, c)], gens[(a, b)], table.cohomology(a, c))
-        if table.dim(a, c):
-            if len(vec) != 1 or vec[0] == 0:
-                raise ArithmeticError(f"degenerate composition {a} -> {b} -> {c}")
-            coeffs[(a, b, c)] = vec[0]
-        else:
-            # hom space vanishes; the composite must be a coboundary
-            if vec:
-                raise ArithmeticError(f"nonzero composite into zero hom space {a}->{b}->{c}")
-            coeffs[(a, b, c)] = Fraction(0)
-    return coeffs
-
-
-def _rescale_to_positive(table: HomTable, coeffs):
-    """Generator rescalings making every composition coefficient +1.
-
-    Runs the row-by-row square sweep on the grid of K0 objects (the same
-    procedure the vanishing-cycle side uses).  Every other nonzero pair
-    (a, b), taken by increasing gap between the positions of a and b, gets
-    the scale of its factorisation a -> z -> b through the first object z
-    strictly between them whose two homs are nonzero, or 1 if there is no
-    such z.  `composition_table` checks that the result is all +1."""
-    from .aside import sweep_square_signs
-
-    spec = table.spec
-    p, q = spec.p, spec.q
-    right_sign = {(i, j): Fraction(1) for i in range(1, p - 1) for j in range(1, q)}
-    up_sign = {(i, j): Fraction(1) for i in range(1, p) for j in range(1, q - 1)}
-
-    def square_values(i, j, rs, us):
-        a, bR, bU, c = (("K0", i, j), ("K0", i + 1, j), ("K0", i, j + 1), ("K0", i + 1, j + 1))
-        v1 = coeffs[(a, bR, c)] * rs[(i, j)] * us[(i + 1, j)]
-        v2 = coeffs[(a, bU, c)] * us[(i, j)] * rs[(i, j + 1)]
-        return v1, v2
-
-    right_sign, up_sign = sweep_square_signs(p - 1, q - 1, right_sign, up_sign, square_values)
-
-    scale = {}
-    for (i, j), s in right_sign.items():
-        scale[(("K0", i, j), ("K0", i + 1, j))] = s
-    for (i, j), s in up_sign.items():
-        scale[(("K0", i, j), ("K0", i, j + 1))] = s
-
-    skeleton = table.skeleton()
-    objects, position = skeleton.objects, skeleton.position
-    nonzero = skeleton.pairs
-    for (a, b) in sorted(skeleton.nonzero_pairs(), key=lambda ab: position[ab[1]] - position[ab[0]]):
-        if (a, b) in scale:
-            continue
-        mid = next((z for z in objects[position[a] + 1:position[b]]
-                    if (a, z) in nonzero and (z, b) in nonzero), None)
-        scale[(a, b)] = (Fraction(1) if mid is None
-                         else coeffs[(a, mid, b)] * scale[(a, mid)] * scale[(mid, b)])
-    return scale
-
-
-def composition_table(spec: FamilySpec, table: HomTable = None):
-    """The B-side DirectedAlgebra, once its composites are shown to rectify.
-
-    Every composite of generators into a nonzero hom must be a sign times
-    the generator, and after the rescaling of `_rescale_to_positive` it
-    must be +1 (v * s(a,b) * s(b,c) == s(a,c) for each raw value v).  Then
-    the algebra is fixed by its homs, and the skeleton of the table is
-    returned; ArithmeticError otherwise."""
-    table = table or hom_table(spec)
-    raw = _raw_composition_table(table)
-    for v in raw.values():
-        if v != 0 and abs(v) != 1:
-            raise ArithmeticError(f"composition coefficient {v} is not a sign")
-    scale = _rescale_to_positive(table, raw)
-    for (a, b, c), v in raw.items():
-        if v != 0 and v * scale[(a, b)] * scale[(b, c)] != scale[(a, c)]:
-            raise ArithmeticError(f"sign rectification left {a} -> {b} -> {c} negative")
-    return table.skeleton()
-
-
-def check_exceptional_and_tilting(spec: FamilySpec, table: HomTable = None):
-    """Machine form of the tilting statement, read off an accepted table.
-
-    `HomTable.skeleton` raises unless every cell of the window matched
-    `expected_hom_dim`, and that closed form is the whole statement:
-
-    * End(X) is 1 in degree 0 and 0 in every other degree, so each object
-      is exceptional;
-    * between distinct objects it is nonzero only in degree 0, so all
-      homs of the direct sum sit in degree 0 (tilting);
-    * those homs point forward in the order: from a K0 to a K0 with
-      componentwise larger indices, which `basic_objects` lists later, or
-      from a K0 to an axis object or Kf, which follow every K0.
-
-    So once `skeleton` returns, the report can only read exceptional,
-    tilting, degrees [0].  Off the window, a pair with a finite-staircase
-    target has no Buchweitz term outside `HomCohomology.degree_support`,
-    an interval computed from weights that lies inside the default window
-    (tests/test_bside.py checks this for 2 <= p,q <= 5).  Only the targets
-    R/(x), R/(y) and R/(f) still rest on the window and the divisibility
-    lemma of the README."""
-    table = table or hom_table(spec)
-    table.skeleton()  # raises unless the table matches the closed form
-    objects = [o.display() for o in table.objects]
-    return {
-        "objects": objects,
-        "collection_size": len(objects),
-        "exceptional": True,
-        "nonzero_degrees": [0],
-        "tilting": True,
-        "order": objects,
-    }
+        want = [1] if (a, c) in skeleton.pairs else []
+        if vec != want:
+            raise ArithmeticError(
+                f"composite {display_label(a)} -> {display_label(b)} -> {display_label(c)} "
+                f"is {[str(v) for v in vec]}, not {want}")
+    return skeleton
 
 
 def gabriel_quiver(spec: FamilySpec, algebra: DirectedAlgebra = None):

@@ -190,7 +190,7 @@ def cmd_invariants(args):
         "order": [display_label(lab) for lab in sched.order],
         "intersections": [
             {"src": display_label(a), "tgt": display_label(b), "count": c}
-            for (a, b), c in sorted(intersection_table(spec).items(),
+            for (a, b), c in sorted(intersection_table(sched).items(),
                                     key=lambda kv: (sched.order.index(kv[0][0]),
                                                     sched.order.index(kv[0][1])))
         ],

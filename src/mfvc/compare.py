@@ -64,17 +64,18 @@ def mirror_check(spec: FamilySpec, window=DEGREE_WINDOW, table=None):
     sets of nonzero pairs.
 
     On each side every composite of generators into a nonzero hom is +1
-    times the generator: `composition_table` checks it on the B side, the
-    sign sweep gives it on the A side.  So each composition law is read off
+    times the generator: `composition_table` checks on the B side that each
+    composite is exactly +1 or 0, with no rescaling, and the sign sweep
+    gives it on the A side.  So each composition law is read off
     the nonzero pairs, and once (a) passes, the two patterns, hence the two
     composition tables, are equal under the correspondence.  Associativity
     depends only on that pattern, so it is checked once, on the B side.
 
     Returns a report dict with `pass` and a list of mismatches.  When a
     side cannot be built (an A-side generator off degree 0, a B-side hom
-    table that deviates from the closed form, or a B-side composition that
-    is degenerate or does not rectify), the report names that side and
-    stage instead."""
+    table that deviates from the closed form, or a B-side composite of
+    generators that is not exactly +1 or 0), the report names that side
+    and stage instead."""
     mismatches = []
     corr = correspondence(spec)
 

@@ -2,10 +2,9 @@
 matrix-factorisation side and the vanishing-cycle side.
 
 All hom spaces between distinct objects here are at most one-dimensional
-and sit in degree 0, and endomorphisms are scalars.  Once every composite
-of generators into a nonzero hom is rectified to +1 times the generator, a
-directed algebra is determined by the object order and the nonzero hom
-pairs.
+and sit in degree 0, and endomorphisms are scalars.  When every composite
+of generators into a nonzero hom is +1 times the generator, a directed
+algebra is determined by the object order and the nonzero hom pairs.
 """
 
 from fractions import Fraction
@@ -37,12 +36,12 @@ class DirectedAlgebra:
     Every such hom is one-dimensional in degree 0, and endomorphisms are
     scalars.  Each side enforces this when it builds its algebra: the A side
     in `aside._grading_degrees` (its intersection counts are 0 or 1), the B
-    side in `bside.hom_table`, which matches the closed form.  Both sides
-    rectify every composite of generators into a nonzero hom to +1 times
-    the generator (the B side checks it in `bside.composition_table`, the
-    A side argues it in `aside.assemble_directed_algebra`), so the algebra
-    is fixed by its pairs and `coefficient` reads the composition law off
-    them.
+    side in `bside.hom_table`, which matches the closed form.  On both
+    sides every composite of generators into a nonzero hom is +1 times the
+    generator: `bside.composition_table` checks that each B-side composite
+    is exactly +1 or 0, and `aside.assemble_directed_algebra` argues it
+    for the A side.  So the algebra is fixed by its pairs and
+    `coefficient` reads the composition law off them.
     """
 
     def __init__(self, objects, pairs):
@@ -179,7 +178,7 @@ def extract_quiver(algebra: DirectedAlgebra):
                                     key=lambda kv: (algebra.position[kv[0][0]], algebra.position[kv[0][1]])):
             pindex = {tuple(p): i for i, p in enumerate(plist)}
             # kernel of the evaluation: all paths evaluate to the generator
-            # (coefficient +1 post-rectification) or to zero
+            # (coefficient exactly +1) or to zero
             if (a, b) in pairs:
                 kernel = [{0: -_ONE, k: _ONE} for k in range(1, len(plist))]
             else:

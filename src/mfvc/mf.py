@@ -595,27 +595,28 @@ def chain_map_space(K, H, n):
     return out
 
 
-def generator_morphism(K, H, n, cohom: HomCohomology, class_index=0):
-    """A chain map whose Buchweitz class is exactly the chosen basis vector.
+def generator_morphism(K, H, n, cohom: HomCohomology):
+    """A chain map whose Buchweitz class is exactly the first basis vector.
 
-    Fails (ArithmeticError) if no chain map hits the class; by the
-    equivalence between the two hom models this should never happen for the
+    Raises ValueError if the cohomology vanishes in degree n, and
+    ArithmeticError if no chain map hits the class; by the equivalence
+    between the two hom models the latter should never happen for the
     factorisations in this package.
     """
     data = cohom.cohomology(n)
-    if class_index >= data.dim:
-        raise ValueError("no such cohomology class")
+    if data.dim == 0:
+        raise ValueError("no cohomology class to lift")
     maps = chain_map_space(K, H, n)
     if not maps:
         raise ArithmeticError("no chain maps at all in this degree")
-    # find a rational combination of the chain maps with class = e_{class_index}:
+    # find a rational combination of the chain maps with class = e_0:
     # one equation per class coordinate, one unknown per chain map
     rows = [{} for _ in range(data.dim)]
     for j, f in enumerate(maps):
         for i, a in enumerate(data.identify(f.buchweitz_vector(cohom))):
             if a:
                 rows[i][j] = a
-    coeffs = solve(rows, {class_index: _ONE}, len(maps))
+    coeffs = solve(rows, {0: _ONE}, len(maps))
     if coeffs is None:
         raise ArithmeticError("chain-map lift of the cohomology class not found")
     f0 = [[Poly() for _ in range(K.rank)] for _ in range(H.rank)]

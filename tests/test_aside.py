@@ -168,7 +168,7 @@ def test_certificate_monotone_endpoints_loop46():
 
 
 def test_intersection_examples_loop33():
-    table = intersection_table(FamilySpec("loop", 3, 3))
+    table = intersection_table(path_schedule(FamilySpec("loop", 3, 3)))
     def count(a, b):
         return table.get((a, b), table.get((b, a), 0))
     assert count(("V0", 1, 1), ("V0", 0, 0)) == 1
@@ -177,7 +177,7 @@ def test_intersection_examples_loop33():
 
 
 def test_intersection_examples_chain34():
-    table = intersection_table(FamilySpec("chain", 3, 4))
+    table = intersection_table(path_schedule(FamilySpec("chain", 3, 4)))
     def count(a, b):
         return table.get((a, b), table.get((b, a), 0))
     for (l, m) in interior_index_set(FamilySpec("chain", 3, 4)):
@@ -193,7 +193,7 @@ def test_profile_rederives_grid_intersections():
         for p in range(2, 9):
             for q in range(2, 9):
                 spec = FamilySpec(fam, p, q)
-                table = intersection_table(spec)
+                table = intersection_table(path_schedule(spec))
 
                 def count(a, b):
                     return table.get((a, b), table.get((b, a), 0))
@@ -209,7 +209,7 @@ def test_profile_rederives_grid_intersections():
 
 
 def test_waists_pairwise_disjoint():
-    table = intersection_table(FamilySpec("loop", 4, 5))
+    table = intersection_table(path_schedule(FamilySpec("loop", 4, 5)))
     for (a, b) in table:
         assert a[0] == "V0" or b[0] == "V0"
 
@@ -279,13 +279,12 @@ def test_sign_sweep_random_grids():
 
 
 def test_sign_sweep_raises_when_no_flip_fixes_a_square():
-    # one composite of each square vanishes, so no choice of signs commutes
-    def square_values(i, j, rs, us):
-        return 0 * rs[(i, j)] * us[(i + 1, j)], us[(i, j)] * rs[(i, j + 1)]
-
+    # a zero edge makes one composite of the square at (1, 1) vanish, so no
+    # sign of its top edge makes it commute
     right, up = random_grid_signs(3, 3, 0)
-    with pytest.raises(ArithmeticError):
-        sweep_square_signs(3, 3, right, up, square_values)
+    up[(1, 1)] = 0
+    with pytest.raises(ArithmeticError, match=r"square \(1, 1\)"):
+        sweep_square_signs(3, 3, right, up)
 
 
 def test_bp22_degenerate_algebra():

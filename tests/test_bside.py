@@ -2,17 +2,14 @@ import pytest
 
 from mfvc.bside import (
     DEGREE_WINDOW,
-    _raw_composition_table,
-    _rescale_to_positive,
     basic_objects,
-    check_exceptional_and_tilting,
     composition_table,
     gabriel_quiver,
     hom_table,
 )
-from mfvc.directed import path_algebra_dimension, extract_quiver
+from mfvc.directed import display_label, extract_quiver, path_algebra_dimension
 from mfvc.families import FamilySpec
-from mfvc.mf import HomCohomology
+from mfvc.mf import HomCohomology, compose_and_identify, generator_morphism
 
 
 def test_object_counts():
@@ -94,17 +91,18 @@ def test_hom_table_example_chain34():
         assert table.dim(("Ky", 1), ("K0", 2, 2), d) == 0
 
 
-def _rescaled(raw, scale, a, b, c):
-    return raw[(a, b, c)] * scale[(a, b)] * scale[(b, c)]
-
-
 def test_composition_square_commutes_loop33():
+    # both composites around the square K0(1,1) -> K0(2,2) are exactly the
+    # generator, with no rescaling of the generators
     table = hom_table(FamilySpec("loop", 3, 3))
-    raw = _raw_composition_table(table)
-    scale = _rescale_to_positive(table, raw)
+
+    def gen(a, b):
+        X, Y = table.object(a), table.object(b)
+        return generator_morphism(X.mf, Y.mf, Y.offset - X.offset, table.cohomology(a, b))
+
     a, bx, by, c = ("K0", 1, 1), ("K0", 2, 1), ("K0", 1, 2), ("K0", 2, 2)
-    assert abs(raw[(a, bx, c)]) == abs(raw[(a, by, c)]) == 1
-    assert _rescaled(raw, scale, a, bx, c) == _rescaled(raw, scale, a, by, c) == scale[(a, c)]
+    for b in (bx, by):
+        assert compose_and_identify(gen(b, c), gen(a, b), table.cohomology(a, c)) == [1]
 
 
 def test_composition_table_all_positive_and_associative():
@@ -114,7 +112,17 @@ def test_composition_table_all_positive_and_associative():
         assert alg.is_directed()
 
 
-def test_bp_equals_tensor_product_grid_algebra():
+def test_bp_equals_tensor_product_grid_algebra(monkeypatch):
+    from mfvc import bside
+
+    composites = {}
+
+    def recording(f, g, coh):
+        vec = compose_and_identify(f, g, coh)
+        composites[(g.source.label, g.target.label, f.target.label)] = vec
+        return vec
+
+    monkeypatch.setattr(bside, "compose_and_identify", recording)
     p, q = 3, 3
     table = hom_table(FamilySpec("bp", p, q))
     alg = composition_table(table.spec, table)
@@ -124,28 +132,20 @@ def test_bp_equals_tensor_product_grid_algebra():
         for b in labels:
             want = 1 if (b[1] >= a[1] and b[2] >= a[2]) else 0
             assert alg.hom_dim(a, b) == want
-    # the raw composites are the tensor-product (A2 x A2) structure
-    # constants up to generator signs: a sign where hom(a,c) is nonzero,
-    # +1 after rescaling, and 0 elsewhere (identity factors compose
-    # trivially and are implicit in the table)
-    raw = _raw_composition_table(table)
-    scale = _rescale_to_positive(table, raw)
+    # the composites of the generators are the tensor-product (A2 x A2)
+    # structure constants exactly, with no rescaling: +1 where hom(a,c) is
+    # nonzero and 0 elsewhere (identity factors compose trivially and are
+    # implicit in the table)
+    checked = 0
     for a in labels:
         for b in labels:
             for c in labels:
                 if a != b and b != c and alg.hom_dim(a, b) and alg.hom_dim(b, c):
-                    assert abs(raw[(a, b, c)]) == alg.hom_dim(a, c)
-                    if alg.hom_dim(a, c):
-                        assert _rescaled(raw, scale, a, b, c) == scale[(a, c)]
-
-
-def test_tilting_reports():
-    rep = check_exceptional_and_tilting(FamilySpec("loop", 4, 6))
-    assert rep["tilting"] and rep["exceptional"] and rep["collection_size"] == 24
-    rep = check_exceptional_and_tilting(FamilySpec("chain", 3, 2))
-    assert rep["tilting"]
-    rep = check_exceptional_and_tilting(FamilySpec("bp", 2, 2))
-    assert rep["tilting"] and rep["collection_size"] == 1
+                    key = tuple(display_label(x) for x in (a, b, c))
+                    assert composites[key] == ([1] if alg.hom_dim(a, c) else [])
+                    assert alg.coefficient(a, b, c) == alg.hom_dim(a, c)
+                    checked += 1
+    assert checked == len(composites) > 0
 
 
 def test_quiver_bp33():

@@ -51,6 +51,23 @@ def test_json_output_is_byte_identical_across_runs():
         assert out1 == out2, args
 
 
+def test_invariants_builds_the_path_schedule_once(monkeypatch, capsys):
+    from mfvc import aside
+    from mfvc.cli import main
+
+    schedule = aside.path_schedule
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return schedule(spec)
+
+    monkeypatch.setattr(aside, "path_schedule", counted)
+    assert main(["invariants", "--family", "loop", "--p", "4", "--q", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["intersections"]
+    assert len(calls) == 1
+
+
 def test_quiver_dot_round_trip():
     from mfvc.cli import parse_dot
 
@@ -156,6 +173,34 @@ def test_negated_b_side_composite_gives_report(monkeypatch, capsys):
     assert code == 1
     [mismatch] = payload["mismatches"]
     assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"
+
+
+def test_flipped_b_side_generator_gives_report(monkeypatch, capsys):
+    # flipping the sign of the loop(3,3) generator K0(1,1) -> K0(2,1)
+    # negates every composite it is a factor of, or whose target hom it
+    # spans; a rescaling of the generators would absorb this, the exact +1
+    # check does not
+    from mfvc import bside
+
+    compose = bside.compose_and_identify
+    flipped = ("K0(1,1)", "K0(2,1)")
+    negated = []
+
+    def flip_one_generator(f, g, coh):
+        vec = compose(f, g, coh)
+        a, b, c = g.source.label, g.target.label, f.target.label
+        if flipped in ((a, b), (b, c), (a, c)):
+            negated.append((a, b, c, vec))
+            return [-v for v in vec]
+        return vec
+
+    monkeypatch.setattr(bside, "compose_and_identify", flip_one_generator)
+    code, payload = _mirror_check_in_process(capsys, "3", "3")
+    assert negated and negated[-1][3] == [1]
+    assert code == 1
+    [mismatch] = payload["mismatches"]
+    assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"
+    assert "K0(1,1) -> K0(2,1)" in mismatch["detail"]
 
 
 def test_a_side_generator_off_degree_0_gives_report(monkeypatch, capsys):
