@@ -358,12 +358,13 @@ def assemble_directed_algebra(spec: FamilySpec):
 
     The nonzero homs are the pairs of the intersection table, whose counts
     are 0 or 1, and `_grading_degrees` raises ArithmeticError unless the
-    lift computation puts every generator in degree 0.  Each composable
-    triple bounds exactly one triangular region, so composites of
-    generators are signed generators, and `sweep_square_signs` shows that
-    the signs of the grid can always be rectified.  Every composite into a
-    nonzero hom is then +1 times the generator and every other one is 0,
-    which is the law `DirectedAlgebra.coefficient` reads off the pairs."""
+    lift computation puts every generator in degree 0.  The composition
+    law is not computed: it is taken from the paper's thimble basis, in
+    which every composite of generators into a nonzero hom is +1 times the
+    generator and every other one is 0.  That is the law
+    `DirectedAlgebra.coefficient` reads off the pairs.  (`sweep_square_signs`
+    rectifies the signs of a grid, but runs only on random grids, never on
+    this algebra.)"""
     schedule = path_schedule(spec)
     table = intersection_table(schedule)
     _grading_degrees(schedule, table)

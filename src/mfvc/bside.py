@@ -7,8 +7,7 @@ the components of w = 0 are shifted by [3] so that every morphism between
 basic objects ends up in degree 0.
 """
 
-from .directed import (DirectedAlgebra, display_label, extract_quiver, object_shift,
-                       path_algebra_dimension)
+from .directed import DirectedAlgebra, display_label, gabriel_presentation, object_shift
 from .families import FamilySpec
 from .grading import make_grading_group
 from .mf import HomCohomology, build_basic_object, compose_and_identify, generator_morphism
@@ -173,10 +172,7 @@ def composition_table(spec: FamilySpec, table: HomTable = None):
     return skeleton
 
 
-def gabriel_quiver(spec: FamilySpec, algebra: DirectedAlgebra = None):
-    algebra = algebra or composition_table(spec)
-    quiver, paths = extract_quiver(algebra)
-    # sanity: path algebra modulo relations has dimension = sum of hom dims
-    if path_algebra_dimension(algebra, quiver, paths) != algebra.total_hom_dim():
-        raise ArithmeticError("quiver relations do not present the algebra")
-    return quiver
+def gabriel_quiver(spec: FamilySpec):
+    """The B side's Gabriel quiver with relations, certified to present its
+    algebra."""
+    return gabriel_presentation(composition_table(spec))

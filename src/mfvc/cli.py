@@ -108,15 +108,14 @@ def cmd_milnor(args):
 def cmd_quiver(args):
     from .aside import assemble_directed_algebra
     from .bside import composition_table
-    from .directed import extract_quiver
+    from .directed import gabriel_presentation
     from .grading import make_grading_group
 
     spec = _spec_from_args(args)
 
     def build(side):
         algebra = composition_table(spec) if side == "B" else assemble_directed_algebra(spec)
-        quiver, _ = extract_quiver(algebra)
-        return quiver
+        return gabriel_presentation(algebra)
 
     if args.side == "both":
         if args.format == "dot":

@@ -65,10 +65,11 @@ def mirror_check(spec: FamilySpec, window=DEGREE_WINDOW, table=None):
 
     On each side every composite of generators into a nonzero hom is +1
     times the generator: `composition_table` checks on the B side that each
-    composite is exactly +1 or 0, with no rescaling, and the sign sweep
-    gives it on the A side.  So each composition law is read off
-    the nonzero pairs, and once (a) passes, the two patterns, hence the two
-    composition tables, are equal under the correspondence.  Associativity
+    composite is exactly +1 or 0, with no rescaling, and on the A side it is
+    taken from the paper's thimble basis, not computed.  So each
+    composition law is read off the nonzero pairs, and once (a) passes, the
+    two patterns, hence the two composition tables, are equal under the
+    correspondence.  Associativity
     depends only on that pattern, so it is checked once, on the B side.
 
     Returns a report dict with `pass` and a list of mismatches.  When a

@@ -39,8 +39,8 @@ class DirectedAlgebra:
     side in `bside.hom_table`, which matches the closed form.  On both
     sides every composite of generators into a nonzero hom is +1 times the
     generator: `bside.composition_table` checks that each B-side composite
-    is exactly +1 or 0, and `aside.assemble_directed_algebra` argues it
-    for the A side.  So the algebra is fixed by its pairs and
+    is exactly +1 or 0, and the A side takes it from the paper's thimble
+    basis without computing it.  So the algebra is fixed by its pairs and
     `coefficient` reads the composition law off them.
     """
 
@@ -59,10 +59,6 @@ class DirectedAlgebra:
     def is_directed(self):
         """No morphisms backwards and scalar endomorphisms."""
         return all(self.position[a] < self.position[b] for (a, b) in self.pairs)
-
-    def total_hom_dim(self):
-        """Identities plus all generators."""
-        return len(self.objects) + len(self.pairs)
 
     def _pairs_and_successors(self):
         """nonzero_pairs() and, per object, its targets in the same order."""
@@ -130,110 +126,91 @@ class QuiverWithRelations:
         }
 
 
-def extract_quiver(algebra: DirectedAlgebra):
-    """Gabriel quiver with relations of a directed algebra with scalar
-    endomorphisms, one-dimensional homs and nondegenerate composition.
+def gabriel_presentation(algebra: DirectedAlgebra):
+    """Gabriel quiver with relations of a directed algebra whose composites
+    of generators into a nonzero hom are +1 times the generator.
 
-    Arrows are generators not expressible as composites; relations form a
-    basis of the kernel of the path algebra surjection, computed path
-    length by path length modulo consequences of shorter relations.
+    Arrows are the nonzero pairs that do not factor through a third object.
+    The relations all have length 2: pair (a, c) by pair in position order,
+    over the paths a -> m -> c ordered by m, they are -path0 + pathk for each
+    k >= 1 when hom(a, c) is nonzero (every path evaluates to the generator)
+    and each path alone otherwise.  No shorter relation exists, so none of
+    them is a consequence of the others.  `_certify` then proves, without
+    enumerating paths, that they present the algebra, and raises
+    ArithmeticError if they do not, as when a longer relation is needed.
     """
-    from ._linalg import Subspace
+    arrows, relations = _arrows_and_relations(algebra)
+    _certify(algebra, arrows, relations)
+    return QuiverWithRelations(algebra.objects, arrows, relations)
 
-    pairs = algebra.pairs
-    arrows = []
-    for (a, b) in algebra.nonzero_pairs():
-        composite = any(
-            (a, z) in pairs and (z, b) in pairs
-            for z in algebra.objects
-            if z != a and z != b
-        )
-        if not composite:
-            arrows.append((a, b))
-    arrow_index = {ab: k for k, ab in enumerate(arrows)}
-    out_arrows = {}
-    for (a, b) in arrows:
-        out_arrows.setdefault(a, []).append(b)
 
-    # enumerate arrow paths by length
-    paths = {1: {ab: [[arrow_index[ab]]] for ab in arrows}}
-    maxlen = 1
-    while True:
-        nxt = {}
-        for (a, b), plist in paths[maxlen].items():
-            for c in out_arrows.get(b, ()):
-                bucket = nxt.setdefault((a, c), [])
-                for p in plist:
-                    bucket.append(p + [arrow_index[(b, c)]])
-        if not nxt:
-            break
-        maxlen += 1
-        paths[maxlen] = nxt
-
+def _arrows_and_relations(algebra):
+    pairs, succ = algebra._pairs_and_successors()
+    arrows = [(a, b) for (a, b) in pairs if not any((z, b) in algebra.pairs for z in succ[a])]
+    index = {ab: k for k, ab in enumerate(arrows)}
+    out = _targets(arrows)
+    middles = {}  # (a, c) -> the m of the paths a -> m -> c, in position order
+    for (a, m) in arrows:
+        for c in out.get(m, ()):
+            middles.setdefault((a, c), []).append(m)
+    position = algebra.position
     relations = []
-    # vectors over the paths a->b of one length are sparse dicts keyed by
-    # position in plist
-    for length in range(2, maxlen + 1):
-        for (a, b), plist in sorted(paths[length].items(),
-                                    key=lambda kv: (algebra.position[kv[0][0]], algebra.position[kv[0][1]])):
-            pindex = {tuple(p): i for i, p in enumerate(plist)}
-            # kernel of the evaluation: all paths evaluate to the generator
-            # (coefficient exactly +1) or to zero
-            if (a, b) in pairs:
-                kernel = [{0: -_ONE, k: _ONE} for k in range(1, len(plist))]
-            else:
-                kernel = [{k: _ONE} for k in range(len(plist))]
-            if not kernel:
-                continue
-            # consequences of shorter relations: u * r * v inside paths a->b
-            consequence = Subspace(_consequences(relations, arrows, paths, a, b, length, pindex))
-            for vec in kernel:
-                if consequence.add(vec):
-                    relations.append([(vec[k], list(plist[k])) for k in sorted(vec)])
-
-    return QuiverWithRelations(algebra.objects, arrows, relations), paths
+    for (a, c) in sorted(middles, key=lambda ac: (position[ac[0]], position[ac[1]])):
+        paths = [[index[(a, m)], index[(m, c)]] for m in middles[(a, c)]]
+        if (a, c) in algebra.pairs:
+            relations += [[(-_ONE, paths[0]), (_ONE, path)] for path in paths[1:]]
+        else:
+            relations += [[(_ONE, path)] for path in paths]
+    return arrows, relations
 
 
-def path_algebra_dimension(algebra: DirectedAlgebra, quiver: QuiverWithRelations, paths):
-    """Total dimension of the path algebra modulo the extracted relations.
-
-    Used as a consistency check against the sum of hom dimensions."""
-    from ._linalg import Subspace
-
-    total = len(algebra.objects) + len(quiver.arrows)
-    by_pair = {}
-    for length, buckets in paths.items():
-        if length < 2:
-            continue
-        for (a, b), plist in buckets.items():
-            by_pair.setdefault((a, b, length), plist)
-    for (a, b, length), plist in by_pair.items():
-        pindex = {tuple(p): i for i, p in enumerate(plist)}
-        span = Subspace(_consequences(quiver.relations, quiver.arrows, paths, a, b, length, pindex))
-        total += len(plist) - span.dim()
-    return total
+def _targets(arrows):
+    out = {}
+    for (a, m) in arrows:
+        out.setdefault(a, []).append(m)
+    return out
 
 
-def _consequences(relations, arrows, paths, a, b, length, pindex):
-    """The products pre * r * post of each relation r with arrow paths pre
-    into its start and post out of its end, as sparse vectors over the
-    length-`length` paths a -> b numbered by pindex.  The terms of a
-    relation are distinct paths, so each product is nonzero."""
+def _certify(algebra, arrows, relations):
+    """Check that the length-2 relations present the algebra: for a before
+    b, the paths a ~> b modulo the relations span hom(a, b).
+
+    For fixed b, sources a are taken from last to first, so the claim holds
+    already for every later m.  Then the paths a ~> b modulo the relations
+    are spanned by one class per arrow a -> m with hom(m, b) nonzero (or
+    m = b): the arrow followed by the generator of hom(m, b).  A relation at
+    a ending in c, followed by the generator of hom(c, b), relates these
+    classes, provided hom(c, b) is nonzero or c = b.  Its path through m
+    survives exactly when m has a class, since gen(m,c) o gen(c,b) =
+    gen(m,b).  A square with both paths surviving merges their classes, a
+    relation with one surviving path kills that path's class.  The number
+    of live classes must be hom_dim(a, b); ArithmeticError otherwise."""
+    pairs, objects = algebra.pairs, algebra.objects
+    out = _targets(arrows)
+    at = {}  # a -> [(c, the m of each path of the relation)]
     for rel in relations:
-        ra = arrows[rel[0][1][0]][0]
-        rb = arrows[rel[0][1][-1]][1]
-        rlen = len(rel[0][1])
-        for pre_len in range(0, length - rlen + 1):
-            post_len = length - rlen - pre_len
-            pres = ([[]] if a == ra else []) if pre_len == 0 else paths.get(pre_len, {}).get((a, ra), [])
-            posts = ([[]] if b == rb else []) if post_len == 0 else paths.get(post_len, {}).get((rb, b), [])
-            for pre in pres:
-                for post in posts:
-                    vec = {}
-                    for c, rpath in rel:
-                        k = pindex.get(tuple(pre + list(rpath) + post))
-                        if k is None:
-                            break
-                        vec[k] = c
-                    else:
-                        yield vec
+        (a, _), (_, c) = arrows[rel[0][1][0]], arrows[rel[0][1][-1]]
+        at.setdefault(a, []).append((c, [arrows[path[0]][1] for _, path in rel]))
+    for i, b in enumerate(objects):
+        reach = {x for x in objects if x == b or (x, b) in pairs}
+        for a in reversed(objects[:i]):
+            parent = {m: m for m in out.get(a, ()) if m in reach}
+
+            def find(m):
+                while parent[m] != m:
+                    m = parent[m]
+                return m
+
+            killed = []
+            for c, ms in at.get(a, ()):
+                if c in reach:
+                    live = [m for m in ms if m in parent]
+                    if len(live) == 2:
+                        parent[find(live[0])] = find(live[1])
+                    elif live:
+                        killed.append(live[0])
+            classes = {find(m) for m in parent} - {find(m) for m in killed}
+            if len(classes) != algebra.hom_dim(a, b):
+                raise ArithmeticError(
+                    f"the length-2 relations leave {len(classes)} classes of paths "
+                    f"{display_label(a)} -> {display_label(b)}, not {algebra.hom_dim(a, b)}")

@@ -7,7 +7,7 @@ from mfvc.bside import (
     gabriel_quiver,
     hom_table,
 )
-from mfvc.directed import display_label, extract_quiver, path_algebra_dimension
+from mfvc.directed import _arrows_and_relations, _certify, display_label
 from mfvc.families import FamilySpec
 from mfvc.mf import HomCohomology, compose_and_identify, generator_morphism
 
@@ -170,11 +170,12 @@ def test_quiver_chain34_counts():
     assert len(quiv.arrows) == expected_arrows == 11
 
 
-def test_path_algebra_dimension_matches_hom_total():
+def test_length2_relations_present_the_algebra():
     for fam, p, q in [("loop", 3, 3), ("chain", 3, 3), ("bp", 4, 3)]:
         alg = composition_table(FamilySpec(fam, p, q))
-        quiv, paths = extract_quiver(alg)
-        assert path_algebra_dimension(alg, quiv, paths) == alg.total_hom_dim()
+        arrows, relations = _arrows_and_relations(alg)
+        assert relations and all(len(path) == 2 for rel in relations for _, path in rel)
+        _certify(alg, arrows, relations)  # raises unless they present the algebra
 
 
 def test_loop_quiver_relations_are_squares_and_dashed():

@@ -242,6 +242,30 @@ def test_failed_check_in_a_command_is_an_error_line(monkeypatch, capsys):
     assert err.startswith("error:") and "closed form" in err and "Traceback" not in err
 
 
+def test_quiver_of_a_pattern_the_relations_do_not_present_is_an_error_line(monkeypatch, capsys):
+    from mfvc import aside
+    from mfvc.cli import main
+    from mfvc.directed import DirectedAlgebra
+
+    # V0(0,1) -> Vxy factors through V0(0,0); without it the paths through
+    # V0(0,1) become zero relations, and V0(1,1) -> Vxy, which is still
+    # nonzero, keeps no class of paths
+    full = aside.assemble_directed_algebra
+    dropped = (("V0", 0, 1), ("Vxy",))
+
+    def one_pair_removed(spec):
+        algebra = full(spec)
+        assert dropped in algebra.pairs
+        return DirectedAlgebra(algebra.objects, algebra.pairs - {dropped})
+
+    monkeypatch.setattr(aside, "assemble_directed_algebra", one_pair_removed)
+    code = main(["quiver", "--side", "A", "--family", "loop", "--p", "3", "--q", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "classes of paths" in err and "Traceback" not in err
+
+
 def test_format_a_command_does_not_write_exits_2():
     for args in (
         ("mirror-check", "--family", "loop", "--p", "2", "--q", "3", "--format", "dot"),

@@ -51,16 +51,31 @@ def test_quivers_agree_across_sides():
     # must extract matching quivers under the correspondence
     from mfvc.aside import assemble_directed_algebra
     from mfvc.bside import composition_table
-    from mfvc.directed import extract_quiver
+    from mfvc.directed import gabriel_presentation
+
+    def relation_set(quiver, label):
+        """Each relation as (objects along the path, coefficient) terms in
+        path order, scaled to lead with +1: a relation and its negative
+        generate the same ideal, and the two sides may order a square's
+        paths differently."""
+        def objects(path):
+            return (label(quiver.arrows[path[0]][0]),) + tuple(
+                label(quiver.arrows[k][1]) for k in path)
+        out = set()
+        for rel in quiver.relations:
+            terms = sorted((objects(path), c) for c, path in rel)
+            out.add(tuple((path, c / terms[0][1]) for path, c in terms))
+        return out
 
     for fam, p, q in [("loop", 3, 3), ("chain", 3, 4), ("bp", 3, 4), ("loop", 2, 5)]:
         spec = FamilySpec(fam, p, q)
         corr = correspondence(spec)
-        qa, _ = extract_quiver(assemble_directed_algebra(spec))
-        qb, _ = extract_quiver(composition_table(spec))
+        qa = gabriel_presentation(assemble_directed_algebra(spec))
+        qb = gabriel_presentation(composition_table(spec))
         assert len(qa.vertices) == len(qb.vertices)
         assert sorted((corr[a], corr[b]) for (a, b) in qa.arrows) == sorted(qb.arrows)
         assert len(qa.relations) == len(qb.relations)
+        assert relation_set(qa, corr.get) == relation_set(qb, lambda v: v)
 
 
 def test_dropped_a_side_pair_is_a_hom_dim_mismatch(monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 
 from mfvc.aside import assemble_directed_algebra
-from mfvc.directed import DirectedAlgebra
+from mfvc.directed import DirectedAlgebra, _arrows_and_relations, _certify
 from mfvc.families import FamilySpec
 
 
@@ -31,3 +31,17 @@ def test_check_associativity_flags_a_pattern_that_cannot_compose():
     assert algebra.check_associativity() == [("a", "b", "c", "d", 0, 1)]
     algebra = DirectedAlgebra("abcd", pairs + [("a", "c")])
     assert algebra.check_associativity() == []
+
+
+@pytest.mark.parametrize("family, terms", [("loop", 2), ("loop", 1), ("chain", 1)])
+def test_certificate_rejects_a_dropped_relation(family, terms):
+    # the length-2 relations are minimal, so each one dropped leaves more
+    # classes of paths than the algebra has homs
+    algebra = assemble_directed_algebra(FamilySpec(family, 4, 4))
+    arrows, relations = _arrows_and_relations(algebra)
+    _certify(algebra, arrows, relations)
+    dropped = [k for k, rel in enumerate(relations) if len(rel) == terms]
+    assert dropped  # squares (2 terms) and zero relations (1 term) both occur
+    for k in dropped:
+        with pytest.raises(ArithmeticError, match="classes of paths"):
+            _certify(algebra, arrows, relations[:k] + relations[k + 1:])
