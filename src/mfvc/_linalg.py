@@ -14,9 +14,9 @@ A row space is kept in reduced row echelon form as a dict from pivot column
 to its row, scaled to 1 at the pivot.  Every other pivot column is zero in
 each row.  Two helpers do all the elimination: `_reduce` clears the pivot
 columns of a vector and `_insert` adds a reduced vector as a new pivot row.
-`nullspace`, `solve` and `Subspace` run on them; `rank` needs only forward
-elimination.  The reduced echelon form of a matrix is unique, so the
-results do not depend on the order rows are inserted in.
+`rank`, `nullspace`, `solve` and `Subspace` all run on them.  The reduced
+echelon form of a matrix is unique, so the results do not depend on the
+order rows are inserted in.
 """
 
 from fractions import Fraction
@@ -73,19 +73,8 @@ def _echelon(rows):
 
 
 def rank(rows):
-    """Rank of a matrix given as dense rows, by forward elimination: pivot
-    rows are not cleared above."""
-    pivots = {}
-    for r in rows:
-        v = {c: a if type(a) is Fraction else Fraction(a) for c, a in enumerate(r) if a}
-        while v:
-            p = min(v)
-            row = pivots.get(p)
-            if row is None:
-                pivots[p] = v
-                break
-            _axpy(v, v[p] / row[p], row)
-    return len(pivots)
+    """Rank of a matrix given as dense rows."""
+    return len(_echelon({c: a for c, a in enumerate(r) if a} for r in rows))
 
 
 def nullspace(rows, ncols):

@@ -33,13 +33,13 @@ class BObject:
 def basic_objects(spec: FamilySpec):
     """The ordered exceptional collection for the family."""
     group = make_grading_group(spec.family, spec.p, spec.q)
-    p, q = spec.p, spec.q
+    (p, e), (f, q) = group.exponents
     grid = sorted(((i, j) for i in range(1, p) for j in range(1, q)),
                   key=lambda ij: (ij[0] + ij[1], ij[0]))
     labels = [("K0", i, j) for (i, j) in grid]
-    if spec.family == "loop":
+    if f == 1:
         labels += [("Kx", i) for i in range(1, p)]
-    if spec.family in ("loop", "chain"):
+    if e == 1:
         labels += [("Ky", j) for j in range(1, q)] + [("Kf",)]
     return [BObject(label, build_basic_object(group, label), object_shift(label))
             for label in labels]

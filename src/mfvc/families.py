@@ -1,8 +1,25 @@
-"""The three atomic families of two-variable invertible polynomials."""
+"""The three atomic families of two-variable invertible polynomials.
+
+Each is w = x^p y^e + x^f y^q, fixed by its exponent matrix
+((p, e), (f, q)); the family sets (f, e).  The B side reads everything
+it needs from that matrix.
+"""
 
 from dataclasses import dataclass
 
-FAMILIES = ("loop", "chain", "bp")
+# family -> (f, e)
+_OFFSETS = {"loop": (1, 1), "chain": (0, 1), "bp": (0, 0)}
+FAMILIES = tuple(_OFFSETS)
+
+
+def exponents(family, p, q):
+    """The exponent matrix ((p, e), (f, q)) of w = x^p y^e + x^f y^q."""
+    if family not in _OFFSETS:
+        raise ValueError(f"unknown family {family!r}")
+    if p < 2 or q < 2:
+        raise ValueError("p and q must both be at least 2")
+    f, e = _OFFSETS[family]
+    return (p, e), (f, q)
 
 
 @dataclass(frozen=True)
@@ -12,10 +29,7 @@ class FamilySpec:
     q: int
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.p < 2 or self.q < 2:
-            raise ValueError("p and q must both be at least 2")
+        exponents(self.family, self.p, self.q)
 
     def milnor(self):
         p, q = self.p, self.q

@@ -1,112 +1,36 @@
 """Exact arithmetic in the maximal grading group of an invertible curve polynomial.
 
-The group L is generated by xv, yv, cv (the degrees of x, y and of the
-polynomial w) subject to two relations depending on the family:
+Every family is w = x^p y^e + x^f y^q (see `families.exponents`).  The group
+L is generated by xv, yv, cv (the degrees of x, y and of w) subject to
 
-    loop :  p*xv + yv = cv,   xv + q*yv = cv
-    chain:  p*xv + yv = cv,   q*yv = cv
-    bp   :  p*xv      = cv,   q*yv = cv
+    p*xv + e*yv = cv,    f*xv + q*yv = cv.
 
-The Smith normal form of the relation matrix gives L = Z/d + Z, and elements
-are stored in those coordinates: a residue mod d and an integer weight.
-Integer 3-vectors over (xv, yv, cv) convert in and out through the Smith
-transform.  Since cv has positive weight, each class of the quotient L/Zc
-has exactly one element of weight in [0, weight(cv)), which serves as its
-canonical form.  Everything is plain python integers, so all of it is exact.
+Eliminating cv = p*xv + e*yv sends i*xv + j*yv + k*cv to (u, v) =
+(i + k*p, j + k*e) and leaves L = Z^2 / Z(a, -b), with a = p - f and
+b = q - e.  Let g = gcd(a, b), a = g*a', b = g*b', and alpha*a' - beta*b' = 1.
+The unimodular matrix ((alpha, beta), (b', a')) sends (a, -b) to (g, 0), so
+L = Z/g + Z, and an element is stored as its residue alpha*u + beta*v mod g
+and its weight b'*u + a'*v.  The weight is positive on xv, yv and cv, and
+(r, w) maps back to (u, v) = (a'*r - beta*w, alpha*w - b'*r).  Since cv has
+positive weight, each class of the quotient L/Zc has exactly one element of
+weight in [0, weight(cv)), which serves as its canonical form.  L/Zc is
+Z^2 modulo the rows of the exponent matrix: its order is the determinant
+a*e + b*p and its invariant factors are d1 = gcd(a, b, p, e) and the order
+over d1.  Everything is plain python integers, so all of it is exact.
 """
 
-from .families import FAMILIES
+from math import gcd
 
-
-def _relation_rows(family, p, q):
-    if family == "loop":
-        return [[p, 1, -1], [1, q, -1]]
-    if family == "chain":
-        return [[p, 1, -1], [0, q, -1]]
-    if family == "bp":
-        return [[p, 0, -1], [0, q, -1]]
-    raise ValueError(f"unknown family {family!r}")
-
-
-def smith_normal_form(rows):
-    """Smith normal form with transforms: returns (D, U, V) with U*A*V = D,
-    U and V unimodular, D diagonal with d1 | d2 | ...  Small matrices only."""
-    A = [list(r) for r in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_op(i, j, f):  # row_i -= f*row_j
-        A[i] = [a - f * b for a, b in zip(A[i], A[j])]
-        U[i] = [a - f * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i, j, f):  # col_i -= f*col_j
-        for r in A:
-            r[i] -= f * r[j]
-        for r in V:
-            r[i] -= f * r[j]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    t = 0
-    while t < min(m, n):
-        # Find a nonzero pivot in the remaining block.
-        pos = [(i, j) for i in range(t, m) for j in range(t, n) if A[i][j] != 0]
-        if not pos:
-            break
-        i0, j0 = min(pos, key=lambda ij: abs(A[ij[0]][ij[1]]))
-        swap_rows(t, i0)
-        swap_cols(t, j0)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    f = A[i][t] // A[t][t]
-                    row_op(i, t, f)
-                    if A[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    f = A[t][j] // A[t][t]
-                    col_op(j, t, f)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        # Divisibility: pivot must divide the rest of the block.
-        for i in range(t + 1, m):
-            bad = next((j for j in range(t + 1, n) if A[i][j] % A[t][t]), None)
-            if bad is not None:
-                row_op(t, i, -1)
-                t -= 1
-                break
-        t += 1
-    for i in range(min(m, n)):
-        if A[i][i] < 0:
-            A[i] = [-a for a in A[i]]
-            U[i] = [-a for a in U[i]]
-    D = A
-    return D, U, V
+from .families import exponents
 
 
 class GroupElement:
-    """Element of a GradingGroup in Smith coordinates.
+    """Element of a GradingGroup in the coordinates of L = Z/g + Z.
 
-    L is Z/d + Z with d = group.torsion_order, so an element is stored
-    canonically as its torsion residue r in [0, d) and its weight w, the
-    free coordinate signed to be positive on xv and yv.  Group operations,
-    equality and hashing act on (r, w) directly; no lattice reduction is
-    needed.
+    g = group.torsion_order, so an element is stored canonically as its
+    residue r = alpha*u + beta*v in [0, g) and its weight w = b'*u + a'*v
+    (see the module docstring).  Group operations, equality and hashing
+    act on (r, w) directly; no lattice reduction is needed.
     """
 
     __slots__ = ("group", "r", "w")
@@ -164,81 +88,49 @@ class GroupElement:
         return f"L{self.vec}"
 
 
-def _inverse_unimodular(V):
-    """Integer inverse of a 3x3 matrix of determinant +-1 (adjugate / det)."""
-    det = sum(V[0][j] * (V[1][(j + 1) % 3] * V[2][(j + 2) % 3]
-                         - V[1][(j + 2) % 3] * V[2][(j + 1) % 3]) for j in range(3))
-    if det not in (1, -1):
-        raise ArithmeticError("Smith transform is not unimodular")
-    return [[det * (V[(j + 1) % 3][(i + 1) % 3] * V[(j + 2) % 3][(i + 2) % 3]
-                    - V[(j + 1) % 3][(i + 2) % 3] * V[(j + 2) % 3][(i + 1) % 3])
-             for j in range(3)] for i in range(3)]
-
-
 class GradingGroup:
     """The maximal grading group L for one family, plus its quotient L/Z*cv."""
 
     def __init__(self, family, p, q):
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
-        if p < 2 or q < 2:
-            raise ValueError("p and q must both be at least 2")
+        (_, e), (f, _) = self.exponents = exponents(family, p, q)
         self.family = family
         self.p = p
         self.q = q
-        self.relations = _relation_rows(family, p, q)
-
-        D, _, V = smith_normal_form(self.relations)
-        diag = [D[i][i] for i in range(min(len(D), 3)) if D[i][i] != 0]
-        if len(diag) != 2:
-            raise ValueError("relation lattice is expected to have rank 2")
-        if diag[0] != 1:
-            raise ValueError("torsion of L is expected to be cyclic")
-        self.torsion = tuple(d for d in diag if d > 1)
-        self.free_rank = 3 - len(diag)
-        # Coordinates y = v*V split L into Z/1 + Z/d + Z, d = torsion_order
-        # (free part last), so (y1 mod d, +-y2) is a canonical form; y0
-        # carries no information.
-        self.torsion_order = diag[1]
-        sign = 1 if V[0][2] > 0 else -1
-        self._residue_col = [V[i][1] for i in range(3)]
-        self._weight_col = [sign * V[i][2] for i in range(3)]
-        Vinv = _inverse_unimodular(V)
-        self._residue_row = Vinv[1]
-        self._weight_row = [sign * a for a in Vinv[2]]
+        self.relations = [[p, e, -1], [f, q, -1]]
+        a, b = p - f, q - e
+        g = gcd(a, b)
+        a1, b1 = a // g, b // g
+        alpha = pow(a1, -1, b1)  # so that alpha*a1 - beta*b1 = 1
+        beta = (alpha * a1 - 1) // b1
+        self._e, self._a1, self._b1, self._alpha, self._beta = e, a1, b1, alpha, beta
+        self.torsion_order = g
+        self.torsion = (g,) if g > 1 else ()
+        self.free_rank = 1
+        self.order_mod_c = a * e + b * p
+        d1 = gcd(a, b, p, e)
+        self.torsion_mod_c = tuple(d for d in (d1, self.order_mod_c // d1) if d > 1)
         # degree -> monomials, filled by polyring.monomials_of_exact_degree;
         # held here so that it is freed together with the group
         self.monomials_by_degree = {}
-
-        Dq, _, _ = smith_normal_form(self.relations + [[0, 0, 1]])
-        dq = [Dq[i][i] for i in range(3)]
-        if any(d == 0 for d in dq):
-            raise ValueError("L/Zc is expected to be finite")
-        self.order_mod_c = abs(dq[0] * dq[1] * dq[2])
-        self.torsion_mod_c = tuple(abs(d) for d in dq if abs(d) > 1)
 
         self.x = self.element(1, 0)
         self.y = self.element(0, 1)
         self.c = self.element(0, 0, 1)
         self.zero = self.element(0, 0)
-        if self.x.weight() <= 0 or self.y.weight() <= 0:
-            raise ValueError("monomial degrees must have positive free part")
-        if self.c.weight() <= 0:  # so cv has infinite order and mod_c is canonical
-            raise ValueError("cv is expected to have positive weight")
 
     # -- raw vector helpers ------------------------------------------------
 
     def _vector(self, r, w):
-        """The integer 3-vector with Smith coordinates (0, r, +-w)."""
-        return tuple(r * a + w * b for a, b in zip(self._residue_row, self._weight_row))
+        """The integer 3-vector (u, v, 0) of the element with coordinates (r, w)."""
+        return (self._a1 * r - self._beta * w, self._alpha * w - self._b1 * r, 0)
 
     # -- public api ---------------------------------------------------------
 
-    def element(self, a, b, c=0):
-        """The element a*xv + b*yv + c*cv."""
-        rc, wc = self._residue_col, self._weight_col
-        return GroupElement(self, (a * rc[0] + b * rc[1] + c * rc[2]) % self.torsion_order,
-                            a * wc[0] + b * wc[1] + c * wc[2])
+    def element(self, i, j, k=0):
+        """The element i*xv + j*yv + k*cv."""
+        u, v = i + k * self.p, j + k * self._e
+        return GroupElement(self, (self._alpha * u + self._beta * v) % self.torsion_order,
+                            self._b1 * u + self._a1 * v)
 
     def invariants(self):
         """(free rank, torsion factors) of L and of L/Z*cv."""

@@ -199,15 +199,24 @@ class MatrixFactorisation:
 
 
 def build_basic_object(group, label):
-    """Closed-form factorisations for the basic objects.
+    """Closed-form factorisations for the basic objects of
+    w = x^p y^e + x^f y^q.
 
-    label is one of ("K0", i, j), ("Kx", i), ("Ky", j) or ("Kf",); index
-    ranges are 1..p-1 and 1..q-1, with family-dependent availability
-    (chain has no Kx, bp has only K0).
+    label is one of ("K0", i, j), ("Kx", i), ("Ky", j) or ("Kf",), with
+    1 <= i <= p-1 and 1 <= j <= q-1.  K0(i, j) resolves R/(x^i, y^j), with
+
+        d0 = [[x^f y^(q-j), -x^(p-i) y^e], [x^i, y^j]],
+        d1 = [[y^j, x^(p-i) y^e], [-x^i, x^f y^(q-j)]],
+
+    even degrees (c + f*x + e*y, lam), odd degrees (f*x + (j+e)*y,
+    (i+f)*x + e*y) and lam = (i+f)*x + (j+e)*y.  With w = x^f y^e F and
+    F = `family_factor`, the rank-one objects Kx, Ky and Kf have (d0, d1) =
+    (x, y^e F), (y, x^f F) and (F, x^f y^e); Kx exists when f = 1, Ky and
+    Kf when e = 1.
     """
-    family, p, q = group.family, group.p, group.q
-    w = family_w(family, p, q)
-    f = family_factor(family, p, q)
+    (p, e), (f, q) = group.exponents
+    w = family_w(group.family, p, q)
+    F = family_factor(group.family, p, q)
     x, y, c = group.x, group.y, group.c
     kind = label[0]
 
@@ -216,78 +225,51 @@ def build_basic_object(group, label):
         if not (1 <= i <= p - 1 and 1 <= j <= q - 1):
             raise ValueError(f"K0 index out of range: {label}")
         name = f"K0({i},{j})"
-        if family == "loop":
-            even = [c + x + y, (i + 1) * x + (j + 1) * y]
-            odd = [x + (j + 1) * y, (i + 1) * x + y]
-            d0 = [[Poly.monomial(1, q - j), Poly.monomial(p - i, 1, -1)],
-                  [Poly.monomial(i, 0), Poly.monomial(0, j)]]
-            d1 = [[Poly.monomial(0, j), Poly.monomial(p - i, 1)],
-                  [Poly.monomial(i, 0, -1), Poly.monomial(1, q - j)]]
-            lam = (i + 1) * x + (j + 1) * y
-        elif family == "chain":
-            even = [c + y, i * x + (j + 1) * y]
-            odd = [(j + 1) * y, i * x + y]
-            d0 = [[Poly.monomial(0, q - j), Poly.monomial(p - i, 1, -1)],
-                  [Poly.monomial(i, 0), Poly.monomial(0, j)]]
-            d1 = [[Poly.monomial(0, j), Poly.monomial(p - i, 1)],
-                  [Poly.monomial(i, 0, -1), Poly.monomial(0, q - j)]]
-            lam = i * x + (j + 1) * y
-        else:  # bp
-            even = [c, i * x + j * y]
-            odd = [j * y, i * x]
-            d0 = [[Poly.monomial(0, q - j), Poly.monomial(p - i, 0, -1)],
-                  [Poly.monomial(i, 0), Poly.monomial(0, j)]]
-            d1 = [[Poly.monomial(0, j), Poly.monomial(p - i, 0)],
-                  [Poly.monomial(i, 0, -1), Poly.monomial(0, q - j)]]
-            lam = i * x + j * y
+        lam = (i + f) * x + (j + e) * y
+        even = [c + f * x + e * y, lam]
+        odd = [f * x + (j + e) * y, (i + f) * x + e * y]
+        d0 = [[Poly.monomial(f, q - j), Poly.monomial(p - i, e, -1)],
+              [Poly.monomial(i, 0), Poly.monomial(0, j)]]
+        d1 = [[Poly.monomial(0, j), Poly.monomial(p - i, e)],
+              [Poly.monomial(i, 0, -1), Poly.monomial(f, q - j)]]
         ring = QuotientRing(group, [poly_x(i), poly_y(j), w], shift=lam, label=name)
         module = CyclicModule(ring, label=name)
         return MatrixFactorisation(group, w, even, odd, d0, d1, module,
                                    [Poly(), Poly.constant(1)], name)
 
     if kind == "Kx":
-        if family != "loop":
-            raise ValueError("Kx exists only for loop polynomials")
+        if f != 1:
+            raise ValueError("Kx exists only when x divides w")
         (_, i) = label
         if not (1 <= i <= p - 1):
             raise ValueError(f"Kx index out of range: {label}")
         base = MatrixFactorisation(
             group, w, [group.zero], [-x],
-            [[poly_x()]], [[poly_y() * f]],
+            [[poly_x()]], [[Poly.monomial(0, e) * F]],
             CyclicModule(QuotientRing(group, [poly_x(), w], label="R/(x)")),
             [Poly.constant(1)], "Kx",
         )
         return base.shifted((i + 1 - p) * x, f"Kx({i})")
 
+    if kind in ("Ky", "Kf") and e != 1:
+        raise ValueError(f"{kind} exists only when y divides w")
+
     if kind == "Ky":
-        if family == "bp":
-            raise ValueError("Ky exists only for loop and chain polynomials")
         (_, j) = label
         if not (1 <= j <= q - 1):
             raise ValueError(f"Ky index out of range: {label}")
-        d1_entry = poly_x() * f if family == "loop" else f
         base = MatrixFactorisation(
             group, w, [group.zero], [-y],
-            [[poly_y()]], [[d1_entry]],
+            [[poly_y()]], [[Poly.monomial(f, 0) * F]],
             CyclicModule(QuotientRing(group, [poly_y(), w], label="R/(y)")),
             [Poly.constant(1)], "Ky",
         )
         return base.shifted((j + 1 - q) * y, f"Ky({j})")
 
     if kind == "Kf":
-        if family == "bp":
-            raise ValueError("Kf exists only for loop and chain polynomials")
-        if family == "loop":
-            odd = [x + y - c]
-            d0 = [[f]]
-            d1 = [[Poly.monomial(1, 1)]]
-        else:
-            odd = [y - c]
-            d0 = [[f]]
-            d1 = [[poly_y()]]
         return MatrixFactorisation(
-            group, w, [group.zero], odd, d0, d1,
-            CyclicModule(QuotientRing(group, [f, w], label="R/(f)")),
+            group, w, [group.zero], [f * x + e * y - c], [[F]], [[Poly.monomial(f, e)]],
+            CyclicModule(QuotientRing(group, [F, w], label="R/(f)")),
             [Poly.constant(1)], "Kf",
         )
 

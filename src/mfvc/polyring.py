@@ -12,6 +12,7 @@ since all ideals and differentials have integer coefficients.
 
 from fractions import Fraction
 
+from .families import exponents
 from .grading import GradingGroup, GroupElement
 
 
@@ -194,26 +195,18 @@ def poly_y(n=1):
 
 
 def family_w(family, p, q):
-    """The invertible polynomial w for the family."""
-    if family == "loop":
-        return Poly({(p, 1): 1, (1, q): 1})
-    if family == "chain":
-        return Poly({(p, 1): 1, (0, q): 1})
-    if family == "bp":
-        return Poly({(p, 0): 1, (0, q): 1})
-    raise ValueError(family)
+    """The invertible polynomial w = x^p y^e + x^f y^q of the family."""
+    (_, e), (f, _) = exponents(family, p, q)
+    return Poly({(p, e): 1, (f, q): 1})
 
 
 def family_factor(family, p, q):
-    """The extra factor f with w = xyf (loop), w = yf (chain); for bp there
-    is no such factor and None is returned."""
-    if family == "loop":
-        return Poly({(p - 1, 0): 1, (0, q - 1): 1})
-    if family == "chain":
-        return Poly({(p, 0): 1, (0, q - 1): 1})
-    if family == "bp":
+    """The factor F = x^(p-f) + y^(q-e) with w = x^f y^e F; None when w
+    has no monomial factor (f = e = 0, bp)."""
+    (_, e), (f, _) = exponents(family, p, q)
+    if f == e == 0:
         return None
-    raise ValueError(family)
+    return Poly({(p - f, 0): 1, (0, q - e): 1})
 
 
 # ---------------------------------------------------------------------------

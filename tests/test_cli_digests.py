@@ -78,6 +78,11 @@ PINNED_DIGESTS = {
         "13e3a8f10dc16cc0664281510224b79ddf19d3c891956f7d4512b179e978c4bd",
     ("loop", 2, 4, "milnor --format json"):
         "a036ab90cff8aad68480d8fe56bd616811ea8499783bf00c1eb155a87b70126e",
+    # bp with gcd(p, q) > 1: torsion in L and a two-factor L/Zc
+    ("bp", 4, 6, "invariants"):
+        "e3512ee323b38a258c49859735840c2ea7368b10763ee77c93c96dfc3166cdad",
+    ("bp", 4, 6, "quiver --side both"):
+        "60b464be0152f10399697d9f6ea061684208c8b3c0cb0d3f70401ad0a877ff8a",
     # non-default windows: which cells the hom table computes depends on
     # the window, so both a narrower and a wider one are pinned
     ("loop", 3, 3, "homtable --degree-window 0"):

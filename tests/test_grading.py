@@ -3,35 +3,13 @@ import random
 
 import pytest
 
-from mfvc.grading import make_grading_group, smith_normal_form
+from mfvc.grading import make_grading_group
 
 FAMILIES = ("loop", "chain", "bp")
 
 
 def expected_order_mod_c(family, p, q):
     return {"loop": p * q - 1, "chain": p * q, "bp": p * q}[family]
-
-
-def test_snf_transforms():
-    rng = random.Random(7)
-    for _ in range(60):
-        m = rng.randint(1, 3)
-        n = rng.randint(1, 4)
-        A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        D, U, V = smith_normal_form(A)
-        prod = [[sum(U[i][k] * A[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
-        prod = [[sum(prod[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
-        assert prod == D
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert D[i][j] == 0
-        diag = [D[i][i] for i in range(min(m, n))]
-        for a, b in zip(diag, diag[1:]):
-            if a != 0:
-                assert b % a == 0
-            else:
-                assert b == 0
 
 
 def test_hnf_reduces_relations_to_zero():
@@ -51,6 +29,27 @@ def test_structure_invariants(family, p, q):
     d = {"loop": math.gcd(p - 1, q - 1), "chain": math.gcd(p, q - 1), "bp": math.gcd(p, q)}[family]
     assert g.free_rank == 1
     assert list(g.torsion) == ([d] if d > 1 else [])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_mod_c_torsion_factors_by_enumeration(family):
+    # L/Zc is generated by the classes of xv and yv, so a search from zero
+    # reaches every class; with two generators it is Z/d1 + Z/d2, d1 | d2,
+    # and d2 is the largest order of an element.
+    for p in range(2, 9):
+        for q in range(2, 9):
+            g = make_grading_group(family, p, q)
+            zero = g.zero.mod_c()
+            seen, frontier = {zero}, [zero]
+            while frontier:
+                frontier = [n for e in frontier for n in ((e + g.x).mod_c(), (e + g.y).mod_c())
+                            if n not in seen]
+                seen.update(frontier)
+            order = len(seen)
+            assert g.order_mod_c == order
+            divisors = [n for n in range(1, order + 1) if order % n == 0]
+            d2 = max(next(n for n in divisors if (n * e).mod_c() == zero) for e in seen)
+            assert list(g.torsion_mod_c) == [d for d in (order // d2, d2) if d > 1], (family, p, q)
 
 
 def test_make_rejects_small_pq():
@@ -190,41 +189,46 @@ def _reference_weight(g, vec):
     return sum(a * b for a, b in zip(vec, phi)) // k
 
 
+# larger shapes with torsion in L, g = gcd(p - f, q - e) > 1; all but
+# loop(7,4) also have b' = (q - e)/g > 1
+EXTRA_SHAPES = {"loop": [(7, 4), (10, 7)], "chain": [(4, 9)], "bp": [(12, 8)]}
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_smith_coordinates_agree_with_hnf_reference(family):
     rng = random.Random(2024)
-    for p in range(2, 7):
-        for q in range(2, 7):
-            g = make_grading_group(family, p, q)
-            hnf = hermite_normal_form(g.relations)
-            hnf_mod_c = hermite_normal_form(g.relations + [[0, 0, 1]])
-            c_vec = (0, 0, 1)
-            for _ in range(20):
-                a = tuple(rng.randint(-8, 8) for _ in range(3))
-                k1, k2 = rng.randint(-3, 3), rng.randint(-3, 3)
-                # b is a plus a lattice vector, plus m*cv, or unrelated to a
-                kind = rng.choice(("same", "c-multiple", "random"))
-                if kind == "random":
-                    b = tuple(rng.randint(-8, 8) for _ in range(3))
-                else:
-                    m = 0 if kind == "same" else rng.randint(-5, 5)
-                    b = tuple(x + k1 * r + k2 * s + m * y
-                              for x, r, s, y in zip(a, *g.relations, c_vec))
-                ea, eb = g.element(*a), g.element(*b)
-                same = _hnf_reduce(hnf, a) == _hnf_reduce(hnf, b)
-                assert (ea == eb) == same, (family, p, q, a, b)
-                if same:
-                    assert hash(ea) == hash(eb)
-                assert _hnf_reduce(hnf, ea.vec) == _hnf_reduce(hnf, a)
-                assert ea.weight() == _reference_weight(g, a)
-                # classes mod c against the HNF of the relations plus cv
-                same_mod_c = _hnf_reduce(hnf_mod_c, a) == _hnf_reduce(hnf_mod_c, b)
-                assert (ea.mod_c() == eb.mod_c()) == same_mod_c, (family, p, q, a, b)
-                assert _hnf_reduce(hnf_mod_c, ea.mod_c().vec) == _hnf_reduce(hnf_mod_c, a)
-                # and against a brute-force search for m with a = b + m*cv
-                diff = tuple(x - y for x, y in zip(a, b))
-                brute = [m for m in range(-30, 31)
-                         if _hnf_reduce(hnf, tuple(x - m * y for x, y in zip(diff, c_vec)))
-                         == (0, 0, 0)]
-                assert len(brute) <= 1
-                assert same_mod_c == bool(brute)
+    shapes = [(p, q) for p in range(2, 7) for q in range(2, 7)] + EXTRA_SHAPES[family]
+    for p, q in shapes:
+        g = make_grading_group(family, p, q)
+        hnf = hermite_normal_form(g.relations)
+        hnf_mod_c = hermite_normal_form(g.relations + [[0, 0, 1]])
+        c_vec = (0, 0, 1)
+        for _ in range(20):
+            a = tuple(rng.randint(-8, 8) for _ in range(3))
+            k1, k2 = rng.randint(-3, 3), rng.randint(-3, 3)
+            # b is a plus a lattice vector, plus m*cv, or unrelated to a
+            kind = rng.choice(("same", "c-multiple", "random"))
+            if kind == "random":
+                b = tuple(rng.randint(-8, 8) for _ in range(3))
+            else:
+                m = 0 if kind == "same" else rng.randint(-5, 5)
+                b = tuple(x + k1 * r + k2 * s + m * y
+                          for x, r, s, y in zip(a, *g.relations, c_vec))
+            ea, eb = g.element(*a), g.element(*b)
+            same = _hnf_reduce(hnf, a) == _hnf_reduce(hnf, b)
+            assert (ea == eb) == same, (family, p, q, a, b)
+            if same:
+                assert hash(ea) == hash(eb)
+            assert _hnf_reduce(hnf, ea.vec) == _hnf_reduce(hnf, a)
+            assert ea.weight() == _reference_weight(g, a)
+            # classes mod c against the HNF of the relations plus cv
+            same_mod_c = _hnf_reduce(hnf_mod_c, a) == _hnf_reduce(hnf_mod_c, b)
+            assert (ea.mod_c() == eb.mod_c()) == same_mod_c, (family, p, q, a, b)
+            assert _hnf_reduce(hnf_mod_c, ea.mod_c().vec) == _hnf_reduce(hnf_mod_c, a)
+            # and against a brute-force search for m with a = b + m*cv
+            diff = tuple(x - y for x, y in zip(a, b))
+            brute = [m for m in range(-30, 31)
+                     if _hnf_reduce(hnf, tuple(x - m * y for x, y in zip(diff, c_vec)))
+                     == (0, 0, 0)]
+            assert len(brute) <= 1
+            assert same_mod_c == bool(brute)
