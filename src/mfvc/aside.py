@@ -1,6 +1,14 @@
 """The vanishing-cycle side: critical data of the resonant perturbation
-w~ - eps*x~*y~, the vanishing-path schedule, intersection combinatorics,
+w~ - eps*x*y, the vanishing-path schedule, intersection combinatorics,
 grading lifts, signs, and the resulting directed algebra.
+
+w~ is the Berglund-Huebsch transpose of w: its exponent matrix is E^T,
+E = ((p, e), (f, q)) from `families.exponents`, so w~ = x^p y^f + x^e y^q
+and everything here is read off (p, q, f, e).  Rotating the real-positive
+interior critical point of w~ - eps*x*y by (X, Y) turns rotates x^a y^b by
+aX + bY turns; the point stays critical iff every monomial of w~ turns with
+xy, i.e. iff (E^T - J)(X, Y)^T is in Z^2 (J all ones).  So `interior_args`
+is one 2x2 inverse for all three families.
 
 All angles are exact Fractions measured in full turns (1 = 2*pi), so the
 strict inequalities behind the path combinatorics never touch floats; the
@@ -14,7 +22,14 @@ from fractions import Fraction
 from math import gcd
 
 from .directed import DirectedAlgebra
-from .families import FamilySpec
+from .families import FamilySpec, exponents
+
+
+def _transpose(spec: FamilySpec):
+    """(p, q, f, e) of w~ = x^p y^f + x^e y^q, the transpose
+    ((p, f), (e, q)) of w's exponent matrix."""
+    (p, f), (e, q) = zip(*exponents(spec.family, spec.p, spec.q))
+    return p, q, f, e
 
 
 # ---------------------------------------------------------------------------
@@ -32,33 +47,27 @@ class CriticalDatum:
 
 
 def interior_index_set(spec: FamilySpec):
-    p, q = spec.p, spec.q
-    if spec.family in ("loop", "chain"):
-        return [(l, m) for l in range(p - 1) for m in range(q - 1)]
-    return [
-        (l, m) for l in range(p - 1) for m in range(q - 1)
-        if (l, m) != (p - 2, q - 2)
-    ]
-
-
-def theta_turns(spec: FamilySpec, l, m):
-    p, q = spec.p, spec.q
-    if spec.family == "loop":
-        return Fraction(l, p - 1) + Fraction(m, q - 1)
-    if spec.family == "chain":
-        return Fraction(l, p - 1) + Fraction(p * m, (p - 1) * (q - 1))
-    return Fraction(q * l + p * m, p * q - p - q)
+    """The (l, m) in [0, p-2] x [0, q-2], less the corner (p-2, q-2) when
+    f = e = 0: its rotation is then (1, 1), the point (0, 0) again."""
+    p, q, f, e = _transpose(spec)
+    corner = (p - 2, q - 2) if f == e == 0 else None
+    return [(l, m) for l in range(p - 1) for m in range(q - 1) if (l, m) != corner]
 
 
 def interior_args(spec: FamilySpec, l, m):
-    """(x_arg, y_arg) of the interior critical point, in turns."""
-    p, q = spec.p, spec.q
-    if spec.family == "loop":
-        return Fraction(l, p - 1), Fraction(m, q - 1)
-    if spec.family == "chain":
-        return Fraction(l, p - 1) + Fraction(m, (p - 1) * (q - 1)), Fraction(m, q - 1)
-    n = p * q - p - q
-    return Fraction((q - 1) * l + m, n), Fraction(l + (p - 1) * m, n)
+    """(x_arg, y_arg) of the interior critical point (l, m), in turns:
+    (X, Y) = (E^T - J)^{-1} (l, m), not reduced mod 1."""
+    p, q, f, e = _transpose(spec)
+    det = (p - 1) * (q - 1) - (f - 1) * (e - 1)
+    return (Fraction((q - 1) * l + (1 - f) * m, det),
+            Fraction((1 - e) * l + (p - 1) * m, det))
+
+
+def theta_turns(spec: FamilySpec, l, m):
+    """Angle of the preliminary vanishing path of (l, m): X + Y, the
+    rotation of xy, not reduced mod 1."""
+    x_arg, y_arg = interior_args(spec, l, m)
+    return x_arg + y_arg
 
 
 def enumerate_critical_data(spec: FamilySpec):
@@ -66,27 +75,26 @@ def enumerate_critical_data(spec: FamilySpec):
 
     The real-positive interior point has negative real critical value; the
     others are rotated copies, so every interior critical value lies on the
-    ray opposite to the product of the coordinate rotations."""
-    p, q = spec.p, spec.q
+    ray opposite to the product of the coordinate rotations.  Axis points
+    exist iff f = 1 (x^(p-1) = eps on the x-axis) or e = 1 (y^(q-1) = eps);
+    their arguments are interior_args at m = 0, resp. l = 0."""
+    p, q, f, e = _transpose(spec)
     data = []
     half = Fraction(1, 2)
-    if spec.family == "loop":
-        for l in range(p - 1):
-            data.append(CriticalDatum("axis_x", (l,), Fraction(l, p - 1), None, None, None))
-        for m in range(q - 1):
-            data.append(CriticalDatum("axis_y", (m,), None, Fraction(m, q - 1), None, None))
-        data.append(CriticalDatum("origin", (), None, None, None, None))
-    elif spec.family == "chain":
-        for m in range(q - 1):
-            data.append(CriticalDatum("axis_y", (m,), None, Fraction(m, q - 1), None, None))
-        data.append(CriticalDatum("origin", (), None, None, None, None))
-    else:
-        data.append(CriticalDatum("origin", (), None, None, None, None))
+    if f:
+        data += [CriticalDatum("axis_x", (l,), interior_args(spec, l, 0)[0], None, None, None)
+                 for l in range(p - 1)]
+    if e:
+        data += [CriticalDatum("axis_y", (m,), None, interior_args(spec, 0, m)[1], None, None)
+                 for m in range(q - 1)]
+    data.append(CriticalDatum("origin", (), None, None, None, None))
     for (l, m) in interior_index_set(spec):
-        th = theta_turns(spec, l, m)
         xa, ya = interior_args(spec, l, m)
+        th = xa + ya
         data.append(CriticalDatum("interior", (l, m), xa % 1, ya % 1, (half + th) % 1, th))
-    assert len(data) == spec.milnor()
+    if len(data) != spec.milnor():
+        raise ArithmeticError(
+            f"{spec.label()} has {len(data)} critical points, Milnor number {spec.milnor()}")
     return data
 
 
@@ -94,8 +102,7 @@ def shared_value_counts(spec: FamilySpec):
     """How many interior critical points share each critical value."""
     values = {}
     for (l, m) in interior_index_set(spec):
-        xa, ya = interior_args(spec, l, m)
-        key = (xa + ya) % 1
+        key = theta_turns(spec, l, m) % 1
         values[key] = values.get(key, 0) + 1
     return values
 
@@ -122,16 +129,12 @@ class PathSchedule:
 
 
 def object_labels(spec: FamilySpec):
+    p, q, f, e = _transpose(spec)
     interior = [("V0", l, m) for (l, m) in interior_index_set(spec)]
-    if spec.family == "loop":
-        waists = [("Vyf", l) for l in range(spec.p - 1)]
-        waists += [("Vxf", m) for m in range(spec.q - 1)]
-        waists.append(("Vxy",))
-    elif spec.family == "chain":
-        waists = [("Vxf", m) for m in range(spec.q - 1)]
-        waists.append(("Vxy",))
-    else:
-        waists = [("Vxy",)]
+    waists = [("Vyf", l) for l in range(p - 1)] if f else []
+    if e:
+        waists += [("Vxf", m) for m in range(q - 1)]
+    waists.append(("Vxy",))
     return interior, waists
 
 
@@ -141,42 +144,45 @@ def path_schedule(spec: FamilySpec):
     Ordering is by decreasing path angle (ties broken lexicographically;
     tied cycles are disjoint so the ambiguity is orthogonal).  The waist
     curves come after all interior cycles, except that the single waist
-    comes first in the bp family, where the starting direction of the
-    clockwise ordering is flipped."""
+    comes first when f = e = 0 (the bp family), where the starting
+    direction of the clockwise ordering is flipped.
+
+    A finger is a pair (l, m) -> (L, M) whose angles differ by more than a
+    full turn.  Every finger must satisfy l >= L + f and m >= M + e, and
+    when e = 1 (loop, chain) its disjointness certificate must hold;
+    either failure raises ArithmeticError.  For f = e = 0 the rule holds
+    for all p, q: with n = pq - p - q the angle is (ql + pm)/n, so a finger
+    needs q(l-L) + p(m-M) > n.  If l < L this forces p(m-M) > pq - p,
+    i.e. m - M > q - 1, which is impossible as m, M lie in [0, q-2]; the
+    case m < M is the same with p and q swapped."""
+    _, _, f, e = _transpose(spec)
     theta = {lm: theta_turns(spec, *lm) for lm in interior_index_set(spec)}
     interior_sorted = sorted(theta, key=lambda lm: (-theta[lm], lm))
-    interior, waists = object_labels(spec)
+    _, waists = object_labels(spec)
     order = [("V0", l, m) for (l, m) in interior_sorted]
-    waist_first = spec.family == "bp"
-    if waist_first:
-        order = waists + order
-    else:
-        order = order + waists
+    waist_first = f == e == 0
+    order = waists + order if waist_first else order + waists
     fingers = []
     for lm in interior_sorted:
         for LM in interior_sorted:
             if theta[lm] > theta[LM] + 1:
                 fingers.append((lm, LM))
-                l, m = lm
-                L, M = LM
-                if spec.family == "loop" and not (l > L and m > M):
-                    raise ArithmeticError(f"finger pair {lm}->{LM} violates l>L, m>M")
-                if spec.family == "chain" and not (l >= L and m > M):
-                    raise ArithmeticError(f"finger pair {lm}->{LM} violates l>=L, m>M")
-    schedule = PathSchedule(spec, theta, order, fingers, waist_first)
-    for pair in fingers:
-        if spec.family in ("loop", "chain"):
-            cert = disjointness_certificate(spec, pair[0], pair[1])
-            if not cert["ok"]:
-                raise ArithmeticError(f"disjointness certificate failed for {pair}: {cert}")
-    return schedule
+                if not (lm[0] >= LM[0] + f and lm[1] >= LM[1] + e):
+                    raise ArithmeticError(
+                        f"finger pair {lm}->{LM} violates l >= L + {f}, m >= M + {e}")
+                if e:
+                    cert = disjointness_certificate(spec, lm, LM)
+                    if not cert["ok"]:
+                        raise ArithmeticError(
+                            f"disjointness certificate failed for {(lm, LM)}: {cert}")
+    return PathSchedule(spec, theta, order, fingers, waist_first)
 
 
 def phi_profile(spec: FamilySpec, l, m, s, t):
     """Argument (radians) of the x-coordinate during local parallel
     transport from angle theta_{l,m} down to t, at hyperbola parameter s."""
-    th = 2 * math.pi * float(theta_turns(spec, l, m))
-    xa, _ = interior_args(spec, l, m)
+    xa, ya = interior_args(spec, l, m)
+    th = 2 * math.pi * float(xa + ya)
     A = 2 * math.pi * float(xa)
     e2, em2 = math.exp(2 * s), math.exp(-2 * s)
     return A + em2 * (t - th) / (e2 + em2)
@@ -191,31 +197,22 @@ def disjointness_certificate(spec: FamilySpec, lm, LM):
     """Exact certificate that the finger detour cannot move the cycle.
 
     After translating by the symmetry taking (L, M) to (0, 0), the
-    x-argument profile of the transported cycle at angle one full turn is
-    monotone between two endpoints; the certificate checks both endpoints
-    lie strictly inside (0, 1) turns, so the profile never crosses the
-    real-positive locus occupied by the stationary cycle."""
-    p, q = spec.p, spec.q
-    l, m = lm[0] - LM[0], lm[1] - LM[1]
-    th = theta_turns(spec, l, m)
-    if spec.family == "loop":
-        # end of transport t = 2*pi: endpoints of phi(s, 2*pi) in turns
-        end_minus = 1 - Fraction(m, q - 1)   # s -> -infinity
-        end_plus = Fraction(l, p - 1)        # s -> +infinity
-    elif spec.family == "chain":
-        # y-argument endpoints of the transported cycle
-        end_minus = Fraction(m, q - 1)
-        end_plus = 1 - Fraction(l, p - 1) - Fraction(m, (p - 1) * (q - 1))
-    else:
+    x-argument profile of the transported cycle at t = 2*pi is monotone in
+    s between 1 - Y and X, (X, Y) = interior_args(l - L, m - M); the
+    certificate checks both lie strictly inside (0, 1) turns, so the
+    profile never crosses the real-positive locus occupied by the
+    stationary cycle.  Raises ValueError when f = e = 0."""
+    _, _, f, e = _transpose(spec)
+    if f == e == 0:
         raise ValueError("certificate applies to loop and chain local models")
-    increasing = th > 1  # the profile coefficient (2*pi - theta) is negative
-    ok = 0 < end_minus < 1 and 0 < end_plus < 1
+    xa, ya = interior_args(spec, lm[0] - LM[0], lm[1] - LM[1])
+    ends = (1 - ya, xa)
     return {
         "pair": (tuple(lm), tuple(LM)),
-        "endpoints_turns": (end_minus, end_plus),
-        "monotone": True,
-        "increasing_in_s": increasing,
-        "ok": ok,
+        "endpoints_turns": ends,
+        # the profile coefficient (2*pi - theta) is negative
+        "increasing_in_s": xa + ya > 1,
+        "ok": all(0 < end < 1 for end in ends),
     }
 
 
@@ -229,24 +226,29 @@ def neck_crossings_from_profile(spec: FamilySpec, lm, LM):
 
     The difference of the two x-argument profiles is monotone between
     exact rational endpoints (-dya, dxa) lying strictly inside (-1, 1)
-    turns, so the cycles cross once iff the endpoints straddle zero.
-    Only applies when both index differences are nonzero; the remaining
-    pairs are resolved by the perturbation step, not by the profile."""
+    turns, so the cycles cross once iff the endpoints straddle zero, i.e.
+    iff dxa and dya have one sign.  (dxa, dya) is interior_args of the
+    index difference, as interior_args is linear.  Only applies when both
+    index differences are nonzero; the remaining pairs are resolved by the
+    perturbation step, not by the profile."""
     dl, dm = lm[0] - LM[0], lm[1] - LM[1]
     if dl == 0 or dm == 0:
         raise ValueError("profile argument applies to pairs with both indices distinct")
-    xa1, ya1 = interior_args(spec, *lm)
-    xa2, ya2 = interior_args(spec, *LM)
-    dxa = xa1 - xa2
-    dya = ya1 - ya2
-    start, end = -dya, dxa
-    assert -1 < start < 1 and -1 < end < 1 and start != 0 and end != 0
-    return 1 if (start < 0 < end or end < 0 < start) else 0
+    dxa, dya = interior_args(spec, dl, dm)
+    if not (0 < abs(dxa) < 1 and 0 < abs(dya) < 1):
+        raise ArithmeticError(f"profile endpoints {-dya}, {dxa} of {lm}, {LM} out of range")
+    return 1 if (dxa > 0) == (dya > 0) else 0
 
 
 def intersection_table(schedule: PathSchedule):
     """Geometric intersection counts between distinct vanishing cycles,
-    keyed by ordered pairs (earlier, later) in the schedule order."""
+    keyed by ordered pairs (earlier, later) in the schedule order.
+
+    Counts come from the grid rule.  For every pair of interior cycles
+    whose two index differences are both nonzero the rule is checked
+    against `neck_crossings_from_profile`, and a disagreement raises
+    ArithmeticError.  The other pairs rest on the grid rule alone: two
+    interior cycles sharing an index, and every pair with a waist curve."""
     order = schedule.order
     pos = {lab: k for k, lab in enumerate(order)}
     table = {}
@@ -255,11 +257,10 @@ def intersection_table(schedule: PathSchedule):
         ka, kb = a[0], b[0]
         if ka == "V0" and kb == "V0":
             (l, m), (L, M) = a[1:], b[1:]
-            if (l, m) == (L, M):
-                return 0
-            if (l >= L and m >= M) or (l <= L and m <= M):
-                return 1
-            return 0
+            c = 1 if (l >= L and m >= M) or (l <= L and m <= M) else 0
+            if l != L and m != M and c != neck_crossings_from_profile(schedule.spec, a[1:], b[1:]):
+                raise ArithmeticError(f"grid rule and transport profile disagree on {a}, {b}")
+            return c
         if ka != "V0" and kb != "V0":
             return 0  # waist curves are pairwise disjoint
         v, w = (a, b) if ka == "V0" else (b, a)

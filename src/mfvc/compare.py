@@ -2,31 +2,21 @@
 factorisation algebra must agree under the index correspondence
 i + l = p - 1, j + m = q - 1."""
 
-from .aside import assemble_directed_algebra
+from .aside import assemble_directed_algebra, interior_index_set
 from .bside import DEGREE_WINDOW, basic_objects, composition_table, hom_table
-from .families import FamilySpec
+from .families import FamilySpec, exponents
 
 
 def correspondence(spec: FamilySpec):
-    """Bijection A-side label -> B-side label."""
+    """Bijection A-side label -> B-side label, read off (f, e)."""
     p, q = spec.p, spec.q
-    mapping = {}
-    from .aside import interior_index_set
-
-    for (l, m) in interior_index_set(spec):
-        mapping[("V0", l, m)] = ("K0", p - 1 - l, q - 1 - m)
-    if spec.family == "loop":
-        for l in range(p - 1):
-            mapping[("Vyf", l)] = ("Kx", p - 1 - l)
-        for m in range(q - 1):
-            mapping[("Vxf", m)] = ("Ky", q - 1 - m)
-        mapping[("Vxy",)] = ("Kf",)
-    elif spec.family == "chain":
-        for m in range(q - 1):
-            mapping[("Vxf", m)] = ("Ky", q - 1 - m)
-        mapping[("Vxy",)] = ("Kf",)
-    else:
-        mapping[("Vxy",)] = ("K0", 1, 1)
+    (_, e), (f, _) = exponents(spec.family, p, q)
+    mapping = {("V0", l, m): ("K0", p - 1 - l, q - 1 - m) for (l, m) in interior_index_set(spec)}
+    if f:
+        mapping.update({("Vyf", l): ("Kx", p - 1 - l) for l in range(p - 1)})
+    if e:
+        mapping.update({("Vxf", m): ("Ky", q - 1 - m) for m in range(q - 1)})
+    mapping[("Vxy",)] = ("Kf",) if e else ("K0", 1, 1)
     return mapping
 
 
@@ -55,7 +45,9 @@ def _failure(spec, kind, stage, exc):
 def mirror_check(spec: FamilySpec, window=DEGREE_WINDOW, table=None):
     """Compare the two sides under the object correspondence: (a) hom
     dimensions between distinct objects, then directedness and
-    associativity.
+    associativity.  Both sides read their objects off (f, e), so each
+    side's object count is also compared with the Milnor number, counted
+    apart from that table by `FamilySpec.milnor`.
 
     Each side checks, when it builds its algebra, that every hom between
     distinct objects is zero or one-dimensional in degree 0:
@@ -73,10 +65,11 @@ def mirror_check(spec: FamilySpec, window=DEGREE_WINDOW, table=None):
     depends only on that pattern, so it is checked once, on the B side.
 
     Returns a report dict with `pass` and a list of mismatches.  When a
-    side cannot be built (an A-side generator off degree 0, a B-side hom
-    table that deviates from the closed form, or a B-side composite of
-    generators that is not exactly +1 or 0), the report names that side
-    and stage instead."""
+    side cannot be built (an A-side generator off degree 0 or a grid-rule
+    count that the transport profile contradicts, a B-side hom table that
+    deviates from the closed form, or a B-side composite of generators
+    that is not exactly +1 or 0), the report names that side and stage
+    instead."""
     mismatches = []
     corr = correspondence(spec)
 
@@ -98,6 +91,10 @@ def mirror_check(spec: FamilySpec, window=DEGREE_WINDOW, table=None):
         mismatches.append({"kind": "objects", "detail": "A-side object set mismatch"})
     if sorted(corr.values()) != sorted(b_alg.objects):
         mismatches.append({"kind": "objects", "detail": "B-side object set mismatch"})
+    for side, objects in (("A", a_alg.objects), ("B", b_alg.objects)):
+        if len(objects) != spec.milnor():
+            mismatches.append({"kind": "objects", "side": side, "detail":
+                               f"{len(objects)} objects, Milnor number {spec.milnor()}"})
 
     # (a) hom dimensions under the correspondence, all in degree 0
     for a_src in a_alg.objects:

@@ -1,8 +1,9 @@
 """The three atomic families of two-variable invertible polynomials.
 
 Each is w = x^p y^e + x^f y^q, fixed by its exponent matrix
-((p, e), (f, q)); the family sets (f, e).  The B side reads everything
-it needs from that matrix.
+E = ((p, e), (f, q)); the family sets (f, e).  Both sides read everything
+they need from E: the B side from E itself, the A side from its transpose,
+the exponent matrix of the Berglund-Huebsch transpose of w.
 """
 
 from dataclasses import dataclass

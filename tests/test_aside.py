@@ -1,14 +1,17 @@
+import cmath
 import math
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from mfvc._kernels import gradient_and_hessian
 from mfvc.aside import (
     assemble_directed_algebra,
     disjointness_certificate,
     enumerate_critical_data,
     grading_degrees,
+    interior_args,
     interior_index_set,
     intersection_table,
     neck_crossings_from_profile,
@@ -24,7 +27,7 @@ from mfvc.aside import (
 )
 from mfvc.bside import HomTable
 from mfvc.compare import correspondence
-from mfvc.families import FamilySpec
+from mfvc.families import FamilySpec, exponents
 
 ALL_FAMILIES = ("loop", "chain", "bp")
 
@@ -39,6 +42,47 @@ def test_counts_match_milnor():
             for q in range(2, 9):
                 spec = FamilySpec(fam, p, q)
                 assert len(enumerate_critical_data(spec)) == spec.milnor()
+
+
+def test_interior_args_rotate_exact_critical_points():
+    # w~ - eps*x*y with w~ = x^p y^f + x^e y^q (the transposed exponent
+    # matrix).  At an interior critical point a = x^p y^f, b = x^e y^q and
+    # c = eps*x*y satisfy p*a + e*b = c = f*a + q*b, which fixes the
+    # real-positive point by a linear system in (log x, log y).  Its
+    # rotations by interior_args, and the axis points, must be critical,
+    # and the rotations pairwise distinct
+    eps = 0.1
+
+    def turn(r, arg):
+        return cmath.rect(r, 2 * math.pi * arg)
+
+    for fam in ALL_FAMILIES:
+        (_, e), (f, _) = exponents(fam, 2, 2)
+        for p in range(2, 9):
+            for q in range(2, 9):
+                spec = FamilySpec(fam, p, q)
+                idx = interior_index_set(spec)
+                points = []
+                if idx:
+                    r1 = math.log(eps * (q - e) / (p * q - e * f))
+                    r2 = math.log(eps * (p - f) / (p * q - e * f))
+                    det = (p - 1) * (q - 1) - (f - 1) * (e - 1)
+                    rx = math.exp(((q - 1) * r1 - (f - 1) * r2) / det)
+                    ry = math.exp(((p - 1) * r2 - (e - 1) * r1) / det)
+                    for (l, m) in idx:
+                        xa, ya = interior_args(spec, l, m)
+                        points.append((turn(rx, xa), turn(ry, ya)))
+                    distinct = {tuple(round(c, 9) for z in pt for c in (z.real, z.imag))
+                                for pt in points}
+                    assert len(distinct) == len(idx), (fam, p, q)
+                for d in enumerate_critical_data(spec):
+                    if d.kind == "axis_x":
+                        points.append((turn(eps ** (1 / (p - 1)), d.x_arg), 0j))
+                    elif d.kind == "axis_y":
+                        points.append((0j, turn(eps ** (1 / (q - 1)), d.y_arg)))
+                for x, y in points:
+                    _, wx, wy, _, _, _ = gradient_and_hessian(fam, p, q, eps, x, y)
+                    assert abs(wx) < 1e-12 and abs(wy) < 1e-12, (fam, p, q, x, y)
 
 
 def test_theta_examples():
@@ -93,15 +137,17 @@ def test_bp_finger_scan():
 
 
 def test_finger_implications_exhaustive():
-    for fam in ("loop", "chain"):
+    for fam in ALL_FAMILIES:
         for p in range(2, 9):
             for q in range(2, 9):
                 sched = path_schedule(FamilySpec(fam, p, q))  # raises on violation
                 for ((l, m), (L, M)) in sched.fingers:
                     if fam == "loop":
                         assert l > L and m > M
-                    else:
+                    elif fam == "chain":
                         assert l >= L and m > M
+                    else:
+                        assert l >= L and m >= M
 
 
 def test_disjointness_certificates_exhaustive():
@@ -162,6 +208,17 @@ def test_certificate_monotone_endpoints_loop46():
     e0, e1 = cert["endpoints_turns"]
     assert math.isclose(lo, float(e0), abs_tol=1e-9)
     assert math.isclose(hi, float(e1), abs_tol=1e-9)
+    # a chain finger: the endpoints are the limits of the x-profile of the
+    # index difference (1, 2)
+    spec = FamilySpec("chain", 5, 4)
+    assert ((3, 2), (2, 0)) in path_schedule(spec).fingers
+    cert = disjointness_certificate(spec, (3, 2), (2, 0))
+    assert cert["ok"] and cert["increasing_in_s"]
+    assert cert["endpoints_turns"] == (Fraction(1, 3), Fraction(5, 12))
+    lo = phi_profile(spec, 1, 2, -14.0, 2 * math.pi) / (2 * math.pi)
+    hi = phi_profile(spec, 1, 2, 14.0, 2 * math.pi) / (2 * math.pi)
+    assert math.isclose(lo, 1 / 3, abs_tol=1e-9)
+    assert math.isclose(hi, 5 / 12, abs_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,20 @@ PINNED_DIGESTS = {
         "531b5815381cd0f9d9cdcce79a3f0798bb711df3ef5f579012c169fc092eecf5",
     ("bp", 5, 3, "mirror-check --degree-window 0"):
         "14da8eea674a66f750731ade8ec780de7c4ad60de2aeec0e7495edee9aabda33",
+    # the A side at p = 2, q = 2 and a skewed bp shape: schedule, fingers,
+    # intersections and the A-side quiver
+    ("chain", 2, 5, "invariants"):
+        "711bdc3a89378c18822a9b07d5e4fc7f3f02d8dc0be880df0ebfcd4b89be9d04",
+    ("chain", 2, 5, "quiver --side A --format dot"):
+        "63c62b01882d4f12641356b53ead4a8c5438111320ccc4542c0f6d86b39bacec",
+    ("loop", 6, 2, "invariants"):
+        "b3f4168caed2959866aace17c778cc05af64729553beeb9056ad8611be987282",
+    ("loop", 6, 2, "quiver --side A --format dot"):
+        "a2a42c58a28e40c8d95ae9c407d45b3bd9a94005754409715632adbf949ad02f",
+    ("bp", 7, 4, "invariants"):
+        "6ddfb1a91cb5025b5f8eb19bd0a3a5d640f0a30895d4bdf12fa716fa09129ee8",
+    ("bp", 7, 4, "quiver --side A --format dot"):
+        "806922d4500a266e1e099b8fdea69b490a126dbc33078a05b79584d955b5addf",
 }
 
 

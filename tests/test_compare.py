@@ -1,5 +1,6 @@
 import pytest
 
+from mfvc.aside import enumerate_critical_data
 from mfvc.compare import correspondence, milnor_and_counts, mirror_check
 from mfvc.families import FamilySpec
 
@@ -95,3 +96,31 @@ def test_dropped_a_side_pair_is_a_hom_dim_mismatch(monkeypatch):
         {"kind": "hom_dim", "pair": (str(dropped[0]), str(dropped[1])),
          "degree": 0, "a": 0, "b": 1},
     ]
+
+
+def test_object_count_off_milnor_names_both_sides(monkeypatch):
+    spec = FamilySpec("chain", 3, 4)
+    mu = spec.milnor()
+    monkeypatch.setattr(FamilySpec, "milnor", lambda self: mu + 1)
+    report = mirror_check(spec)
+    assert report["pass"] is False
+    assert sorted(m["side"] for m in report["mismatches"] if m["kind"] == "objects") == ["A", "B"]
+    with pytest.raises(ArithmeticError, match=f"Milnor number {mu + 1}"):
+        enumerate_critical_data(spec)
+
+
+def test_profile_disagreement_is_an_a_side_failure(monkeypatch):
+    from mfvc import aside
+
+    real = aside.neck_crossings_from_profile
+    flipped = {(1, 1), (0, 0)}
+
+    def flip_one_pair(spec, lm, LM):
+        count = real(spec, lm, LM)
+        return 1 - count if {lm, LM} == flipped else count
+
+    monkeypatch.setattr(aside, "neck_crossings_from_profile", flip_one_pair)
+    report = mirror_check(FamilySpec("loop", 3, 3))
+    assert report["pass"] is False
+    assert [(m["kind"], m["stage"]) for m in report["mismatches"]] == [
+        ("a_side", "assemble_directed_algebra")]
