@@ -128,16 +128,6 @@ class PathSchedule:
     waist_first: bool = False
 
 
-def object_labels(spec: FamilySpec):
-    p, q, f, e = _transpose(spec)
-    interior = [("V0", l, m) for (l, m) in interior_index_set(spec)]
-    waists = [("Vyf", l) for l in range(p - 1)] if f else []
-    if e:
-        waists += [("Vxf", m) for m in range(q - 1)]
-    waists.append(("Vxy",))
-    return interior, waists
-
-
 def path_schedule(spec: FamilySpec):
     """Vanishing-path schedule: exact angles, ordering, finger pairs.
 
@@ -155,10 +145,13 @@ def path_schedule(spec: FamilySpec):
     needs q(l-L) + p(m-M) > n.  If l < L this forces p(m-M) > pq - p,
     i.e. m - M > q - 1, which is impossible as m, M lie in [0, q-2]; the
     case m < M is the same with p and q swapped."""
-    _, _, f, e = _transpose(spec)
+    p, q, f, e = _transpose(spec)
     theta = {lm: theta_turns(spec, *lm) for lm in interior_index_set(spec)}
     interior_sorted = sorted(theta, key=lambda lm: (-theta[lm], lm))
-    _, waists = object_labels(spec)
+    waists = [("Vyf", l) for l in range(p - 1)] if f else []
+    if e:
+        waists += [("Vxf", m) for m in range(q - 1)]
+    waists.append(("Vxy",))
     order = [("V0", l, m) for (l, m) in interior_sorted]
     waist_first = f == e == 0
     order = waists + order if waist_first else order + waists

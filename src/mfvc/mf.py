@@ -6,16 +6,21 @@ sequence: the free modules K^0 and K^{-1} (lists of L-shifts) together with
     d0 : K^{-1}      -> K^0     and     d1 : K^0(-c) -> K^{-1},
 
 whose products both equal w times the identity.  K^{i+2} = K^i(c) extends
-this to the full sequence.
+this to the full sequence, so `MatrixFactorisation.d(n)`, the map
+K^{-n-1} -> K^{-n}, is d0 for even n and d1 for odd n.
 
 Morphism spaces are computed two ways:
 
-* hom cohomology against the cyclic module the factorisation resolves
-  (finite graded pieces with multiplication differentials), and
+* hom cohomology against the module the factorisation resolves, a shifted
+  `QuotientRing` (finite graded pieces with multiplication differentials),
+  and
 * explicit chain maps between the factorisations themselves, found by exact
-  linear algebra; the two are tied together by the projection of a chain map
-  onto the module, so composites of chain maps can be identified against
-  the cohomology bases.
+  linear algebra from the one hom differential of `_boundary_matrices`.
+
+The two are tied together by the projection of a chain map onto the
+module.  A composite f o g is identified from the projection of the outer
+factor f alone, multiplied by the one matrix of g it meets, so the
+composite is never formed.
 """
 
 from fractions import Fraction
@@ -56,10 +61,6 @@ def mat_mul(A, B):
     return out
 
 
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
@@ -72,37 +73,6 @@ def mat_scale(A, c):
     return [[e * c for e in row] for row in A]
 
 
-class CyclicModule:
-    """R(shift)/I presented over S; the hom-target in Buchweitz complexes.
-
-    The underlying QuotientRing carries the ideal (including w) and a base
-    shift; `extra` accumulates further L-shifts so shifted copies share the
-    Groebner data.
-    """
-
-    def __init__(self, ring: QuotientRing, extra: GroupElement = None, label=""):
-        self.ring = ring
-        self.group = ring.group
-        self.extra = extra if extra is not None else ring.group.zero
-        self.label = label or ring.label
-
-    def total_shift(self):
-        return self.ring.shift + self.extra
-
-    def shifted(self, l: GroupElement):
-        return CyclicModule(self.ring, self.extra + l, self.label)
-
-    def piece(self, e: GroupElement):
-        """Monomial basis of the degree-e piece."""
-        return self.ring.standard_monomials_exact(e + self.total_shift())
-
-    def nf(self, poly):
-        return self.ring.nf(poly)
-
-    def __repr__(self):
-        return f"CyclicModule({self.label})"
-
-
 class MatrixFactorisation:
     """One period of an L-graded matrix factorisation of w."""
 
@@ -113,13 +83,17 @@ class MatrixFactorisation:
         self.odd_shifts = list(odd_shifts)
         self.d0 = d0
         self.d1 = d1
-        self.module = module
+        self.module = module  # the QuotientRing K resolves, with its shift
         self.aug = list(aug)  # projection K^0 -> module, one Poly per even summand
         self.label = label
 
     @property
     def rank(self):
         return len(self.even_shifts)
+
+    def d(self, n):
+        """The matrix of K^{-n-1} -> K^{-n}: d0 for even n, d1 for odd n."""
+        return self.d0 if n % 2 == 0 else self.d1
 
     def shifted(self, l: GroupElement, label=None):
         return MatrixFactorisation(
@@ -181,11 +155,7 @@ class MatrixFactorisation:
                             f"{'inhomogeneous' if got is None else got.vec}"
                         )
         # the projection onto the module must kill the image of d0
-        for s in range(r):
-            img = Poly()
-            for t in range(r):
-                if self.aug[t] and self.d0[t][s]:
-                    img = img + self.aug[t] * self.d0[t][s]
+        for s, img in enumerate(mat_mul([self.aug], self.d0)[0]):
             if self.module.nf(img):
                 problems.append(f"module projection does not kill column {s} of d0")
         return problems
@@ -232,8 +202,7 @@ def build_basic_object(group, label):
               [Poly.monomial(i, 0), Poly.monomial(0, j)]]
         d1 = [[Poly.monomial(0, j), Poly.monomial(p - i, e)],
               [Poly.monomial(i, 0, -1), Poly.monomial(f, q - j)]]
-        ring = QuotientRing(group, [poly_x(i), poly_y(j), w], shift=lam, label=name)
-        module = CyclicModule(ring, label=name)
+        module = QuotientRing(group, [poly_x(i), poly_y(j), w], shift=lam, label=name)
         return MatrixFactorisation(group, w, even, odd, d0, d1, module,
                                    [Poly(), Poly.constant(1)], name)
 
@@ -246,7 +215,7 @@ def build_basic_object(group, label):
         base = MatrixFactorisation(
             group, w, [group.zero], [-x],
             [[poly_x()]], [[Poly.monomial(0, e) * F]],
-            CyclicModule(QuotientRing(group, [poly_x(), w], label="R/(x)")),
+            QuotientRing(group, [poly_x(), w], label="R/(x)"),
             [Poly.constant(1)], "Kx",
         )
         return base.shifted((i + 1 - p) * x, f"Kx({i})")
@@ -261,7 +230,7 @@ def build_basic_object(group, label):
         base = MatrixFactorisation(
             group, w, [group.zero], [-y],
             [[poly_y()]], [[Poly.monomial(f, 0) * F]],
-            CyclicModule(QuotientRing(group, [poly_y(), w], label="R/(y)")),
+            QuotientRing(group, [poly_y(), w], label="R/(y)"),
             [Poly.constant(1)], "Ky",
         )
         return base.shifted((j + 1 - q) * y, f"Ky({j})")
@@ -269,7 +238,7 @@ def build_basic_object(group, label):
     if kind == "Kf":
         return MatrixFactorisation(
             group, w, [group.zero], [f * x + e * y - c], [[F]], [[Poly.monomial(f, e)]],
-            CyclicModule(QuotientRing(group, [F, w], label="R/(f)")),
+            QuotientRing(group, [F, w], label="R/(f)"),
             [Poly.constant(1)], "Kf",
         )
 
@@ -281,14 +250,15 @@ def build_basic_object(group, label):
 
 
 class HomCohomology:
-    """H^*(Hom(K (x) R, M)) for a factorisation K and cyclic module M.
+    """H^*(Hom(K (x) R, M)) for a factorisation K and a module M = R(l)/I,
+    given as a QuotientRing whose shift is l.
 
     Terms are direct sums of exact graded pieces of M indexed by the
     summands of K^{-n}; differentials precompose with the structure maps of
     K.  Basis vectors are (summand, monomial) coordinates.
     """
 
-    def __init__(self, K: MatrixFactorisation, module: CyclicModule):
+    def __init__(self, K: MatrixFactorisation, module: QuotientRing):
         self.K = K
         self.module = module
         self._terms = {}
@@ -300,15 +270,15 @@ class HomCohomology:
         hi is None when the module's staircase is infinite.
 
         Summand a of K^{-n}, n = 2m + parity, contributes the piece of the
-        module of weight m*w(c) + w(total_shift) - w(a).  A piece has weight
+        module of weight m*w(c) + w(shift) - w(a).  A piece has weight
         >= 0, and for a finite staircase (bx, by) at most the weight of
         x^(bx-1) y^(by-1).  Solving for m, per summand and parity, and taking
         the hull gives the interval, from weights alone.  When no summand can
         be nonempty the interval is empty (lo > hi)."""
         g = self.K.group
         wc = g.c.w
-        base = self.module.total_shift().w
-        box = self.module.ring.staircase_bound()
+        base = self.module.shift.w
+        box = self.module.staircase_bound()
         top = None if box is None else (box[0] - 1) * g.x.w + (box[1] - 1) * g.y.w
         los, his = [], []
         for parity, shifts in ((0, self.K.even_shifts), (1, self.K.odd_shifts)):
@@ -329,17 +299,17 @@ class HomCohomology:
     def term(self, n):
         got = self._terms.get(n)
         if got is None:
-            coords = []
-            for t, s in enumerate(self.K.term_shifts(n)):
-                for mono in self.module.piece(-s):
-                    coords.append((t, mono))
-            got = coords
+            M = self.module
+            got = [(t, mono) for t, s in enumerate(self.K.term_shifts(n))
+                   for mono in M.standard_monomials_exact(M.shift - s)]
             self._terms[n] = got
         return got
 
-    def _structure_matrix(self, n):
-        # matrix of k : K^{-n-1} -> K^{-n}; polynomial entries
-        return self.K.d0 if n % 2 == 0 else self.K.d1
+    def vector(self, n, row):
+        """The sparse vector over term(n) of a row of normal forms, one per
+        summand of K^{-n}."""
+        index = {c: i for i, c in enumerate(self.term(n))}
+        return {index[(t, m)]: c for t, val in enumerate(row) for m, c in val.terms.items()}
 
     def diff(self, n):
         """Images of the basis vectors of term(n) in term(n+1): one sparse
@@ -347,7 +317,7 @@ class HomCohomology:
         got = self._diffs.get(n)
         if got is None:
             tgt_index = {c: i for i, c in enumerate(self.term(n + 1))}
-            P = self._structure_matrix(n)
+            P = self.K.d(n)
             got = []
             for (t, mono) in self.term(n):
                 col = {}
@@ -442,7 +412,7 @@ class CohomologyData:
 
 class MFMorphism:
     """A degree-n chain map of matrix factorisations, stored as the two
-    matrices f^0 : K^0 -> H^n and f^{-1} : K^{-1} -> H^{n-1}.
+    matrices f0 : K^0 -> H^n and f1 : K^{-1} -> H^{n-1}.
 
     A morphism is not modified after construction, so the chain-map check
     runs once and its answer is kept."""
@@ -455,42 +425,25 @@ class MFMorphism:
         self.f1 = f1
         self._is_chain_map = None
 
+    def component(self, k):
+        """The matrix f_k on K^{-k}, into H^{n-k}: f0 for even k, f1 for odd k."""
+        return self.f0 if k % 2 == 0 else self.f1
+
     def is_chain_map(self):
         if self._is_chain_map is None:
-            e1, e2 = _boundary_matrices(self.source, self.target, self.degree, self.f0, self.f1)
-            self._is_chain_map = mat_is_zero(e1) and mat_is_zero(e2)
+            e1, e0 = _boundary_matrices(self.source, self.target, self.degree, self.f0, self.f1)
+            self._is_chain_map = mat_is_zero(e1) and mat_is_zero(e0)
         return self._is_chain_map
 
-    def compose(self, other):
-        """self after other (other: K -> H, self: H -> G)."""
-        ng = other.degree
-        first = self.f0 if ng % 2 == 0 else self.f1
-        second = self.f1 if ng % 2 == 0 else self.f0
-        return MFMorphism(
-            other.source,
-            self.target,
-            self.degree + other.degree,
-            mat_mul(first, other.f0),
-            mat_mul(second, other.f1),
-        )
+    def projection(self):
+        """nf(aug_H . f_n), the projection onto the target's module: one
+        normal form per summand of K^{-n}."""
+        H = self.target
+        return [H.module.nf(v) for v in mat_mul([H.aug], self.component(self.degree))[0]]
 
     def buchweitz_vector(self, cohom: HomCohomology):
-        """Projection onto the target's module, as a sparse vector over the
-        term coordinates."""
-        n = self.degree
-        comp = self.f0 if n % 2 == 0 else self.f1
-        index = {c: i for i, c in enumerate(cohom.term(n))}
-        vec = {}
-        H = self.target
-        for t in range(self.source.rank):
-            val = Poly()
-            for s in range(H.rank):
-                if H.aug[s] and comp[s][t]:
-                    val = val + H.aug[s] * comp[s][t]
-            val = H.module.nf(val)
-            for m, c in val.terms.items():
-                vec[index[(t, m)]] = c
-        return vec
+        """The projection as a sparse vector over the term coordinates."""
+        return cohom.vector(self.degree, self.projection())
 
 
 def identity_morphism(K):
@@ -501,79 +454,63 @@ def identity_morphism(K):
 
 def _entry_degrees(K, H, n):
     """Exact L-degrees of the entries of (f0, f1) for a degree-n morphism:
-    f0 maps K^0 to H^n and f1 maps K^{-1} to H^{n-1}."""
-    f0 = [[a - b for b in K.term_shifts(0)] for a in H.term_shifts(-n)]
-    f1 = [[a - b for b in K.term_shifts(1)] for a in H.term_shifts(1 - n)]
-    return f0, f1
+    f_k maps K^{-k} to H^{n-k}."""
+    return tuple([[a - b for b in K.term_shifts(k)] for a in H.term_shifts(k - n)]
+                 for k in (0, 1))
 
 
 def _boundary_matrices(K, H, n, f0, f1):
-    """The two matrix components of the hom differential applied to (f0, f1)."""
-    if n % 2 == 0:
-        e1 = mat_sub(mat_mul(H.d1, f0), mat_mul(f1, K.d1))
-        e2 = mat_sub(mat_mul(H.d0, f1), mat_mul(f0, K.d0))
-    else:
-        e1 = mat_add(mat_mul(H.d0, f0), mat_mul(f1, K.d1))
-        e2 = mat_add(mat_mul(H.d1, f1), mat_mul(f0, K.d0))
-    return e1, e2
+    """The hom differential of the degree-n map f = (f0, f1): on K^{-k-1},
+
+        D(f) = H.d(k-n) f_{k+1} - (-1)^n f_k K.d(k),
+
+    returned for k = 1, then k = 0."""
+    f = MFMorphism(K, H, n, f0, f1)
+    sign = 1 if n % 2 else -1
+    return tuple(mat_add(mat_mul(H.d(k - n), f.component(k + 1)),
+                         mat_scale(mat_mul(f.component(k), K.d(k)), sign))
+                 for k in (1, 0))
 
 
 def chain_map_space(K, H, n):
-    """Basis of the space of degree-n chain maps K -> H, as MFMorphisms."""
-    group = K.group
-    degs = _entry_degrees(K, H, n)  # (deg0, deg1): entry degrees of f0 and f1
-    unknowns = []  # (which, s, t, monomial)
-    for which in (0, 1):
-        for s in range(H.rank):
-            for t in range(K.rank):
-                for mono in monomials_of_exact_degree(group, degs[which][s][t]):
-                    unknowns.append((which, s, t, mono))
+    """Basis of the space of degree-n chain maps K -> H, as MFMorphisms.
+
+    An unknown is the coefficient of one monomial in the entry (s, t) of
+    f_which.  In D(f) (see `_boundary_matrices`) it meets H.d in the
+    component k = 1 - which and K.d in the component k = which; one
+    equation per (component, row, column, monomial) of D(f)."""
+    degs = _entry_degrees(K, H, n)
+    unknowns = [(which, s, t, mono)
+                for which in (0, 1) for s in range(H.rank) for t in range(K.rank)
+                for mono in monomials_of_exact_degree(K.group, degs[which][s][t])]
     if not unknowns:
         return []
-    uindex = {u: i for i, u in enumerate(unknowns)}
-
-    rows = []
-
-    def add_equations(coeff_of):
-        # coeff_of: unknown -> Poly contribution; build one row per monomial
-        support = {}
-        for u, contrib in coeff_of.items():
-            for mono, c in contrib.terms.items():
-                bucket = support.setdefault(mono, {})
-                bucket[u] = bucket.get(u, 0) + c
-        for entry in support.values():
-            rows.append({uindex[u]: c for u, c in entry.items() if c})
-
+    hd = [H.d(which - 1 - n) for which in (0, 1)]
+    kd = [K.d(which) for which in (0, 1)]
     sign = 1 if n % 2 else -1
-    # component a of the boundary, b the other one:
-    #   e[s][t] = sum_u H.dA[s][u]*f_a[u][t]  (+/-)  sum_u f_b[s][u]*K.dB[u][t]
-    for a, b, HA, KB in ((0, 1, H.d1 if n % 2 == 0 else H.d0, K.d1),
-                         (1, 0, H.d0 if n % 2 == 0 else H.d1, K.d0)):
-        for s in range(H.rank):
-            for t in range(K.rank):
-                contrib = {}
-                for u in range(H.rank):
-                    if HA[s][u]:
-                        for mono in monomials_of_exact_degree(group, degs[a][u][t]):
-                            key = (a, u, t, mono)
-                            contrib[key] = contrib.get(key, Poly()) + HA[s][u].mul_mono(mono)
-                for u in range(K.rank):
-                    if KB[u][t]:
-                        for mono in monomials_of_exact_degree(group, degs[b][s][u]):
-                            key = (b, s, u, mono)
-                            contrib[key] = contrib.get(key, Poly()) + KB[u][t].mul_mono(mono) * sign
-                add_equations(contrib)
+    equations = {}
 
-    basis = nullspace(rows, len(unknowns))
+    def add(key, j, c):
+        row = equations.setdefault(key, {})
+        row[j] = row.get(j, 0) + c
+
+    for j, (which, s, t, (u, v)) in enumerate(unknowns):
+        for r, hrow in enumerate(hd[which]):
+            for (a, b), c in hrow[s].terms.items():
+                add((1 - which, r, t, (a + u, b + v)), j, c)
+        for r, entry in enumerate(kd[which][t]):
+            for (a, b), c in entry.terms.items():
+                add((which, s, r, (a + u, b + v)), j, sign * c)
+
+    basis = nullspace([{j: c for j, c in row.items() if c} for row in equations.values()],
+                      len(unknowns))
     out = []
     for vec in basis:
-        f0 = [[Poly() for _ in range(K.rank)] for _ in range(H.rank)]
-        f1 = [[Poly() for _ in range(K.rank)] for _ in range(H.rank)]
+        f = tuple([[Poly() for _ in range(K.rank)] for _ in range(H.rank)] for _ in (0, 1))
         for k, val in vec.items():
             which, s, t, mono = unknowns[k]
-            target = f0 if which == 0 else f1
-            target[s][t] = target[s][t] + Poly.monomial(*mono) * val
-        out.append(MFMorphism(K, H, n, f0, f1))
+            f[which][s][t] = f[which][s][t] + Poly.monomial(*mono) * val
+        out.append(MFMorphism(K, H, n, *f))
     return out
 
 
@@ -612,11 +549,15 @@ def generator_morphism(K, H, n, cohom: HomCohomology):
 def compose_and_identify(f: MFMorphism, g: MFMorphism, cohom: HomCohomology):
     """Class coordinates of f o g in the cohomology basis of the target.
 
-    f and g must be verified chain maps with composable degrees; cohom is
-    the hom cohomology of (g.source, f.target module).
+    f and g must be chain maps with composable degrees, else
+    ArithmeticError; cohom is the hom cohomology of (g.source, f.target
+    module).  The composite is not formed: on K^{-n}, n = deg f + deg g,
+    it is f_{deg f} g_n, and the normal form is linear modulo the ideal,
+    so its projection is nf(f.projection() . g_n).
     """
     if not g.is_chain_map() or not f.is_chain_map():
-        raise ValueError("compose_and_identify requires chain maps")
-    comp = f.compose(g)
-    data = cohom.cohomology(comp.degree)
-    return data.identify(comp.buchweitz_vector(cohom))
+        raise ArithmeticError("compose_and_identify requires chain maps")
+    n = f.degree + g.degree
+    row = mat_mul([f.projection()], g.component(n))[0]
+    vec = cohom.vector(n, [f.target.module.nf(v) for v in row])
+    return cohom.cohomology(n).identify(vec)

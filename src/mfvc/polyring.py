@@ -10,6 +10,7 @@ Dimensions over Q equal dimensions over C for everything in this package,
 since all ideals and differentials have integer coefficients.
 """
 
+from copy import copy
 from fractions import Fraction
 
 from .families import exponents
@@ -328,6 +329,13 @@ class QuotientRing:
         self.lead_terms = [g.lead()[0] for g in self.gb]
         self._nf_cache = {}
         self._std_cache = {}
+
+    def shifted(self, l: GroupElement):
+        """A copy with shift + l.  It shares the Groebner basis and the
+        caches, which are keyed by absolute degree."""
+        out = copy(self)
+        out.shift = self.shift + l
+        return out
 
     def is_finite_dimensional(self):
         """True when the staircase is bounded (pure powers of x and y lead)."""

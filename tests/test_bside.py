@@ -48,7 +48,7 @@ def test_degree_support_holds_every_nonempty_term(fam):
                         if coh.term(n):
                             assert lo <= n and (hi is None or n <= hi), (fam, p, q, X, Y, n)
                             supported += 1
-                    if Y.mf.module.ring.staircase_bound() is not None:
+                    if Y.mf.module.staircase_bound() is not None:
                         assert hi is not None
                         offset = Y.offset - X.offset
                         if lo <= hi:

@@ -203,6 +203,40 @@ def test_flipped_b_side_generator_gives_report(monkeypatch, capsys):
     assert "K0(1,1) -> K0(2,1)" in mismatch["detail"]
 
 
+def test_b_side_generator_that_is_not_a_chain_map_gives_report(monkeypatch, capsys):
+    # break the f1 matrix of the loop(3,3) generator K0(1,1) -> K0(2,2):
+    # the computation has failed, the input was valid, so mirror-check
+    # reports the B side and quiver prints an error line, both exiting 1
+    from mfvc import bside
+    from mfvc.cli import main
+    from mfvc.polyring import Poly, poly_x
+
+    lift = bside.generator_morphism
+    broken = []
+
+    def break_one(K, H, n, cohom):
+        gen = lift(K, H, n, cohom)
+        if (K.label, H.label) == ("K0(1,1)", "K0(2,2)"):
+            gen = type(gen)(K, H, n, gen.f0, [[poly_x(), Poly()], [Poly(), Poly()]])
+            assert not gen.is_chain_map()
+            broken.append(gen)
+        return gen
+
+    monkeypatch.setattr(bside, "generator_morphism", break_one)
+    code, payload = _mirror_check_in_process(capsys, "3", "3")
+    assert broken
+    assert code == 1
+    assert payload["pass"] is False
+    [mismatch] = payload["mismatches"]
+    assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"
+    assert "chain maps" in mismatch["detail"]
+    code = main(["quiver", "--side", "B", "--family", "loop", "--p", "3", "--q", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "chain maps" in err and "Traceback" not in err
+
+
 def test_a_side_generator_off_degree_0_gives_report(monkeypatch, capsys):
     # give the second interior cycle of loop(2,3) a larger path angle than
     # the first: its lift becomes the larger of the two, and the generator

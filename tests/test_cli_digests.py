@@ -83,6 +83,12 @@ PINNED_DIGESTS = {
         "e3512ee323b38a258c49859735840c2ea7368b10763ee77c93c96dfc3166cdad",
     ("bp", 4, 6, "quiver --side both"):
         "60b464be0152f10399697d9f6ea061684208c8b3c0cb0d3f70401ad0a877ff8a",
+    # hom tables whose targets have torsion in L: class representatives of
+    # modules shifted by elements of finite order
+    ("bp", 4, 6, "homtable"):
+        "0b129cc64b00a4273534ebf2ae3ad0777c44a259928e0c9f6cd5b99f01f694f1",
+    ("loop", 7, 4, "homtable"):
+        "c69de1738953bd72c602e14eb87065fc261fe26f2cefb8c3b47f169de572c2ba",
     # non-default windows: which cells the hom table computes depends on
     # the window, so both a narrower and a wider one are pinned
     ("loop", 3, 3, "homtable --degree-window 0"):

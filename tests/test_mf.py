@@ -137,21 +137,24 @@ def test_k0_to_axis_objects_constant_reps():
 
 
 def test_chain_kf_shift_is_shifted_ky():
-    # Kf[1] and Ky(y) resolve the same hom functor in the chain family
-    from mfvc.mf import CyclicModule
+    # Kf[1] and Ky(y) resolve the same hom functor in the chain family; the
+    # shifted copy of R/(y) and a fresh R(y)/(y) give the same complexes
     from mfvc.polyring import QuotientRing, family_w, poly_y
 
     g = make_grading_group("chain", 3, 4)
     Kf = build_basic_object(g, ("Kf",))
-    ky_shifted = CyclicModule(
-        QuotientRing(g, [poly_y(), family_w("chain", 3, 4)]), extra=g.y
-    )
+    gens = [poly_y(), family_w("chain", 3, 4)]
+    ky_shifted = QuotientRing(g, gens).shifted(g.y)
+    ky_fresh = QuotientRing(g, gens, shift=g.y)
     for lab in [("K0", 2, 2), ("K0", 1, 3), ("Ky", 1), ("Kf",)]:
         X = build_basic_object(g, lab)
         ca = HomCohomology(X, Kf.module)
         cb = HomCohomology(X, ky_shifted)
+        cc = HomCohomology(X, ky_fresh)
         for d in range(-5, 6):
             assert ca.cohomology(d + 1).dim == cb.cohomology(d).dim
+            assert cb.term(d) == cc.term(d)
+            assert cb.cohomology(d).dim == cc.cohomology(d).dim
 
 
 def test_kx_orthogonal_to_k0():
@@ -164,14 +167,23 @@ def test_kx_orthogonal_to_k0():
 
 
 def test_periodicity_under_simultaneous_shift():
-    # Hom^{n+2}(K, M) has the terms and dimensions of Hom^n(K, M(c))
-    g = make_grading_group("chain", 3, 4)
-    K = build_basic_object(g, ("K0", 2, 2))
-    target = build_basic_object(g, ("K0", 1, 3))
-    coh = HomCohomology(K, target.module)
-    coh_shift = HomCohomology(K, target.module.shifted(g.c))
-    for n in range(-4, 5):
-        assert coh.cohomology(n + 2).dim == coh_shift.cohomology(n).dim
+    # Hom^{n+2}(K, M) has the terms and dimensions of Hom^n(K, M(c)), and
+    # M(c) as a shifted copy of M equals M(c) built fresh
+    from mfvc.polyring import QuotientRing
+
+    for fam, p, q, source, target in [("chain", 3, 4, ("K0", 2, 2), ("K0", 1, 3)),
+                                      ("bp", 4, 6, ("K0", 1, 2), ("K0", 3, 4)),
+                                      ("loop", 7, 4, ("K0", 2, 1), ("Kx", 4))]:
+        g = make_grading_group(fam, p, q)
+        K = build_basic_object(g, source)
+        ring = build_basic_object(g, target).module
+        coh = HomCohomology(K, ring)
+        coh_shift = HomCohomology(K, ring.shifted(g.c))
+        coh_fresh = HomCohomology(K, QuotientRing(g, ring.generators, shift=ring.shift + g.c))
+        for n in range(-4, 5):
+            assert coh.term(n + 2) == coh_shift.term(n) == coh_fresh.term(n)
+            assert coh.cohomology(n + 2).dim == coh_shift.cohomology(n).dim \
+                == coh_fresh.cohomology(n).dim
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +232,56 @@ def test_composition_into_zero_hom_space_vanishes():
     assert coeff == []
 
 
-def test_compose_associativity_on_grid_triples():
-    g = make_grading_group("loop", 4, 4)
-    chain = [("K0", 1, 1), ("K0", 2, 2), ("K0", 3, 3)]
-    objs = [build_basic_object(g, lab) for lab in chain]
-    Kf = build_basic_object(g, ("Kf",))
-    g01 = generator_morphism(objs[0], objs[1], 0, HomCohomology(objs[0], objs[1].module))
-    g12 = generator_morphism(objs[1], objs[2], 0, HomCohomology(objs[1], objs[2].module))
-    g2f = generator_morphism(objs[2], Kf, 3, HomCohomology(objs[2], Kf.module))
-    coh = HomCohomology(objs[0], Kf.module)
-    left = g2f.compose(g12).compose(g01)
-    right = g2f.compose(g12.compose(g01))
-    assert coh.cohomology(3).identify(left.buchweitz_vector(coh)) == \
-        coh.cohomology(3).identify(right.buchweitz_vector(coh))
+def _explicit_class(f, g, cohom):
+    """The class of f o g, from the composite's matrix on K^{-n} built by
+    hand: f's matrix on the source of f's degree times g's matrix on K^{-n}."""
+    from mfvc.mf import mat_mul
+
+    n = f.degree + g.degree
+    outer = f.f0 if f.degree % 2 == 0 else f.f1
+    inner = g.f0 if n % 2 == 0 else g.f1
+    L = f.target
+    row = mat_mul([L.aug], mat_mul(outer, inner))[0]
+    index = {c: i for i, c in enumerate(cohom.term(n))}
+    vec = {}
+    for t, val in enumerate(row):
+        for m, c in L.module.nf(val).terms.items():
+            vec[index[(t, m)]] = c
+    return cohom.cohomology(n).identify(vec)
+
+
+@pytest.mark.parametrize("fam,p,q", [("loop", 3, 3), ("chain", 3, 4), ("bp", 3, 3)])
+def test_compose_and_identify_matches_explicit_composites(fam, p, q):
+    # every composable triple of generators, the degree-3 ones into Kx, Ky
+    # and Kf among them, and the identity on either side of each generator
+    from mfvc.bside import hom_table
+    from mfvc.families import FamilySpec
+
+    table = hom_table(FamilySpec(fam, p, q))
+    skeleton = table.skeleton()
+    gens = {}
+    for o in table.objects:
+        gens[(o.label, o.label)] = identity_morphism(o.mf)
+    for (a, b) in skeleton.nonzero_pairs():
+        X, Y = table.object(a), table.object(b)
+        gens[(a, b)] = generator_morphism(X.mf, Y.mf, Y.offset - X.offset, table.cohomology(a, b))
+    degrees = set()
+    count = 0
+    for (a, b), g in gens.items():
+        for (b2, c), f in gens.items():
+            if b2 != b:
+                continue
+            cohom = table.cohomology(a, c)
+            got = compose_and_identify(f, g, cohom)
+            assert got == _explicit_class(f, g, cohom), (a, b, c)
+            assert got == ([1] if a == c or (a, c) in skeleton.pairs else []), (a, b, c)
+            degrees.add((f.degree, g.degree))
+            count += 1
+    pairs = len(gens) - len(table.objects)
+    assert count == len(table.objects) + 2 * pairs + len(skeleton.composable_triples())
+    assert (0, 0) in degrees
+    if fam != "bp":
+        assert (3, 0) in degrees and (0, 3) in degrees
 
 
 def test_chain_map_space_contains_no_fake_maps():
@@ -318,7 +367,7 @@ def test_compose_and_identify_rejects_non_chain_maps():
     gen = generator_morphism(a, b, 0, HomCohomology(a, b.module))
     broken = type(gen)(a, b, 0, gen.f0, [[poly_x(), Poly()], [Poly(), Poly()]])
     assert not broken.is_chain_map()
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError):
         compose_and_identify(gen, broken, HomCohomology(a, b.module))
 
 

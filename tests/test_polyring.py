@@ -105,6 +105,20 @@ def test_piece_exceptional_vanishing_loop():
             assert q_ring.graded_piece_basis(g.element(a, 0)) == []
 
 
+def test_shifted_ring_keeps_the_original_and_shares_its_basis():
+    g = make_grading_group("bp", 4, 6)
+    ring = QuotientRing(g, [poly_x(2), poly_y(3), family_w("bp", 4, 6)], shift=g.x)
+    moved = ring.shifted(g.y + g.c)
+    assert ring.shift == g.x
+    assert moved.shift == g.x + g.y + g.c
+    assert moved.gb is ring.gb
+    # a piece is the same whichever copy enumerates it first
+    fresh = QuotientRing(g, ring.generators, shift=moved.shift)
+    assert moved.graded_piece_basis(g.zero) == fresh.graded_piece_basis(g.zero)
+    assert ring.graded_piece_basis(g.zero) == \
+        QuotientRing(g, ring.generators, shift=g.x).graded_piece_basis(g.zero)
+
+
 def test_unbounded_piece_error():
     g = make_grading_group("loop", 3, 3)
     q = QuotientRing(g, [family_factor("loop", 3, 3)])
