@@ -1,12 +1,17 @@
-"""Numeric kernels: parallel-transport integration and Newton enumeration.
+"""Numeric kernels: Newton enumeration and parallel-transport integration.
 
-Plain numpy and python: Newton runs vectorised over all its seeds, the
-adaptive RK4 transport on complex scalars.
+Newton finds the critical points of w~ - eps*x*y, where w~ = x^p y^f +
+x^e y^q is the Berglund-Huebsch transpose of w, read off the (p, q, f, e)
+of `families.transpose`; it runs in numpy, vectorised over all its seeds.
+The adaptive RK4 transport integrates the neck model W = -eps*x*y only, on
+complex scalars.
 """
 
 import math
 
 import numpy as np
+
+from .families import transpose
 
 
 def backend_name():
@@ -14,56 +19,30 @@ def backend_name():
     return "numpy"
 
 
-FAMILY_CODES = {"loop": 0, "chain": 1, "bp": 2, "local": 3}
-
 _STEP_TOL = 1e-11  # local error tolerance of the adaptive transport step
 
 
-def _w_and_grad(code, p, q, eps, x, y):
-    """(W, Wx, Wy) of the resonant perturbation, or of the local model."""
-    if code == 0:  # x^p y + x y^q - eps x y
-        W = x ** p * y + x * y ** q - eps * x * y
-        Wx = p * x ** (p - 1) * y + y ** q - eps * y
-        Wy = x ** p + q * x * y ** (q - 1) - eps * x
-    elif code == 1:  # x^p + x y^q - eps x y
-        W = x ** p + x * y ** q - eps * x * y
-        Wx = p * x ** (p - 1) + y ** q - eps * y
-        Wy = q * x * y ** (q - 1) - eps * x
-    elif code == 2:  # x^p + y^q - eps x y
-        W = x ** p + y ** q - eps * x * y
-        Wx = p * x ** (p - 1) - eps * y
-        Wy = q * y ** (q - 1) - eps * x
-    else:  # -eps x y
-        W = -eps * x * y
-        Wx = -eps * y
-        Wy = -eps * x
+def _w_and_grad(p, q, f, e, eps, x, y):
+    """(W, Wx, Wy) of w~ - eps*x*y, w~ = x^p y^f + x^e y^q; f, e are 0 or 1,
+    so e*x^(e-1) = e and f*y^(f-1) = f."""
+    W = x ** p * y ** f + x ** e * y ** q - eps * x * y
+    Wx = p * x ** (p - 1) * y ** f + e * y ** q - eps * y
+    Wy = f * x ** p + q * x ** e * y ** (q - 1) - eps * x
     return W, Wx, Wy
 
 
-def _hessian(code, p, q, eps, x, y):
-    if code == 0:
-        hxx = p * (p - 1) * x ** (p - 2) * y
-        hxy = p * x ** (p - 1) + q * y ** (q - 1) - eps
-        hyy = q * (q - 1) * x * y ** (q - 2)
-    elif code == 1:
-        hxx = p * (p - 1) * x ** (p - 2)
-        hxy = q * y ** (q - 1) - eps
-        hyy = q * (q - 1) * x * y ** (q - 2)
-    elif code == 2:
-        hxx = p * (p - 1) * x ** (p - 2)
-        hxy = -eps + 0j
-        hyy = q * (q - 1) * y ** (q - 2)
-    else:
-        hxx = 0j
-        hxy = -eps + 0j
-        hyy = 0j
+def _hessian(p, q, f, e, eps, x, y):
+    hxx = p * (p - 1) * x ** (p - 2) * y ** f
+    hxy = f * p * x ** (p - 1) + e * q * y ** (q - 1) - eps
+    hyy = q * (q - 1) * x ** e * y ** (q - 2)
     return hxx, hxy, hyy
 
 
 def gradient_and_hessian(family, p, q, eps, x, y):
-    code = FAMILY_CODES[family]
-    W, Wx, Wy = _w_and_grad(code, p, q, eps, complex(x), complex(y))
-    hxx, hxy, hyy = _hessian(code, p, q, eps, complex(x), complex(y))
+    """(W, Wx, Wy, hxx, hxy, hyy) of w~ - eps*x*y at the point (x, y)."""
+    exps = transpose(family, p, q)
+    W, Wx, Wy = _w_and_grad(*exps, eps, complex(x), complex(y))
+    hxx, hxy, hyy = _hessian(*exps, eps, complex(x), complex(y))
     return W, Wx, Wy, hxx, hxy, hyy
 
 
@@ -75,17 +54,17 @@ def newton_enumerate(family, p, q, eps, zx, zy, iters=80, tol=1e-10):
     """Vectorised Newton from every seed (zx[k], zy[k]) at once, with masking.
 
     Returns (x, y, ok) arrays; ok marks the seeds that reached |Wx|, |Wy| < tol."""
-    code = FAMILY_CODES[family]
+    exps = transpose(family, p, q)
     x = zx.astype(np.complex128).copy()
     y = zy.astype(np.complex128).copy()
     active = np.ones(x.shape, dtype=bool)
     for _ in range(iters):
-        _, wx, wy = _w_and_grad(code, p, q, eps, x, y)
+        _, wx, wy = _w_and_grad(*exps, eps, x, y)
         done = (np.abs(wx) < tol) & (np.abs(wy) < tol)
         active &= ~done
         if not active.any():
             break
-        hxx, hxy, hyy = _hessian(code, p, q, eps, x, y)
+        hxx, hxy, hyy = _hessian(*exps, eps, x, y)
         det = hxx * hyy - hxy * hxy
         bad = np.abs(det) < 1e-14
         det = np.where(bad, 1.0, det)
@@ -95,7 +74,7 @@ def newton_enumerate(family, p, q, eps, zx, zy, iters=80, tol=1e-10):
         y = y - dy
         diverged = (np.abs(x) > 1e6) | (np.abs(y) > 1e6)
         active &= ~diverged
-    _, wx, wy = _w_and_grad(code, p, q, eps, x, y)
+    _, wx, wy = _w_and_grad(*exps, eps, x, y)
     ok = (np.abs(wx) < tol) & (np.abs(wy) < tol)
     return x, y, ok
 
@@ -104,32 +83,35 @@ def newton_enumerate(family, p, q, eps, zx, zy, iters=80, tol=1e-10):
 # parallel transport
 
 
-def _rhs(code, p, q, eps, delta, x, y, t):
+def _rhs(eps, delta, x, y, t):
     # c(t) = -delta * exp(i t); dot c = -i delta exp(i t)
     cdot = -delta * 1j * (math.cos(t) + 1j * math.sin(t))
-    _, wx, wy = _w_and_grad(code, p, q, eps, x, y)
+    wx = -eps * y
+    wy = -eps * x
     norm2 = (wx * wx.conjugate()).real + (wy * wy.conjugate()).real
     fx = cdot * wx.conjugate() / norm2
     fy = cdot * wy.conjugate() / norm2
     return fx, fy, norm2
 
 
-def _rk4_step(code, p, q, eps, delta, x, y, t, h):
-    k1x, k1y, n1 = _rhs(code, p, q, eps, delta, x, y, t)
-    k2x, k2y, n2 = _rhs(code, p, q, eps, delta, x + 0.5 * h * k1x, y + 0.5 * h * k1y, t + 0.5 * h)
-    k3x, k3y, n3 = _rhs(code, p, q, eps, delta, x + 0.5 * h * k2x, y + 0.5 * h * k2y, t + 0.5 * h)
-    k4x, k4y, n4 = _rhs(code, p, q, eps, delta, x + h * k3x, y + h * k3y, t + h)
+def _rk4_step(eps, delta, x, y, t, h):
+    k1x, k1y, n1 = _rhs(eps, delta, x, y, t)
+    k2x, k2y, n2 = _rhs(eps, delta, x + 0.5 * h * k1x, y + 0.5 * h * k1y, t + 0.5 * h)
+    k3x, k3y, n3 = _rhs(eps, delta, x + 0.5 * h * k2x, y + 0.5 * h * k2y, t + 0.5 * h)
+    k4x, k4y, n4 = _rhs(eps, delta, x + h * k3x, y + h * k3y, t + h)
     nx = x + h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
     ny = y + h * (k1y + 2 * k2y + 2 * k3y + k4y) / 6.0
     nmin = min(min(n1, n2), min(n3, n4))
     return nx, ny, nmin
 
 
-def _project_to_fibre(code, p, q, eps, delta, x, y, t):
+def _project_to_fibre(eps, delta, x, y, t):
     # Newton in the gradient direction: move z by lam * conj(grad W)
     target = -delta * (math.cos(t) + 1j * math.sin(t))
     for _ in range(3):
-        W, wx, wy = _w_and_grad(code, p, q, eps, x, y)
+        W = -eps * x * y
+        wx = -eps * y
+        wy = -eps * x
         norm2 = (wx * wx.conjugate()).real + (wy * wy.conjugate()).real
         if norm2 < 1e-16:
             break
@@ -139,13 +121,14 @@ def _project_to_fibre(code, p, q, eps, delta, x, y, t):
     return x, y
 
 
-def transport(family, p, q, eps, delta, x0, y0, t0, t1, max_steps=100000):
-    """Adaptive RK4 with step doubling (local error tolerance _STEP_TOL) and
-    a projection back to the fibre after every step.
+def transport(eps, delta, x0, y0, t0, t1, max_steps=100000):
+    """Parallel transport of (x0, y0) in the neck model W = -eps*x*y along
+    c(t) = -delta*e^{it}, t from t0 to t1: adaptive RK4 with step doubling
+    (local error tolerance _STEP_TOL) and a projection back to the fibre
+    after every step.
 
     Returns (x, y, steps, max_defect, max_drift, status); status 0 = ok,
     1 = near-critical abort, 2 = step budget exhausted."""
-    code = FAMILY_CODES[family]
     x, y = complex(x0), complex(y0)
     t = t0 = float(t0)
     t1 = float(t1)
@@ -160,9 +143,9 @@ def transport(family, p, q, eps, delta, x0, y0, t0, t1, max_steps=100000):
     while (span > 0 and t < t1) or (span < 0 and t > t1):
         if (span > 0 and t + h > t1) or (span < 0 and t + h < t1):
             h = t1 - t
-        x1, y1, n1 = _rk4_step(code, p, q, eps, delta, x, y, t, h)
-        xa, ya, n2 = _rk4_step(code, p, q, eps, delta, x, y, t, 0.5 * h)
-        x2, y2, n3 = _rk4_step(code, p, q, eps, delta, xa, ya, t + 0.5 * h, 0.5 * h)
+        x1, y1, n1 = _rk4_step(eps, delta, x, y, t, h)
+        xa, ya, n2 = _rk4_step(eps, delta, x, y, t, 0.5 * h)
+        x2, y2, n3 = _rk4_step(eps, delta, xa, ya, t + 0.5 * h, 0.5 * h)
         if min(n1, min(n2, n3)) < 1e-16:
             return x, y, steps, max_defect, max_drift, 1
         err = max(abs(x1 - x2), abs(y1 - y2))
@@ -171,8 +154,8 @@ def transport(family, p, q, eps, delta, x0, y0, t0, t1, max_steps=100000):
             continue
         x, y = x2, y2
         t = t + h
-        x, y = _project_to_fibre(code, p, q, eps, delta, x, y, t)
-        W, wx, wy = _w_and_grad(code, p, q, eps, x, y)
+        x, y = _project_to_fibre(eps, delta, x, y, t)
+        W = -eps * x * y
         target = -delta * (math.cos(t) + 1j * math.sin(t))
         defect = abs(W - target)
         if defect > max_defect:
@@ -188,14 +171,14 @@ def transport(family, p, q, eps, delta, x0, y0, t0, t1, max_steps=100000):
     return x, y, steps, max_defect, max_drift, 0
 
 
-def transport_fixed(family, p, q, eps, delta, x0, y0, t0, t1, n_steps):
-    """n_steps fixed RK4 steps, without projection; returns (x, y)."""
-    code = FAMILY_CODES[family]
+def transport_fixed(eps, delta, x0, y0, t0, t1, n_steps):
+    """n_steps fixed RK4 steps of the neck-model transport, without
+    projection; returns (x, y)."""
     x, y = complex(x0), complex(y0)
     t0, t1, n_steps = float(t0), float(t1), int(n_steps)
     h = (t1 - t0) / n_steps
     t = t0
     for _ in range(n_steps):
-        x, y, _ = _rk4_step(code, p, q, eps, delta, x, y, t, h)
+        x, y, _ = _rk4_step(eps, delta, x, y, t, h)
         t = t + h
     return x, y

@@ -4,11 +4,11 @@ grading lifts, signs, and the resulting directed algebra.
 
 w~ is the Berglund-Huebsch transpose of w: its exponent matrix is E^T,
 E = ((p, e), (f, q)) from `families.exponents`, so w~ = x^p y^f + x^e y^q
-and everything here is read off (p, q, f, e).  Rotating the real-positive
-interior critical point of w~ - eps*x*y by (X, Y) turns rotates x^a y^b by
-aX + bY turns; the point stays critical iff every monomial of w~ turns with
-xy, i.e. iff (E^T - J)(X, Y)^T is in Z^2 (J all ones).  So `interior_args`
-is one 2x2 inverse for all three families.
+and everything here is read off its (p, q, f, e), from `families.transpose`.
+Rotating the real-positive interior critical point of w~ - eps*x*y by
+(X, Y) turns rotates x^a y^b by aX + bY turns; the point stays critical iff
+every monomial of w~ turns with xy, i.e. iff (E^T - J)(X, Y)^T is in Z^2
+(J all ones).  So `interior_args` is one 2x2 inverse for all three families.
 
 All angles are exact Fractions measured in full turns (1 = 2*pi), so the
 strict inequalities behind the path combinatorics never touch floats; the
@@ -22,14 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from .directed import DirectedAlgebra
-from .families import FamilySpec, exponents
-
-
-def _transpose(spec: FamilySpec):
-    """(p, q, f, e) of w~ = x^p y^f + x^e y^q, the transpose
-    ((p, f), (e, q)) of w's exponent matrix."""
-    (p, f), (e, q) = zip(*exponents(spec.family, spec.p, spec.q))
-    return p, q, f, e
+from .families import FamilySpec, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +42,7 @@ class CriticalDatum:
 def interior_index_set(spec: FamilySpec):
     """The (l, m) in [0, p-2] x [0, q-2], less the corner (p-2, q-2) when
     f = e = 0: its rotation is then (1, 1), the point (0, 0) again."""
-    p, q, f, e = _transpose(spec)
+    p, q, f, e = transpose(spec.family, spec.p, spec.q)
     corner = (p - 2, q - 2) if f == e == 0 else None
     return [(l, m) for l in range(p - 1) for m in range(q - 1) if (l, m) != corner]
 
@@ -57,7 +50,7 @@ def interior_index_set(spec: FamilySpec):
 def interior_args(spec: FamilySpec, l, m):
     """(x_arg, y_arg) of the interior critical point (l, m), in turns:
     (X, Y) = (E^T - J)^{-1} (l, m), not reduced mod 1."""
-    p, q, f, e = _transpose(spec)
+    p, q, f, e = transpose(spec.family, spec.p, spec.q)
     det = (p - 1) * (q - 1) - (f - 1) * (e - 1)
     return (Fraction((q - 1) * l + (1 - f) * m, det),
             Fraction((1 - e) * l + (p - 1) * m, det))
@@ -78,7 +71,7 @@ def enumerate_critical_data(spec: FamilySpec):
     ray opposite to the product of the coordinate rotations.  Axis points
     exist iff f = 1 (x^(p-1) = eps on the x-axis) or e = 1 (y^(q-1) = eps);
     their arguments are interior_args at m = 0, resp. l = 0."""
-    p, q, f, e = _transpose(spec)
+    p, q, f, e = transpose(spec.family, spec.p, spec.q)
     data = []
     half = Fraction(1, 2)
     if f:
@@ -145,7 +138,7 @@ def path_schedule(spec: FamilySpec):
     needs q(l-L) + p(m-M) > n.  If l < L this forces p(m-M) > pq - p,
     i.e. m - M > q - 1, which is impossible as m, M lie in [0, q-2]; the
     case m < M is the same with p and q swapped."""
-    p, q, f, e = _transpose(spec)
+    p, q, f, e = transpose(spec.family, spec.p, spec.q)
     theta = {lm: theta_turns(spec, *lm) for lm in interior_index_set(spec)}
     interior_sorted = sorted(theta, key=lambda lm: (-theta[lm], lm))
     waists = [("Vyf", l) for l in range(p - 1)] if f else []
@@ -195,7 +188,7 @@ def disjointness_certificate(spec: FamilySpec, lm, LM):
     certificate checks both lie strictly inside (0, 1) turns, so the
     profile never crosses the real-positive locus occupied by the
     stationary cycle.  Raises ValueError when f = e = 0."""
-    _, _, f, e = _transpose(spec)
+    _, _, f, e = transpose(spec.family, spec.p, spec.q)
     if f == e == 0:
         raise ValueError("certificate applies to loop and chain local models")
     xa, ya = interior_args(spec, lm[0] - LM[0], lm[1] - LM[1])

@@ -9,6 +9,7 @@ is deterministic for fixed flags and seed.
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -240,6 +241,13 @@ def non_negative_int(text):
     return value
 
 
+def positive_float(text):
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mfvc",
@@ -260,9 +268,9 @@ def build_parser():
             sp.add_argument("--degree-window", dest="degree_window", type=non_negative_int,
                             default=6)
         if numeric:
-            sp.add_argument("--eps", type=float, default=0.1)
-            sp.add_argument("--delta", type=float, default=1e-3)
-            sp.add_argument("--tol", type=float, default=1e-6)
+            sp.add_argument("--eps", type=positive_float, default=0.1)
+            sp.add_argument("--delta", type=positive_float, default=1e-3)
+            sp.add_argument("--tol", type=positive_float, default=1e-6)
         if seed:
             sp.add_argument("--seed", type=int, default=0)
 

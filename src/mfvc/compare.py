@@ -3,7 +3,7 @@ factorisation algebra must agree under the index correspondence
 i + l = p - 1, j + m = q - 1."""
 
 from .aside import assemble_directed_algebra, interior_index_set
-from .bside import DEGREE_WINDOW, basic_objects, composition_table, hom_table
+from .bside import DEGREE_WINDOW, composition_table, hom_table
 from .families import FamilySpec, exponents
 
 
@@ -18,19 +18,6 @@ def correspondence(spec: FamilySpec):
         mapping.update({("Vxf", m): ("Ky", q - 1 - m) for m in range(q - 1)})
     mapping[("Vxy",)] = ("Kf",) if e else ("K0", 1, 1)
     return mapping
-
-
-def milnor_and_counts(spec: FamilySpec):
-    a_objects = len(assemble_directed_algebra(spec).objects)
-    b_objects = len(basic_objects(spec))
-    return {
-        "spec": spec.label(),
-        "milnor": spec.milnor(),
-        "decomposition": spec.milnor_decomposition(),
-        "a_objects": a_objects,
-        "b_objects": b_objects,
-        "equal": a_objects == b_objects == spec.milnor(),
-    }
 
 
 def _failure(spec, kind, stage, exc):

@@ -2,8 +2,9 @@
 
 Each is w = x^p y^e + x^f y^q, fixed by its exponent matrix
 E = ((p, e), (f, q)); the family sets (f, e).  Both sides read everything
-they need from E: the B side from E itself, the A side from its transpose,
-the exponent matrix of the Berglund-Huebsch transpose of w.
+they need from E: the B side from E itself (`exponents`), the A side and
+the numeric kernels from its transpose (`transpose`), the exponent matrix
+of the Berglund-Huebsch transpose of w.
 """
 
 from dataclasses import dataclass
@@ -13,14 +14,25 @@ _OFFSETS = {"loop": (1, 1), "chain": (0, 1), "bp": (0, 0)}
 FAMILIES = tuple(_OFFSETS)
 
 
-def exponents(family, p, q):
-    """The exponent matrix ((p, e), (f, q)) of w = x^p y^e + x^f y^q."""
+def _offsets(family, p, q):
     if family not in _OFFSETS:
         raise ValueError(f"unknown family {family!r}")
     if p < 2 or q < 2:
         raise ValueError("p and q must both be at least 2")
-    f, e = _OFFSETS[family]
+    return _OFFSETS[family]
+
+
+def exponents(family, p, q):
+    """The exponent matrix ((p, e), (f, q)) of w = x^p y^e + x^f y^q."""
+    f, e = _offsets(family, p, q)
     return (p, e), (f, q)
+
+
+def transpose(family, p, q):
+    """(p, q, f, e) of the Berglund-Huebsch transpose w~ = x^p y^f + x^e y^q,
+    whose exponent matrix is E^T = ((p, f), (e, q))."""
+    f, e = _offsets(family, p, q)
+    return p, q, f, e
 
 
 @dataclass(frozen=True)

@@ -307,9 +307,16 @@ class HomCohomology:
 
     def vector(self, n, row):
         """The sparse vector over term(n) of a row of normal forms, one per
-        summand of K^{-n}."""
+        summand of K^{-n}.  A monomial outside the Buchweitz term raises
+        ArithmeticError: the row is not a projection of degree n."""
         index = {c: i for i, c in enumerate(self.term(n))}
-        return {index[(t, m)]: c for t, val in enumerate(row) for m, c in val.terms.items()}
+        try:
+            return {index[(t, m)]: c for t, val in enumerate(row) for m, c in val.terms.items()}
+        except KeyError as exc:
+            t, m = exc.args[0]
+            raise ArithmeticError(
+                f"(summand, monomial) ({t}, {mono_str(m)}) is outside the degree-{n} "
+                f"Buchweitz term of the hom complex from {self.K.label}") from None
 
     def diff(self, n):
         """Images of the basis vectors of term(n) in term(n+1): one sparse

@@ -1,54 +1,33 @@
 """Symplectic parallel transport: numerical integration of the transport
-ODE and verification of the closed-form neck solution.
-
-The closed form is exact for the model fibration W = -eps*x*y on the neck;
-the full perturbed fibration can also be transported (fibre membership is
-monitored) but is never compared against the closed form, which is only an
-approximation there.
+ODE of the neck model W = -eps*x*y, and verification of its closed-form
+solution, which is exact for that model.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import _kernels
 from .aside import interior_args, phi_profile_end, theta_turns
 from .families import FamilySpec
 
 
-@dataclass
-class TransportProblem:
-    family: str          # loop | chain | bp | local
-    p: int
-    q: int
-    eps: float
-    delta: float
-    x0: complex
-    y0: complex
-    t_start: float       # path c(t) = -delta e^{it}, t from t_start to t_end
-    t_end: float
-    max_steps: int = 100000
-
-
-class TransportError(RuntimeError):
+class TransportError(ArithmeticError):
     pass
 
 
-def integrate_parallel_transport(problem: TransportProblem):
-    """Endpoint of parallel transport along the circular arc.
+def integrate_parallel_transport(eps, delta, x0, y0, t_start, t_end, max_steps=100000):
+    """Endpoint of parallel transport in the neck model along the circular
+    arc c(t) = -delta e^{it}, t from t_start to t_end.
 
-    Raises TransportError on a near-critical gradient or when the step
-    budget is exhausted; otherwise the endpoint sits on the target fibre to
-    within the projection tolerance (reported as `defect`)."""
-    W0, _, _, _, _, _ = _kernels.gradient_and_hessian(
-        problem.family, problem.p, problem.q, problem.eps, problem.x0, problem.y0
-    )
-    start_target = -problem.delta * complex(math.cos(problem.t_start), math.sin(problem.t_start))
+    Raises TransportError on a start point off the fibre, a near-critical
+    gradient or an exhausted step budget; otherwise the endpoint sits on
+    the target fibre to within the projection tolerance (reported as
+    `defect`)."""
+    W0 = -eps * x0 * y0
+    start_target = -delta * complex(math.cos(t_start), math.sin(t_start))
     if abs(W0 - start_target) > 1e-12 * max(1.0, abs(start_target)):
         raise TransportError(f"initial point is not on the fibre: defect {abs(W0 - start_target):.3e}")
     x, y, steps, defect, drift, status = _kernels.transport(
-        problem.family, problem.p, problem.q, problem.eps, problem.delta,
-        problem.x0, problem.y0, problem.t_start, problem.t_end, problem.max_steps,
-    )
+        eps, delta, x0, y0, t_start, t_end, max_steps)
     if status == 1:
         raise TransportError("aborted near a critical point (|dW| too small)")
     if status == 2:
@@ -69,6 +48,16 @@ def local_start_point(spec: FamilySpec, l, m, s, delta, eps):
     return x0, y0
 
 
+def _neck_path(spec: FamilySpec, l, m, s, delta, eps):
+    """(x0, y0, theta, phi, r): the start point of (l, m) at s, the angle of
+    its fibre, and the closed-form endpoint r e^{i phi} of x over the fibre
+    at angle 0."""
+    x0, y0 = local_start_point(spec, l, m, s, delta, eps)
+    theta = 2 * math.pi * float(theta_turns(spec, l, m))
+    phi = phi_profile_end(spec, l, m, s)
+    return x0, y0, theta, phi, math.sqrt(delta / eps) * math.exp(s)
+
+
 def angle_error(z, phi):
     """|arg z - phi| up to full turns."""
     rot = z * complex(math.cos(-phi), math.sin(-phi))
@@ -83,13 +72,8 @@ def verify_local_model(spec: FamilySpec, l, m, s, delta=1e-3, eps=0.1,
     True when both are within tol."""
     if abs(s) > 3:
         raise ValueError("|s| <= 3 is required (the hyperbola leaves the neck)")
-    x0, y0 = local_start_point(spec, l, m, s, delta, eps)
-    theta = 2 * math.pi * float(theta_turns(spec, l, m))
-    problem = TransportProblem("local", spec.p, spec.q, eps, delta, x0, y0,
-                               theta, 0.0, max_steps=max_steps)
-    res = integrate_parallel_transport(problem)
-    phi = phi_profile_end(spec, l, m, s)
-    r_expected = math.sqrt(delta / eps) * math.exp(s)
+    x0, y0, theta, phi, r_expected = _neck_path(spec, l, m, s, delta, eps)
+    res = integrate_parallel_transport(eps, delta, x0, y0, theta, 0.0, max_steps)
     a_err = angle_error(res["x"], phi)
     m_err = abs(abs(res["x"]) - r_expected)
     return {
@@ -109,16 +93,12 @@ def convergence_study(spec: FamilySpec, l, m, s, delta=1e-3, eps=0.1,
 
     A fourth-order method should shrink the error by about 16x per halving;
     the acceptance threshold is 8x."""
-    x0, y0 = local_start_point(spec, l, m, s, delta, eps)
-    theta = 2 * math.pi * float(theta_turns(spec, l, m))
-    phi = phi_profile_end(spec, l, m, s)
-    r_expected = math.sqrt(delta / eps) * math.exp(s)
+    x0, y0, theta, phi, r_expected = _neck_path(spec, l, m, s, delta, eps)
     target = r_expected * complex(math.cos(phi), math.sin(phi))
     errors = []
     n = base_steps
     for _ in range(rounds):
-        x, _ = _kernels.transport_fixed("local", spec.p, spec.q, eps, delta,
-                                        x0, y0, theta, 0.0, n)
+        x, _ = _kernels.transport_fixed(eps, delta, x0, y0, theta, 0.0, n)
         errors.append(abs(x - target))
         n *= 2
     return errors

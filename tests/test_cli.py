@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -121,6 +123,32 @@ def test_negative_degree_window_is_rejected():
         assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--eps", "0"), ("--delta", "0"), ("--eps", "nan"), ("--delta", "inf"),
+    ("--tol", "-1"), ("--eps", "-0.1"), ("--tol", "abc"),
+])
+def test_transport_verify_rejects_bad_numeric_flags(flag, value, capsys):
+    from mfvc.cli import main
+
+    code = main(["transport-verify", "--family", "loop", "--p", "2", "--q", "2", flag, value])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and flag in err
+
+
+def test_transport_failure_in_transport_verify_is_an_error_line(monkeypatch, capsys):
+    from mfvc import _kernels
+    from mfvc.cli import main
+
+    monkeypatch.setattr(_kernels, "transport", lambda *args: (0j, 0j, 3, 0.0, 0.0, 2))
+    code = main(["transport-verify", "--family", "loop", "--p", "2", "--q", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: step budget exhausted\n"
+
+
 def _mirror_check_in_process(capsys, p="2", q="3"):
     from mfvc.cli import main
 
@@ -235,6 +263,26 @@ def test_b_side_generator_that_is_not_a_chain_map_gives_report(monkeypatch, caps
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "chain maps" in err and "Traceback" not in err
+
+
+def test_projection_outside_the_buchweitz_term_gives_report(monkeypatch, capsys):
+    # a stray monomial of a degree no term of loop(2,3) reaches
+    from mfvc.mf import MFMorphism
+    from mfvc.polyring import Poly
+
+    projection = MFMorphism.projection
+
+    def with_stray_monomial(self):
+        row = projection(self)
+        return [row[0] + Poly.monomial(1000, 0)] + row[1:]
+
+    monkeypatch.setattr(MFMorphism, "projection", with_stray_monomial)
+    code, payload = _mirror_check_in_process(capsys)
+    assert code == 1
+    assert payload["pass"] is False
+    [mismatch] = payload["mismatches"]
+    assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"
+    assert "(0, x^1000)" in mismatch["detail"] and "degree-0" in mismatch["detail"]
 
 
 def test_a_side_generator_off_degree_0_gives_report(monkeypatch, capsys):

@@ -1,17 +1,17 @@
 import pytest
 
 from mfvc.aside import enumerate_critical_data
-from mfvc.compare import correspondence, milnor_and_counts, mirror_check
+from mfvc.compare import correspondence, mirror_check
 from mfvc.families import FamilySpec
 
 
 def test_milnor_examples():
-    assert milnor_and_counts(FamilySpec("bp", 4, 5))["milnor"] == 12
-    r = milnor_and_counts(FamilySpec("chain", 4, 5))
-    assert r["milnor"] == 17 and r["decomposition"] == "17 = 12 + 4 + 1"
-    r = milnor_and_counts(FamilySpec("loop", 2, 2))
-    assert r["milnor"] == 4 and r["decomposition"] == "4 = 1 + 1 + 1 + 1"
-    assert r["equal"]
+    assert FamilySpec("bp", 4, 5).milnor() == 12
+    assert FamilySpec("bp", 4, 5).milnor_decomposition() == "12 = 12"
+    spec = FamilySpec("chain", 4, 5)
+    assert spec.milnor() == 17 and spec.milnor_decomposition() == "17 = 12 + 4 + 1"
+    spec = FamilySpec("loop", 2, 2)
+    assert spec.milnor() == 4 and spec.milnor_decomposition() == "4 = 1 + 1 + 1 + 1"
 
 
 def test_correspondence_bijective():

@@ -6,7 +6,6 @@ from mfvc.aside import phi_profile_end, theta_turns
 from mfvc.families import FamilySpec
 from mfvc.transport import (
     TransportError,
-    TransportProblem,
     convergence_study,
     integrate_parallel_transport,
     local_start_point,
@@ -18,8 +17,7 @@ from mfvc.transport import (
 def test_zero_length_path_is_identity():
     spec = FamilySpec("loop", 4, 3)
     x0, y0 = local_start_point(spec, 0, 0, 0.0, 1e-3, 0.1)
-    problem = TransportProblem("local", 4, 3, 0.1, 1e-3, x0, y0, 0.0, 0.0)
-    res = integrate_parallel_transport(problem)
+    res = integrate_parallel_transport(0.1, 1e-3, x0, y0, 0.0, 0.0)
     assert res["x"] == x0 and res["y"] == y0 and res["steps"] == 0
 
 
@@ -34,18 +32,16 @@ def test_start_point_lies_on_fibre():
 
 
 def test_off_fibre_start_rejected():
-    problem = TransportProblem("local", 4, 3, 0.1, 1e-3, 1.0 + 0j, 1.0 + 0j, 0.0, 1.0)
     with pytest.raises(TransportError):
-        integrate_parallel_transport(problem)
+        integrate_parallel_transport(0.1, 1e-3, 1.0 + 0j, 1.0 + 0j, 0.0, 1.0)
 
 
 def test_step_budget_abort():
     spec = FamilySpec("loop", 4, 6)
     x0, y0 = local_start_point(spec, 2, 4, 0.0, 1e-3, 0.1)
     theta = 2 * math.pi * 22 / 15
-    problem = TransportProblem("local", 4, 6, 0.1, 1e-3, x0, y0, theta, 0.0, max_steps=3)
     with pytest.raises(TransportError):
-        integrate_parallel_transport(problem)
+        integrate_parallel_transport(0.1, 1e-3, x0, y0, theta, 0.0, max_steps=3)
 
 
 def test_closed_form_example_loop43():
@@ -83,22 +79,3 @@ def test_verification_grid_small(fam, p, q):
     reports = verification_grid(FamilySpec(fam, p, q), s_values=(-1, 0, 1))
     assert reports and all(r["ok"] for r in reports)
     assert all(r["angle_error"] <= 1e-6 and r["modulus_error"] <= 1e-6 for r in reports)
-
-
-def test_full_fibration_transport_keeps_fibre():
-    # sanity only: no closed form is claimed away from the local model
-    spec = FamilySpec("loop", 2, 2)
-    eps, delta = 0.1, 1e-3
-    # start on the real positive hyperbola-like locus of the full fibre:
-    # solve w_eps(x, x) = -delta for real x near sqrt(delta/eps)
-    x = math.sqrt(delta / eps)
-    for _ in range(60):
-        f = x * x * (2 * x - eps) + delta
-        df = 6 * x * x - 2 * eps * x
-        x -= f / df
-    w = x * x * (2 * x - eps)
-    assert abs(w + delta) < 1e-14
-    problem = TransportProblem("loop", 2, 2, eps, delta, x, x, 0.0, math.pi / 2)
-    res = integrate_parallel_transport(problem)
-    assert res["defect"] <= 1e-9
-    assert res["steps"] > 0
