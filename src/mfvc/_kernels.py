@@ -128,7 +128,8 @@ def transport(eps, delta, x0, y0, t0, t1, max_steps=100000):
     after every step.
 
     Returns (x, y, steps, max_defect, max_drift, status); status 0 = ok,
-    1 = near-critical abort, 2 = step budget exhausted."""
+    1 = near-critical abort, 2 = step budget exhausted (max_steps accepted
+    steps without reaching t1)."""
     x, y = complex(x0), complex(y0)
     t = t0 = float(t0)
     t1 = float(t1)
@@ -141,6 +142,8 @@ def transport(eps, delta, x0, y0, t0, t1, max_steps=100000):
     max_drift = 0.0
     r0 = abs(x)
     while (span > 0 and t < t1) or (span < 0 and t > t1):
+        if steps >= max_steps:
+            return x, y, steps, max_defect, max_drift, 2
         if (span > 0 and t + h > t1) or (span < 0 and t + h < t1):
             h = t1 - t
         x1, y1, n1 = _rk4_step(eps, delta, x, y, t, h)
@@ -164,8 +167,6 @@ def transport(eps, delta, x0, y0, t0, t1, max_steps=100000):
         if drift > max_drift:
             max_drift = drift
         steps += 1
-        if steps >= max_steps:
-            return x, y, steps, max_defect, max_drift, 2
         if err < 0.01 * _STEP_TOL:
             h = 2.0 * h
     return x, y, steps, max_defect, max_drift, 0

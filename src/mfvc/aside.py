@@ -236,7 +236,6 @@ def intersection_table(schedule: PathSchedule):
     ArithmeticError.  The other pairs rest on the grid rule alone: two
     interior cycles sharing an index, and every pair with a waist curve."""
     order = schedule.order
-    pos = {lab: k for k, lab in enumerate(order)}
     table = {}
 
     def count(a, b):
@@ -264,9 +263,6 @@ def intersection_table(schedule: PathSchedule):
             c = count(a, b)
             if c:
                 table[(a, b)] = c
-    # directedness sanity: every intersection pairs an earlier object with
-    # a later one by construction of the keying above
-    assert all(pos[a] < pos[b] for (a, b) in table)
     return table
 
 
@@ -349,7 +345,8 @@ def assemble_directed_algebra(spec: FamilySpec):
     law is not computed: it is taken from the paper's thimble basis, in
     which every composite of generators into a nonzero hom is +1 times the
     generator and every other one is 0.  That is the law
-    `DirectedAlgebra.coefficient` reads off the pairs.  (`sweep_square_signs`
+    `DirectedAlgebra.coefficient` reads off the pairs, and
+    `check_associativity` off their bitmask graph.  (`sweep_square_signs`
     rectifies the signs of a grid, but runs only on random grids, never on
     this algebra.)"""
     schedule = path_schedule(spec)

@@ -29,71 +29,88 @@ def display_label(label):
     return f"{name}[{shift}]" if shift else name
 
 
+def _bits(mask):
+    """Positions of the set bits of mask, low to high."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
+def _masks(position, pairs):
+    """Per position, the bitmask of the pairs' targets and of their sources."""
+    succ, pred = [0] * len(position), [0] * len(position)
+    for (a, b) in pairs:
+        succ[position[a]] |= 1 << position[b]
+        pred[position[b]] |= 1 << position[a]
+    return succ, pred
+
+
 class DirectedAlgebra:
     """Ordered objects and the pairs (a, b) of distinct objects with
-    hom(a, b) nonzero.
+    hom(a, b) nonzero, also held as one pair graph on bitmasks: bit j of
+    succ[i] is set iff (objects[i], objects[j]) is a pair; pred[j] is the
+    transpose.
 
-    Every such hom is one-dimensional in degree 0, and endomorphisms are
-    scalars.  Each side enforces this when it builds its algebra: the A side
-    in `aside._grading_degrees` (its intersection counts are 0 or 1), the B
-    side in `bside.hom_table`, which matches the closed form.  On both
-    sides every composite of generators into a nonzero hom is +1 times the
-    generator: `bside.composition_table` checks that each B-side composite
-    is exactly +1 or 0, and the A side takes it from the paper's thimble
-    basis without computing it.  So the algebra is fixed by its pairs and
-    `coefficient` reads the composition law off them.
-    """
+    The A side enforces the one-dimensional degree-0 homs in
+    `aside._grading_degrees`, the B side in `bside.hom_table`.  The +1 law
+    is checked by `bside.composition_table` on the B side and taken from
+    the paper's thimble basis on the A side.  `coefficient` reads the law
+    off the pairs; the pair listings, the associativity check, the arrows
+    and the quiver certificate read it off the masks."""
 
     def __init__(self, objects, pairs):
         self.objects = list(objects)
         self.position = {obj: i for i, obj in enumerate(self.objects)}
         self.pairs = frozenset(pairs)
+        self.succ, self.pred = _masks(self.position, self.pairs)
 
     def hom_dim(self, a, b):
         return int(a == b or (a, b) in self.pairs)
 
+    def _position_pairs(self):
+        """(i, j) for every pair, in position order."""
+        return [(i, j) for i, targets in enumerate(self.succ) for j in _bits(targets)]
+
     def nonzero_pairs(self):
-        position = self.position
-        return sorted(self.pairs, key=lambda ab: (position[ab[0]], position[ab[1]]))
+        return [(self.objects[i], self.objects[j]) for i, j in self._position_pairs()]
 
     def is_directed(self):
         """No morphisms backwards and scalar endomorphisms."""
-        return all(self.position[a] < self.position[b] for (a, b) in self.pairs)
-
-    def _pairs_and_successors(self):
-        """nonzero_pairs() and, per object, its targets in the same order."""
-        pairs = self.nonzero_pairs()
-        succ = {}
-        for (a, b) in pairs:
-            succ.setdefault(a, []).append(b)
-        return pairs, succ
+        return all(not sources >> j for j, sources in enumerate(self.pred))
 
     def composable_triples(self):
-        pairs, succ = self._pairs_and_successors()
-        return [(a, b, c) for (a, b) in pairs for c in succ.get(b, ())]
+        objects, succ = self.objects, self.succ
+        return [(objects[i], objects[j], objects[k])
+                for i, j in self._position_pairs() for k in _bits(succ[j])]
 
     def coefficient(self, a, b, c):
         """The k in  gen(b,c) o gen(a,b) = k * gen(a,c): 1 when the homs
         a->b, b->c and a->c are nonzero, 0 otherwise."""
-        pairs = self.pairs
-        return int((a, b) in pairs and (b, c) in pairs and (a, c) in pairs)
+        return int((a, b) in self.pairs and (b, c) in self.pairs and (a, c) in self.pairs)
 
     def check_associativity(self):
-        """(h o g) o f == h o (g o f) for all composable triples of generators.
-
-        The coefficients come from the pairs alone, so this checks the
-        pattern: each path a->b->c->d of nonzero homs with a->d nonzero
-        needs a->c and b->d both nonzero or both zero."""
+        """The violations (a, b, c, d, left, right) of (h o g) o f = h o (g o f)
+        on paths a->b->c->d of generators, in the order of composable_triples
+        and then of d.  Read off the pairs, left = [a->c][a->d] and right =
+        [b->d][a->d], so one AND per composable a->b->c gives the bad d:
+        succ(a) & succ(c) & ~succ(b), with (1, 0), when a->c is nonzero, and
+        succ(a) & succ(b) & succ(c), with (0, 1), otherwise."""
+        objects, succ = self.objects, self.succ
         bad = []
-        pairs, succ = self._pairs_and_successors()
-        for (a, b) in pairs:
-            for c in succ.get(b, ()):
-                for d in succ.get(c, ()):
-                    left = self.coefficient(a, b, c) * self.coefficient(a, c, d)
-                    right = self.coefficient(b, c, d) * self.coefficient(a, b, d)
-                    if left != right:
-                        bad.append((a, b, c, d, left, right))
+        for i, j in self._position_pairs():
+            for k in _bits(succ[j]):
+                ac = succ[i] >> k & 1
+                ds = succ[i] & succ[k] & (~succ[j] if ac else succ[j])
+                if ds:
+                    a, b, c = objects[i], objects[j], objects[k]
+                    bad += [(a, b, c, objects[m], ac, 1 - ac) for m in _bits(ds)]
         return bad
+
+    def arrows(self):
+        """The pairs that factor through no third object: succ(a) & pred(b) == 0."""
+        objects, succ, pred = self.objects, self.succ, self.pred
+        return [(objects[i], objects[j]) for i, j in self._position_pairs()
+                if not succ[i] & pred[j]]
 
 
 # ---------------------------------------------------------------------------
@@ -130,86 +147,68 @@ def gabriel_presentation(algebra: DirectedAlgebra):
     """Gabriel quiver with relations of a directed algebra whose composites
     of generators into a nonzero hom are +1 times the generator.
 
-    Arrows are the nonzero pairs that do not factor through a third object.
-    The relations all have length 2: pair (a, c) by pair in position order,
-    over the paths a -> m -> c ordered by m, they are -path0 + pathk for each
-    k >= 1 when hom(a, c) is nonzero (every path evaluates to the generator)
-    and each path alone otherwise.  No shorter relation exists, so none of
-    them is a consequence of the others.  `_certify` then proves, without
-    enumerating paths, that they present the algebra, and raises
-    ArithmeticError if they do not, as when a longer relation is needed.
-    """
+    The arrows are `algebra.arrows()`.  The relations all have length 2:
+    pair (a, c) by pair in position order, over the paths a -> m -> c
+    ordered by m, they are -path0 + pathk for each k >= 1 when hom(a, c) is
+    nonzero (every path evaluates to the generator) and each path alone
+    otherwise.  No shorter relation exists, so none of them is a consequence
+    of the others.  `_certify` then proves, without enumerating paths, that
+    they present the algebra, and raises ArithmeticError if they do not, as
+    when a longer relation is needed."""
     arrows, relations = _arrows_and_relations(algebra)
     _certify(algebra, arrows, relations)
     return QuiverWithRelations(algebra.objects, arrows, relations)
 
 
 def _arrows_and_relations(algebra):
-    pairs, succ = algebra._pairs_and_successors()
-    arrows = [(a, b) for (a, b) in pairs if not any((z, b) in algebra.pairs for z in succ[a])]
+    arrows = algebra.arrows()
     index = {ab: k for k, ab in enumerate(arrows)}
-    out = _targets(arrows)
-    middles = {}  # (a, c) -> the m of the paths a -> m -> c, in position order
-    for (a, m) in arrows:
-        for c in out.get(m, ()):
-            middles.setdefault((a, c), []).append(m)
-    position = algebra.position
+    objects, succ = algebra.objects, algebra.succ
+    out, into = _masks(algebra.position, arrows)
     relations = []
-    for (a, c) in sorted(middles, key=lambda ac: (position[ac[0]], position[ac[1]])):
-        paths = [[index[(a, m)], index[(m, c)]] for m in middles[(a, c)]]
-        if (a, c) in algebra.pairs:
-            relations += [[(-_ONE, paths[0]), (_ONE, path)] for path in paths[1:]]
-        else:
-            relations += [[(_ONE, path)] for path in paths]
+    for i, a in enumerate(objects):
+        two_step = 0
+        for m in _bits(out[i]):
+            two_step |= out[m]
+        for k in _bits(two_step):  # the c of the paths a -> m -> c in order, then m
+            paths = [[index[(a, objects[m])], index[(objects[m], objects[k])]]
+                     for m in _bits(out[i] & into[k])]
+            if succ[i] >> k & 1:
+                relations += [[(-_ONE, paths[0]), (_ONE, path)] for path in paths[1:]]
+            else:
+                relations += [[(_ONE, path)] for path in paths]
     return arrows, relations
-
-
-def _targets(arrows):
-    out = {}
-    for (a, m) in arrows:
-        out.setdefault(a, []).append(m)
-    return out
 
 
 def _certify(algebra, arrows, relations):
     """Check that the length-2 relations present the algebra: for a before
     b, the paths a ~> b modulo the relations span hom(a, b).
 
-    For fixed b, sources a are taken from last to first, so the claim holds
-    already for every later m.  Then the paths a ~> b modulo the relations
-    are spanned by one class per arrow a -> m with hom(m, b) nonzero (or
-    m = b): the arrow followed by the generator of hom(m, b).  A relation at
-    a ending in c, followed by the generator of hom(c, b), relates these
-    classes, provided hom(c, b) is nonzero or c = b.  Its path through m
-    survives exactly when m has a class, since gen(m,c) o gen(c,b) =
-    gen(m,b).  A square with both paths surviving merges their classes, a
-    relation with one surviving path kills that path's class.  The number
-    of live classes must be hom_dim(a, b); ArithmeticError otherwise."""
-    pairs, objects = algebra.pairs, algebra.objects
-    out = _targets(arrows)
-    at = {}  # a -> [(c, the m of each path of the relation)]
+    Sources a are taken from last to first, so this holds for every later
+    m, and with reach = pred(b) | bit(b) the paths are spanned by one class
+    per arrow a -> m with m in reach.  A relation at a ending in c in reach
+    keeps its path through m iff m is in reach (gen(m,c) o gen(c,b) =
+    gen(m,b)): keeping two paths merges their classes, keeping one kills
+    its class.  The live classes must number hom_dim(a, b); ArithmeticError
+    otherwise."""
+    objects, position = algebra.objects, algebra.position
+    out, _ = _masks(position, arrows)
+    ends = [(position[a], position[b]) for a, b in arrows]
+    at = {}  # position of a -> [(position of c, [position of each path's m])]
     for rel in relations:
-        (a, _), (_, c) = arrows[rel[0][1][0]], arrows[rel[0][1][-1]]
-        at.setdefault(a, []).append((c, [arrows[path[0]][1] for _, path in rel]))
-    for i, b in enumerate(objects):
-        reach = {x for x in objects if x == b or (x, b) in pairs}
-        for a in reversed(objects[:i]):
-            parent = {m: m for m in out.get(a, ()) if m in reach}
-
-            def find(m):
-                while parent[m] != m:
-                    m = parent[m]
-                return m
-
-            killed = []
-            for c, ms in at.get(a, ()):
-                if c in reach:
-                    live = [m for m in ms if m in parent]
-                    if len(live) == 2:
-                        parent[find(live[0])] = find(live[1])
-                    elif live:
-                        killed.append(live[0])
-            classes = {find(m) for m in parent} - {find(m) for m in killed}
+        (i, _), (_, k) = ends[rel[0][1][0]], ends[rel[0][1][-1]]
+        at.setdefault(i, []).append((k, [ends[path[0]][1] for _, path in rel]))
+    for j, b in enumerate(objects):
+        reach = algebra.pred[j] | 1 << j
+        for i in reversed(range(j)):
+            cls = {m: m for m in _bits(out[i] & reach)}  # class of each arrow a -> m
+            for k, ms in at.get(i, ()):
+                live = [cls[m] for m in ms if m in cls and reach >> k & 1]
+                if live:  # two classes merge, one dies; None marks a dead class
+                    new = live[1] if len(live) == 2 and None not in live else None
+                    cls = {m: new if r in live else r for m, r in cls.items()}
+            classes = set(cls.values()) - {None}
+            a = objects[i]
             if len(classes) != algebra.hom_dim(a, b):
                 raise ArithmeticError(
                     f"the length-2 relations leave {len(classes)} classes of paths "

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mfvc.aside import assemble_directed_algebra
@@ -15,12 +17,74 @@ def naive_composable_triples(algebra):
     return out
 
 
+def naive_check_associativity(algebra):
+    """Reference: the 4-deep loop over the paths a->b->c->d of nonzero
+    pairs, in position order, comparing the two bracketings through
+    `coefficient`."""
+    order = algebra.objects.index
+    pairs = sorted(algebra.pairs, key=lambda ab: (order(ab[0]), order(ab[1])))
+    succ = {}
+    for (a, b) in pairs:
+        succ.setdefault(a, []).append(b)
+    coefficient = algebra.coefficient
+    bad = []
+    for (a, b) in pairs:
+        for c in succ.get(b, ()):
+            for d in succ.get(c, ()):
+                left = coefficient(a, b, c) * coefficient(a, c, d)
+                right = coefficient(b, c, d) * coefficient(a, b, d)
+                if left != right:
+                    bad.append((a, b, c, d, left, right))
+    return bad
+
+
+def naive_arrows(algebra):
+    """Reference: the nonzero pairs a->b with no z such that a->z and z->b."""
+    return [(a, b) for (a, b) in algebra.nonzero_pairs()
+            if not any((a, z) in algebra.pairs and (z, b) in algebra.pairs
+                       for z in algebra.objects)]
+
+
 @pytest.mark.parametrize("family", ["loop", "chain", "bp"])
 def test_composable_triples_match_the_double_loop(family):
     algebra = assemble_directed_algebra(FamilySpec(family, 4, 5))
     triples = algebra.composable_triples()
     assert triples  # every family has composable generators at (4,5)
     assert triples == naive_composable_triples(algebra)
+
+
+@pytest.mark.parametrize("family", ["loop", "chain", "bp"])
+def test_mask_associativity_and_arrows_match_the_references(family):
+    algebra = assemble_directed_algebra(FamilySpec(family, 5, 5))
+    assert algebra.check_associativity() == naive_check_associativity(algebra) == []
+    assert algebra.arrows() == naive_arrows(algebra)
+
+
+def test_mask_associativity_matches_the_reference_on_broken_patterns():
+    # two nonzero pairs deleted from loop(6,6): most such patterns violate
+    # the law, and the violations must come in the reference's order
+    full = assemble_directed_algebra(FamilySpec("loop", 6, 6))
+    violating = 0
+    for seed in range(200):
+        dropped = set(random.Random(seed).sample(full.nonzero_pairs(), 2))
+        algebra = DirectedAlgebra(full.objects, full.pairs - dropped)
+        bad = algebra.check_associativity()
+        assert bad == naive_check_associativity(algebra), seed
+        assert algebra.arrows() == naive_arrows(algebra), seed
+        violating += bool(bad)
+    assert violating >= 150
+
+
+def test_is_directed_reads_backward_pairs():
+    assert DirectedAlgebra("abc", [("a", "b"), ("a", "c")]).is_directed()
+    assert not DirectedAlgebra("abc", [("a", "b"), ("c", "b")]).is_directed()
+
+
+def test_check_associativity_at_loop_16_16():
+    # 256 objects and 476,350 composable triples, more than any spec the
+    # mirror-check tests reach
+    algebra = assemble_directed_algebra(FamilySpec("loop", 16, 16))
+    assert algebra.check_associativity() == []
 
 
 def test_check_associativity_flags_a_pattern_that_cannot_compose():

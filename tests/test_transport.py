@@ -44,6 +44,15 @@ def test_step_budget_abort():
         integrate_parallel_transport(0.1, 1e-3, x0, y0, theta, 0.0, max_steps=3)
 
 
+def test_step_budget_counts_the_step_that_reaches_the_end():
+    # this transport takes exactly 129 steps: a budget of 129 suffices
+    spec = FamilySpec("loop", 4, 3)
+    r = verify_local_model(spec, 1, 1, 0.0, max_steps=129)
+    assert r["ok"] and r["steps"] == 129
+    with pytest.raises(TransportError, match="step budget exhausted"):
+        verify_local_model(spec, 1, 1, 0.0, max_steps=128)
+
+
 def test_closed_form_example_loop43():
     # transport of the (1,1) hyperbola point at s=0 ends at argument -pi/6
     r = verify_local_model(FamilySpec("loop", 4, 3), 1, 1, 0.0, delta=1e-3, eps=0.1)
