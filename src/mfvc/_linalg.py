@@ -3,8 +3,8 @@
 A row or vector is a dict {column: Fraction} that holds only nonzero
 entries; the matrices here are monomial or binomial differentials and
 chain-map equations, so most entries are zero and are never touched.
-`nullspace`, `solve` and `Subspace` take and return such dicts, and take
-the column count where a dict cannot supply it.  Entries given as `int`
+`nullspace` and `Subspace` take and return such dicts, and `nullspace`
+takes the column count, which a dict cannot supply.  Entries given as `int`
 are accepted: every dict that comes back holds `Fraction`s, and zero
 entries given on input are dropped.  `rank` alone takes dense rows (lists),
 since its callers, the brute-force piece-dimension oracle and the benchmark
@@ -14,9 +14,9 @@ A row space is kept in reduced row echelon form as a dict from pivot column
 to its row, scaled to 1 at the pivot.  Every other pivot column is zero in
 each row.  Two helpers do all the elimination: `_reduce` clears the pivot
 columns of a vector and `_insert` adds a reduced vector as a new pivot row.
-`rank`, `nullspace`, `solve` and `Subspace` all run on them.  The reduced
-echelon form of a matrix is unique, so the results do not depend on the
-order rows are inserted in.
+`rank`, `nullspace` and `Subspace` all run on them.  The reduced echelon
+form of a matrix is unique, so the results do not depend on the order rows
+are inserted in.
 """
 
 from fractions import Fraction
@@ -91,17 +91,6 @@ def nullspace(rows, ncols):
     return [{fc: _ONE, **by_free.get(fc, {})} for fc in range(ncols) if fc not in pivots]
 
 
-def solve(rows, rhs, ncols):
-    """One solution x of A x = b, or None if there is none.
-
-    rows are the rows of A over columns 0..ncols-1, and rhs is b as a dict
-    {row index: value}.  Free variables are set to 0."""
-    pivots = _echelon({**r, ncols: rhs[i]} if i in rhs else r for i, r in enumerate(rows))
-    if ncols in pivots:
-        return None
-    return {p: row[ncols] for p, row in pivots.items() if ncols in row}
-
-
 class Subspace:
     """Row space with incremental membership testing and reduction."""
 
@@ -109,6 +98,12 @@ class Subspace:
         self._pivots = {}
         for v in vectors:
             self.add(v)
+
+    @property
+    def basis(self):
+        """{pivot column: row}, in the order the pivots were found (read only).
+        A member's coordinates in it are its entries at the pivots."""
+        return self._pivots
 
     def reduce(self, vec):
         """vec reduced against the reduced echelon basis: zero in every
@@ -125,6 +120,3 @@ class Subspace:
 
     def contains(self, vec):
         return not _reduce(vec, self._pivots)
-
-    def dim(self):
-        return len(self._pivots)

@@ -154,21 +154,29 @@ def composition_table(spec: FamilySpec, table: HomTable = None):
     in hom(a,c) must be [1] (+1 times the generator) when (a, c) is a
     nonzero pair and [] (a coboundary) otherwise.  Then the algebra is
     fixed by its homs, and the skeleton of the table is returned;
-    ArithmeticError at the first triple that deviates."""
+    ArithmeticError at the first pair or triple that fails, naming it and
+    the degree of its hom complex."""
     table = table or hom_table(spec)
     skeleton = table.skeleton()
     gens = {}
     for (a, b) in skeleton.nonzero_pairs():
         X, Y = table.object(a), table.object(b)
         n = Y.offset - X.offset  # displayed degree 0
-        gens[(a, b)] = generator_morphism(X.mf, Y.mf, n, table.cohomology(a, b))
+        try:
+            gens[(a, b)] = generator_morphism(X.mf, Y.mf, n, table.cohomology(a, b))
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"lift of {X.display()} -> {Y.display()} in degree {n}: "
+                                  f"{exc}") from exc
     for (a, b, c) in skeleton.composable_triples():
-        vec = compose_and_identify(gens[(b, c)], gens[(a, b)], table.cohomology(a, c))
-        want = [1] if (a, c) in skeleton.pairs else []
-        if vec != want:
-            raise ArithmeticError(
-                f"composite {display_label(a)} -> {display_label(b)} -> {display_label(c)} "
-                f"is {[str(v) for v in vec]}, not {want}")
+        try:
+            vec = compose_and_identify(gens[(b, c)], gens[(a, b)], table.cohomology(a, c))
+            want = [1] if (a, c) in skeleton.pairs else []
+            if vec != want:
+                raise ArithmeticError(f"is {[str(v) for v in vec]}, not {want}")
+        except ArithmeticError as exc:
+            n = table.object(c).offset - table.object(a).offset
+            route = " -> ".join(display_label(x) for x in (a, b, c))
+            raise ArithmeticError(f"composite {route} in degree {n}: {exc}") from exc
     return skeleton
 
 

@@ -41,13 +41,15 @@ class GroupElement:
         self.w = w
 
     def __add__(self, other):
-        assert self.group is other.group
         g = self.group
+        if g is not other.group:
+            raise ArithmeticError("elements of two different GradingGroup objects")
         return GroupElement(g, (self.r + other.r) % g.torsion_order, self.w + other.w)
 
     def __sub__(self, other):
-        assert self.group is other.group
         g = self.group
+        if g is not other.group:
+            raise ArithmeticError("elements of two different GradingGroup objects")
         return GroupElement(g, (self.r - other.r) % g.torsion_order, self.w - other.w)
 
     def __neg__(self):

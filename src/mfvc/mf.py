@@ -18,14 +18,15 @@ Morphism spaces are computed two ways:
   linear algebra from the one hom differential of `_boundary_matrices`.
 
 The two are tied together by the projection of a chain map onto the
-module.  A composite f o g is identified from the projection of the outer
-factor f alone, multiplied by the one matrix of g it meets, so the
+module, whose class coordinates are read off the pivots of one reduced
+echelon basis.  A composite f o g is identified from the projection of the
+outer factor f alone, multiplied by the one matrix of g it meets, so the
 composite is never formed.
 """
 
 from fractions import Fraction
 
-from ._linalg import Subspace, nullspace, solve
+from ._linalg import Subspace, nullspace
 from .grading import GroupElement
 from .polyring import (
     Poly,
@@ -39,7 +40,6 @@ from .polyring import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +343,10 @@ class HomCohomology:
         if got is None:
             src = self.term(n)
             if not src:
-                # zero cohomology, and no differentials to build; most cells
-                # of a hom table are like this
-                got = CohomologyData(self, n, src, [], Subspace())
+                # zero cohomology and no differentials to build: most cells of
+                # a hom table are like this, so im and classes share one space
+                empty = Subspace()
+                got = CohomologyData(src, empty, empty)
                 self._cohom[n] = got
                 return got
             # the kernel needs the rows of the outgoing differential; the
@@ -356,49 +357,37 @@ class HomCohomology:
                     rows.setdefault(i, {})[j] = a
             ker = nullspace(list(rows.values()), len(src))
             im = Subspace(col for col in self.diff(n - 1) if col)
-            # v + im enlarges the classes found so far iff its reduction
-            # against im does; that reduction, scaled, is the representative
-            classes = Subspace()
-            reps = []
-            for v in ker:
-                red = im.reduce(v)
-                if classes.add(red):
-                    lead = red[min(red)]
-                    reps.append({c: a / lead for c, a in red.items()})
-            got = CohomologyData(self, n, src, reps, im)
+            got = CohomologyData(src, im, Subspace(im.reduce(v) for v in ker))
             self._cohom[n] = got
         return got
 
 
 class CohomologyData:
-    def __init__(self, parent, degree, coords, reps, im):
-        self.parent = parent
-        self.degree = degree
-        self.coords = coords  # [(summand, monomial)]
-        self.reps = reps      # class representatives, sparse coordinate vectors
-        self.im = im          # coboundary subspace
+    """One degree of a hom cohomology; the rows of the echelon basis of
+    `classes`, in the order their pivots were found, are the representatives."""
+
+    def __init__(self, coords, im, classes):
+        self.coords = coords    # [(summand, monomial)]
+        self.im = im            # coboundary subspace
+        self.classes = classes  # Subspace of cocycles reduced against im
 
     @property
     def dim(self):
-        return len(self.reps)
+        return len(self.classes.basis)
+
+    @property
+    def reps(self):
+        """Class representatives, sparse coordinate vectors."""
+        return list(self.classes.basis.values())
 
     def identify(self, vector):
         """Coordinates of a cocycle's class in the representative basis, as a
-        list; vector is a sparse coordinate vector."""
-        if not self.reps:
-            if self.im.contains(vector):
-                return []
-            raise ArithmeticError("vector is not a coboundary in zero cohomology")
-        # representatives are stored already reduced against the coboundaries;
-        # one equation per coordinate, one unknown per representative
-        rows = [{} for _ in self.coords]
-        for k, rep in enumerate(self.reps):
-            for i, a in rep.items():
-                rows[i][k] = a
-        coeffs = solve(rows, self.im.reduce(vector), self.dim)
-        if coeffs is None:
-            raise ArithmeticError("class identification failed (not a cocycle class?)")
-        return [coeffs.get(k, _ZERO) for k in range(self.dim)]
+        list; vector is a sparse coordinate vector.  ArithmeticError if
+        vector is not a cocycle."""
+        red = self.im.reduce(vector)
+        if not self.classes.contains(red):
+            raise ArithmeticError("vector is not a cocycle of this degree")
+        return [red.get(p, _ZERO) for p in self.classes.basis]
 
     def rep_strings(self):
         out = []
@@ -447,10 +436,6 @@ class MFMorphism:
         normal form per summand of K^{-n}."""
         H = self.target
         return [H.module.nf(v) for v in mat_mul([H.aug], self.component(self.degree))[0]]
-
-    def buchweitz_vector(self, cohom: HomCohomology):
-        """The projection as a sparse vector over the term coordinates."""
-        return cohom.vector(self.degree, self.projection())
 
 
 def identity_morphism(K):
@@ -522,35 +507,22 @@ def chain_map_space(K, H, n):
 
 
 def generator_morphism(K, H, n, cohom: HomCohomology):
-    """A chain map whose Buchweitz class is exactly the first basis vector.
+    """A chain map whose Buchweitz class is exactly the generator of a
+    one-dimensional hom: the first chain map whose class coordinate a is
+    nonzero, divided by a.
 
-    Raises ValueError if the cohomology vanishes in degree n, and
-    ArithmeticError if no chain map hits the class; by the equivalence
-    between the two hom models the latter should never happen for the
-    factorisations in this package.
+    ArithmeticError if the degree-n hom is not one-dimensional, or if no
+    chain map hits its class, which the equivalence between the two hom
+    models rules out for the factorisations in this package.
     """
     data = cohom.cohomology(n)
-    if data.dim == 0:
-        raise ValueError("no cohomology class to lift")
-    maps = chain_map_space(K, H, n)
-    if not maps:
-        raise ArithmeticError("no chain maps at all in this degree")
-    # find a rational combination of the chain maps with class = e_0:
-    # one equation per class coordinate, one unknown per chain map
-    rows = [{} for _ in range(data.dim)]
-    for j, f in enumerate(maps):
-        for i, a in enumerate(data.identify(f.buchweitz_vector(cohom))):
-            if a:
-                rows[i][j] = a
-    coeffs = solve(rows, {0: _ONE}, len(maps))
-    if coeffs is None:
-        raise ArithmeticError("chain-map lift of the cohomology class not found")
-    f0 = [[Poly() for _ in range(K.rank)] for _ in range(H.rank)]
-    f1 = [[Poly() for _ in range(K.rank)] for _ in range(H.rank)]
-    for j, cf in sorted(coeffs.items()):
-        f0 = mat_add(f0, mat_scale(maps[j].f0, cf))
-        f1 = mat_add(f1, mat_scale(maps[j].f1, cf))
-    return MFMorphism(K, H, n, f0, f1)
+    if data.dim != 1:
+        raise ArithmeticError(f"the degree-{n} hom has dimension {data.dim}, not 1")
+    for f in chain_map_space(K, H, n):
+        [a] = data.identify(cohom.vector(n, f.projection()))
+        if a:
+            return MFMorphism(K, H, n, mat_scale(f.f0, 1 / a), mat_scale(f.f1, 1 / a))
+    raise ArithmeticError("no chain map lifts the cohomology class")
 
 
 def compose_and_identify(f: MFMorphism, g: MFMorphism, cohom: HomCohomology):

@@ -258,6 +258,7 @@ def test_b_side_generator_that_is_not_a_chain_map_gives_report(monkeypatch, caps
     [mismatch] = payload["mismatches"]
     assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"
     assert "chain maps" in mismatch["detail"]
+    assert "K0(1,1)" in mismatch["detail"] and "K0(2,2)" in mismatch["detail"]
     code = main(["quiver", "--side", "B", "--family", "loop", "--p", "3", "--q", "3"])
     out, err = capsys.readouterr()
     assert code == 1

@@ -60,6 +60,16 @@ def test_make_rejects_small_pq():
         make_grading_group("fermat", 3, 3)
 
 
+def test_elements_of_different_groups_do_not_combine():
+    # an identity test, not an assert, so it holds under python -O too
+    a = make_grading_group("loop", 3, 3).x
+    b = make_grading_group("loop", 3, 4).x
+    with pytest.raises(ArithmeticError):
+        a + b
+    with pytest.raises(ArithmeticError):
+        a - b
+
+
 def test_examples_from_each_family():
     # loop(2,2): |L/Zc| = 3
     assert make_grading_group("loop", 2, 2).order_mod_c == 3

@@ -2,8 +2,8 @@
 
 The reference functions below are a dense `Fraction` elimination.  The
 reduced row echelon form of a matrix is unique, so both must agree exactly:
-the same rank, the same nullspace basis, the same particular solution and
-the same reduced vectors.  `_linalg` takes and returns sparse dict rows
+the same rank, the same nullspace basis, the same echelon basis and the
+same reduced vectors.  `_linalg` takes and returns sparse dict rows
 (all but `rank`); the tests convert to and from dense lists only here, at
 the boundary.
 """
@@ -11,7 +11,7 @@ the boundary.
 import random
 from fractions import Fraction
 
-from mfvc._linalg import Subspace, nullspace, rank, solve
+from mfvc._linalg import Subspace, nullspace, rank
 
 
 # ---------------------------------------------------------------------------
@@ -56,19 +56,6 @@ def ref_nullspace(rows, ncols=None):
             v[pc] = -red[i][fc]
         basis.append(v)
     return basis
-
-
-def ref_solve(rows, rhs):
-    if not rows:
-        return [] if all(b == 0 for b in rhs) else None
-    ncols = len(rows[0])
-    red, pivots = ref_rref([list(r) + [b] for r, b in zip(rows, rhs)])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][ncols]
-    return x
 
 
 def ref_reduce(basis, pivots, vec):
@@ -135,26 +122,6 @@ def test_nullspace_matches_reference():
             assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
 
 
-def test_solve_matches_reference():
-    rng = random.Random(13)
-    for rows in random_cases(14, 300):
-        ncols = len(rows[0])
-        if rng.random() < 0.5:
-            # consistent: the image of a random vector
-            x0 = [Fraction(rng.randint(-2, 2)) for _ in rows[0]]
-            rhs = [sum(a * b for a, b in zip(r, x0)) for r in rows]
-        else:
-            rhs = [Fraction(rng.randint(-2, 2)) for _ in rows]
-        got = solve([sparse(r) for r in rows], sparse(rhs), ncols)
-        want = ref_solve(rows, rhs)
-        if want is None:
-            assert got is None
-        else:
-            x = dense(got, ncols)
-            assert x == want
-            assert [sum(a * b for a, b in zip(r, x)) for r in rows] == rhs
-
-
 def test_subspace_matches_reference():
     rng = random.Random(15)
     for rows in random_cases(16, 300):
@@ -167,7 +134,7 @@ def test_subspace_matches_reference():
             assert span.contains(sparse(v)) is not grows
             assert dense(span.reduce(sparse(v)), ncols) == ref_reduce(before_red, before_piv, v)
             assert span.add(sparse(v)) is grows
-            assert span.dim() == len(after_piv)
+            assert len(span.basis) == len(after_piv)
             # the reductions of the unit vectors determine the echelon basis
             for c in range(ncols):
                 assert dense(span.reduce({c: Fraction(1)}), ncols) == \
@@ -176,9 +143,31 @@ def test_subspace_matches_reference():
         red, piv = ref_rref(rows)
         assert dense(span.reduce(sparse(probe)), ncols) == ref_reduce(red, piv, probe)
         whole = Subspace([sparse(r) for r in rows])
-        assert whole.dim() == span.dim()
+        assert len(whole.basis) == len(span.basis)
         for c in range(ncols):
             assert whole.reduce({c: Fraction(1)}) == span.reduce({c: Fraction(1)})
+
+
+def test_subspace_basis_matches_reference():
+    # the basis holds the reference echelon rows, keyed by pivot in the order
+    # the pivots were found; a member's coordinates in it are its entries at
+    # the pivots
+    rng = random.Random(17)
+    for rows in random_cases(18, 300):
+        ncols = len(rows[0])
+        span = Subspace([sparse(r) for r in rows])
+        red, piv = ref_rref(rows)
+        basis = span.basis
+        assert {p: dense(row, ncols) for p, row in basis.items()} == dict(zip(piv, red))
+        found = []
+        for i in range(len(rows)):
+            found += [p for p in ref_rref(rows[:i + 1])[1] if p not in found]
+        assert list(basis) == found
+        coeffs = [Fraction(rng.randint(-2, 2)) for _ in basis]
+        member = {}
+        for k, row in zip(coeffs, basis.values()):
+            member = {c: member.get(c, 0) + k * row.get(c, 0) for c in set(member) | set(row)}
+        assert [member[p] for p in basis] == coeffs
 
 
 def test_subspace_add_reports_growth():
@@ -187,7 +176,7 @@ def test_subspace_add_reports_growth():
     assert span.add(v) is True
     assert span.add(v) is False
     assert span.add({c: 2 * a for c, a in v.items()}) is False
-    assert span.dim() == 1
+    assert len(span.basis) == 1
     assert span.reduce({1: Fraction(1)}) == {2: Fraction(1, 2)}
     assert span.contains({}) and not span.contains({0: Fraction(1)})
     assert span.add({}) is False
@@ -198,14 +187,10 @@ def test_zero_rows_and_empty_input():
     assert rank([[Fraction(0)] * 3, [Fraction(0)] * 3]) == 0
     assert nullspace(zero, 3) == [sparse(r) for r in ref_nullspace([[Fraction(0)] * 3] * 2)] == [
         {0: 1}, {1: 1}, {2: 1}]
-    assert solve(zero, {}, 3) == {}
-    assert solve(zero, {1: Fraction(1)}, 3) is None
     assert rank([]) == 0
     assert nullspace([], 0) == []
-    assert solve([], {}, 0) == {} and solve([], {}, 2) == {}
-    assert solve([{}], {0: Fraction(1)}, 0) is None
     empty = Subspace()
-    assert empty.dim() == 0 and empty.reduce({}) == {}
+    assert len(empty.basis) == 0 and empty.reduce({}) == {}
     assert empty.reduce({0: Fraction(0), 1: Fraction(3)}) == {1: Fraction(3)}
 
 
@@ -216,21 +201,11 @@ def test_nullspace_ncols_without_rows_is_identity():
     assert nullspace([], 0) == []
 
 
-def test_inconsistent_solve():
-    rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    sparse_rows = [sparse(r) for r in rows]
-    assert solve(sparse_rows, {0: Fraction(1), 1: Fraction(3)}, 2) is None
-    assert ref_solve(rows, [Fraction(1), Fraction(3)]) is None
-    assert dense(solve(sparse_rows, {0: Fraction(1), 1: Fraction(2)}, 2), 2) == [1, 0]
-
-
 def test_integer_input_gives_fractions():
     # entries may arrive as ints; results are exact Fractions, never floats
     assert rank([[2, 1], [4, 3]]) == 2 and rank([[2, 1], [4, 2]]) == 1
     [v, w] = nullspace([{0: 2, 1: 1}], 3)
     assert dense(v, 3) == [Fraction(-1, 2), 1, 0] and dense(w, 3) == [0, 0, 1]
-    x = solve([{0: 2}, {1: 3}], {0: 1, 1: 1}, 2)
-    assert dense(x, 2) == [Fraction(1, 2), Fraction(1, 3)]
     span = Subspace([{0: 2, 1: 1}])
     assert dense(span.reduce({1: 1}), 2) == [0, 1]
     assert dense(span.reduce({0: 1}), 2) == [0, Fraction(-1, 2)]

@@ -12,7 +12,7 @@ from mfvc.mf import (
     generator_morphism,
     identity_morphism,
 )
-from mfvc.polyring import Poly, poly_x
+from mfvc.polyring import Poly, QuotientRing, family_w, poly_x, poly_y
 
 
 def labels_for(family, p, q):
@@ -292,7 +292,7 @@ def test_chain_map_space_contains_no_fake_maps():
     coh = HomCohomology(kx1, kx2.module)
     for n in range(0, 4):
         for f in chain_map_space(kx1, kx2, n):
-            assert coh.cohomology(n).identify(f.buchweitz_vector(coh)) == []
+            assert coh.cohomology(n).identify(coh.vector(n, f.projection())) == []
 
 
 def _morphism_coordinates(K, H, n, f0, f1):
@@ -402,3 +402,34 @@ def test_empty_term_has_zero_cohomology_without_differentials():
     assert data.dim == 0
     assert data.identify({}) == []
     assert not coh._diffs  # decided before any differential is built
+
+
+def test_identify_in_a_two_dimensional_cohomology():
+    # no hom between basic objects has dimension 2, but K0(1,1) against
+    # R/(x^3, y^5, w) does in degree 4; all of term(4) are cocycles
+    g = make_grading_group("loop", 3, 3)
+    K = build_basic_object(g, ("K0", 1, 1))
+    w = family_w("loop", 3, 3)
+    coh = HomCohomology(K, QuotientRing(g, [poly_x(3), poly_y(5), w]))
+    data = coh.cohomology(4)
+    assert data.dim == 2 and len(data.im.basis) == 2
+    assert data.rep_strings() == ["x^2*y^2@1", "y^4@1"]
+    rep0, rep1 = data.reps
+    assert data.identify(rep0) == [1, 0] and data.identify(rep1) == [0, 1]
+    boundary = next(col for col in coh.diff(3) if col)
+    mixed = {c: rep0.get(c, 0) + 2 * rep1.get(c, 0) + boundary.get(c, 0)
+             for c in set(rep0) | set(rep1) | set(boundary)}
+    assert data.identify(mixed) == [1, 2]
+    # only a one-dimensional hom has a generator to lift
+    with pytest.raises(ArithmeticError, match="dimension 2"):
+        generator_morphism(K, K, 4, coh)
+    # a non-cocycle: a unit vector whose diff(3) column is nonzero, in a
+    # zero and in a one-dimensional cohomology
+    j = next(j for j, col in enumerate(coh.diff(3)) if col)
+    with pytest.raises(ArithmeticError, match="not a cocycle"):
+        coh.cohomology(3).identify({j: Fraction(1)})
+    coh = HomCohomology(K, QuotientRing(g, [poly_x(2), poly_y(3), w]))
+    assert coh.cohomology(3).dim == 1
+    j = next(j for j, col in enumerate(coh.diff(3)) if col)
+    with pytest.raises(ArithmeticError, match="not a cocycle"):
+        coh.cohomology(3).identify({j: Fraction(1)})
