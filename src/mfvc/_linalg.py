@@ -1,14 +1,20 @@
 """Small exact linear algebra over Q, eliminating on sparse rows.
 
-A row or vector is a dict {column: Fraction} that holds only nonzero
+A row or vector is a dict {column: coefficient} that holds only nonzero
 entries; the matrices here are monomial or binomial differentials and
 chain-map equations, so most entries are zero and are never touched.
 `nullspace` and `Subspace` take and return such dicts, and `nullspace`
-takes the column count, which a dict cannot supply.  Entries given as `int`
-are accepted: every dict that comes back holds `Fraction`s, and zero
-entries given on input are dropped.  `rank` alone takes dense rows (lists),
-since its callers, the brute-force piece-dimension oracle and the benchmark
-harness, build dense rows.
+takes the column count, which a dict cannot supply.  Entries may be given
+as `int` or `Fraction`, and zero entries given on input are dropped.
+`rank` alone takes dense rows (lists), since its callers, the brute-force
+piece-dimension oracle and the benchmark harness, build dense rows.
+
+Exact coefficients throughout mfvc are held in canonical form: an `int`
+when the value is integral and a `Fraction` only when it is not (`_q`).
+Every dict that comes back from here is in that form.  Sums, differences
+and products of such values stay exact; the one trap is `int / int`, which
+gives a float, so every division goes through `_div`.  An integral value
+compares and hashes equal, and prints the same, as either type.
 
 A row space is kept in reduced row echelon form as a dict from pivot column
 to its row, scaled to 1 at the pivot.  Every other pivot column is zero in
@@ -21,7 +27,24 @@ are inserted in.
 
 from fractions import Fraction
 
-_ONE = Fraction(1)
+
+def _q(c):
+    """The canonical form of an exact value c: an int if it is integral,
+    else a Fraction.  Hot loops test `type(c) is int` inline and call this
+    only for the other values."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """Exact a / b in canonical form, for canonical a and nonzero b."""
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    return _q(Fraction(a, b))
 
 
 def _axpy(target, f, row):
@@ -29,19 +52,19 @@ def _axpy(target, f, row):
     for c, a in row.items():
         x = target.get(c, 0) - f * a
         if x:
-            target[c] = x
+            target[c] = x if type(x) is int else _q(x)
         else:
             del target[c]
 
 
 def _reduce(vec, pivots):
-    """vec reduced against the pivot rows, as a new dict of Fractions.
+    """vec reduced against the pivot rows, as a new dict in canonical form.
 
     One pass over the pivot columns vec touches is enough: a pivot row is
     zero in every other pivot column, so subtracting it leaves the vector's
     entries there as they were.
     """
-    out = {c: a if type(a) is Fraction else Fraction(a) for c, a in vec.items() if a}
+    out = {c: _q(a) for c, a in vec.items() if a}
     for p, f in vec.items():
         row = pivots.get(p)
         if row is not None and f:
@@ -54,7 +77,7 @@ def _insert(vec, pivots):
     leading column, and clear that column from the other pivot rows."""
     p = min(vec)
     pv = vec[p]
-    row = vec if pv == 1 else {c: a / pv for c, a in vec.items()}
+    row = vec if pv == 1 else {c: _div(a, pv) for c, a in vec.items()}
     for other in pivots.values():
         f = other.get(p)
         if f is not None:
@@ -88,7 +111,7 @@ def nullspace(rows, ncols):
         for c, a in row.items():
             if c != p:
                 by_free.setdefault(c, {})[p] = -a
-    return [{fc: _ONE, **by_free.get(fc, {})} for fc in range(ncols) if fc not in pivots]
+    return [{fc: 1, **by_free.get(fc, {})} for fc in range(ncols) if fc not in pivots]
 
 
 class Subspace:

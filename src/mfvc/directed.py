@@ -7,10 +7,6 @@ of generators into a nonzero hom is +1 times the generator, a directed
 algebra is determined by the object order and the nonzero hom pairs.
 """
 
-from fractions import Fraction
-
-_ONE = Fraction(1)
-
 
 def object_shift(label):
     """Cohomological shift of an object label: 3 for the B-side objects
@@ -174,9 +170,9 @@ def _arrows_and_relations(algebra):
             paths = [[index[(a, objects[m])], index[(objects[m], objects[k])]]
                      for m in _bits(out[i] & into[k])]
             if succ[i] >> k & 1:
-                relations += [[(-_ONE, paths[0]), (_ONE, path)] for path in paths[1:]]
+                relations += [[(-1, paths[0]), (1, path)] for path in paths[1:]]
             else:
-                relations += [[(_ONE, path)] for path in paths]
+                relations += [[(1, path)] for path in paths]
     return arrows, relations
 
 

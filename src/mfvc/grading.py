@@ -30,7 +30,9 @@ class GroupElement:
     g = group.torsion_order, so an element is stored canonically as its
     residue r = alpha*u + beta*v in [0, g) and its weight w = b'*u + a'*v
     (see the module docstring).  Group operations, equality and hashing
-    act on (r, w) directly; no lattice reduction is needed.
+    act on (r, w) directly; no lattice reduction is needed.  Two elements
+    combine when their groups are one object or two builds of the same
+    (family, p, q), compared by `GradingGroup.key`.
     """
 
     __slots__ = ("group", "r", "w")
@@ -42,14 +44,14 @@ class GroupElement:
 
     def __add__(self, other):
         g = self.group
-        if g is not other.group:
-            raise ArithmeticError("elements of two different GradingGroup objects")
+        if g is not other.group and g.key != other.group.key:
+            raise ArithmeticError("elements of two different grading groups")
         return GroupElement(g, (self.r + other.r) % g.torsion_order, self.w + other.w)
 
     def __sub__(self, other):
         g = self.group
-        if g is not other.group:
-            raise ArithmeticError("elements of two different GradingGroup objects")
+        if g is not other.group and g.key != other.group.key:
+            raise ArithmeticError("elements of two different grading groups")
         return GroupElement(g, (self.r - other.r) % g.torsion_order, self.w - other.w)
 
     def __neg__(self):
@@ -61,8 +63,8 @@ class GroupElement:
         return GroupElement(g, n * self.r % g.torsion_order, n * self.w)
 
     def __eq__(self, other):
-        return (isinstance(other, GroupElement) and self.group is other.group
-                and self.w == other.w and self.r == other.r)
+        return (isinstance(other, GroupElement) and self.w == other.w and self.r == other.r
+                and (self.group is other.group or self.group.key == other.group.key))
 
     def __hash__(self):
         return hash((self.r, self.w))
@@ -98,6 +100,7 @@ class GradingGroup:
         self.family = family
         self.p = p
         self.q = q
+        self.key = (family, p, q)
         self.relations = [[p, e, -1], [f, q, -1]]
         a, b = p - f, q - e
         g = gcd(a, b)

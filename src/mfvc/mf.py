@@ -24,9 +24,7 @@ outer factor f alone, multiplied by the one matrix of g it meets, so the
 composite is never formed.
 """
 
-from fractions import Fraction
-
-from ._linalg import Subspace, nullspace
+from ._linalg import Subspace, _div, nullspace
 from .grading import GroupElement
 from .polyring import (
     Poly,
@@ -38,8 +36,6 @@ from .polyring import (
     poly_x,
     poly_y,
 )
-
-_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +383,7 @@ class CohomologyData:
         red = self.im.reduce(vector)
         if not self.classes.contains(red):
             raise ArithmeticError("vector is not a cocycle of this degree")
-        return [red.get(p, _ZERO) for p in self.classes.basis]
+        return [red.get(p, 0) for p in self.classes.basis]
 
     def rep_strings(self):
         out = []
@@ -521,7 +517,8 @@ def generator_morphism(K, H, n, cohom: HomCohomology):
     for f in chain_map_space(K, H, n):
         [a] = data.identify(cohom.vector(n, f.projection()))
         if a:
-            return MFMorphism(K, H, n, mat_scale(f.f0, 1 / a), mat_scale(f.f1, 1 / a))
+            inv = _div(1, a)
+            return MFMorphism(K, H, n, mat_scale(f.f0, inv), mat_scale(f.f1, inv))
     raise ArithmeticError("no chain map lifts the cohomology class")
 
 

@@ -2,7 +2,8 @@
 enumeration of graded pieces of quotient rings.
 
 Monomials are plain (u, v) exponent tuples, polynomials are dicts mapping
-monomials to nonzero Fractions.  The monomial order is degree-reverse-
+monomials to nonzero exact coefficients in the canonical form of `_linalg`:
+an `int` when integral, a `Fraction` otherwise.  The monomial order is degree-reverse-
 lexicographic with x > y, fixed globally; for two variables this is the
 order on the keys (u+v, -v).
 
@@ -13,6 +14,7 @@ since all ideals and differentials have integer coefficients.
 from copy import copy
 from fractions import Fraction
 
+from ._linalg import _div, _q
 from .families import exponents
 from .grading import GradingGroup, GroupElement
 
@@ -59,7 +61,8 @@ def mono_str(m):
 
 
 class Poly:
-    """Bivariate polynomial with exact rational coefficients."""
+    """Bivariate polynomial with exact rational coefficients, each held as
+    an `int` when integral and as a `Fraction` otherwise."""
 
     __slots__ = ("terms",)
 
@@ -67,17 +70,17 @@ class Poly:
         self.terms = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = _q(c)
                 if c:
                     self.terms[m] = c
 
     @classmethod
     def monomial(cls, u, v, coeff=1):
-        return cls({(u, v): Fraction(coeff)})
+        return cls({(u, v): coeff})
 
     @classmethod
     def constant(cls, c):
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): c})
 
     def __bool__(self):
         return bool(self.terms)
@@ -93,7 +96,7 @@ class Poly:
         for m, c in other.terms.items():
             s = res.get(m, 0) + c
             if s:
-                res[m] = s
+                res[m] = s if type(s) is int else _q(s)
             else:
                 res.pop(m, None)
         out = Poly.__new__(Poly)
@@ -105,7 +108,7 @@ class Poly:
         for m, c in other.terms.items():
             s = res.get(m, 0) - c
             if s:
-                res[m] = s
+                res[m] = s if type(s) is int else _q(s)
             else:
                 res.pop(m, None)
         out = Poly.__new__(Poly)
@@ -122,7 +125,7 @@ class Poly:
             if not other:
                 return Poly()
             out = Poly.__new__(Poly)
-            out.terms = {m: c * other for m, c in self.terms.items()}
+            out.terms = {m: _q(c * other) for m, c in self.terms.items()}
             return out
         res = {}
         for m1, c1 in self.terms.items():
@@ -130,7 +133,7 @@ class Poly:
                 m = (m1[0] + m2[0], m1[1] + m2[1])
                 s = res.get(m, 0) + c1 * c2
                 if s:
-                    res[m] = s
+                    res[m] = s if type(s) is int else _q(s)
                 else:
                     del res[m]
         out = Poly.__new__(Poly)
@@ -141,7 +144,7 @@ class Poly:
 
     def mul_mono(self, mono, coeff=1):
         out = Poly.__new__(Poly)
-        out.terms = {(m[0] + mono[0], m[1] + mono[1]): c * coeff for m, c in self.terms.items()}
+        out.terms = {(m[0] + mono[0], m[1] + mono[1]): _q(c * coeff) for m, c in self.terms.items()}
         return out
 
     def lead(self):
@@ -153,7 +156,7 @@ class Poly:
         if not self.terms:
             return self
         _, c = self.lead()
-        return self * (Fraction(1) / c)
+        return self * _div(1, c)
 
     def degree_in(self, group):
         """The common L-degree of all terms, or None if inhomogeneous."""
@@ -225,7 +228,7 @@ def normal_form(f, basis):
         for (lm, lc), g in leads:
             if mono_divides(lm, m):
                 shift = mono_div(m, lm)
-                factor = c / lc
+                factor = _div(c, lc)
                 for gm, gc in g.terms.items():
                     mm = mono_mul(gm, shift)
                     if mm == m:
@@ -237,7 +240,7 @@ def normal_form(f, basis):
                         work.pop(mm, None)
                 break
         else:
-            result[m] = c
+            result[m] = _q(c)
     out = Poly.__new__(Poly)
     out.terms = result
     return out
@@ -247,7 +250,7 @@ def s_poly(f, g):
     (mf, cf) = f.lead()
     (mg, cg) = g.lead()
     l = mono_lcm(mf, mg)
-    return f.mul_mono(mono_div(l, mf), Fraction(1) / cf) - g.mul_mono(mono_div(l, mg), Fraction(1) / cg)
+    return f.mul_mono(mono_div(l, mf), _div(1, cf)) - g.mul_mono(mono_div(l, mg), _div(1, cg))
 
 
 def groebner(generators):
@@ -456,9 +459,9 @@ def brute_force_piece_dim(group, generators, shift, delta_rep, bound):
                 first = next(iter(shifted))
                 if group.element(*first).mod_c() != target:
                     continue
-                row = [Fraction(0)] * len(monos)
+                row = [0] * len(monos)
                 for m, c in shifted.items():
-                    row[index[m]] = Fraction(c)
+                    row[index[m]] = c
                 rows.append(row)
     if not rows:
         return len(monos)

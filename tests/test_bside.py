@@ -186,3 +186,43 @@ def test_loop_quiver_relations_are_squares_and_dashed():
     assert len(two_term) >= 1  # the commuting square
     assert all(abs(c) == 1 for r in quiv.relations for c, _ in r)
     assert one_term  # at least one vanishing composite
+
+
+@pytest.mark.parametrize("fam,p,q", [("loop", 4, 4), ("chain", 4, 5), ("bp", 5, 3)])
+def test_integer_data_stays_integer(monkeypatch, fam, p, q):
+    # every coefficient of the B side is integral, and the exact arithmetic
+    # holds integral values as int: no float, and no Fraction, appears in a
+    # Groebner basis, a class representative, a generator chain map or a
+    # composite's class coordinates
+    from mfvc import bside
+
+    lifted, composites = [], []
+
+    def lifting(*args):
+        f = generator_morphism(*args)
+        lifted.append(f)
+        return f
+
+    def composing(*args):
+        vec = compose_and_identify(*args)
+        composites.append(vec)
+        return vec
+
+    monkeypatch.setattr(bside, "generator_morphism", lifting)
+    monkeypatch.setattr(bside, "compose_and_identify", composing)
+    table = hom_table(FamilySpec(fam, p, q))
+    composition_table(table.spec, table)
+    assert lifted and composites
+
+    gb = [c for X in table.objects for g in X.mf.module.gb for c in g.terms.values()]
+    reps = []
+    for (a, b, d) in table.dims:
+        n = d + table.object(b).offset - table.object(a).offset
+        reps += [c for rep in table.cohomology(a, b).cohomology(n).reps for c in rep.values()]
+    chain = [c for f in lifted for mat in (f.f0, f.f1) for row in mat for e in row
+             for c in e.terms.values()]
+    coords = [c for vec in composites for c in vec]
+    for name, values in (("groebner", gb), ("reps", reps), ("chain maps", chain),
+                         ("composites", coords)):
+        assert values, name
+        assert all(type(c) is int for c in values), (name, [c for c in values if type(c) is not int][:5])

@@ -70,6 +70,18 @@ def test_elements_of_different_groups_do_not_combine():
         a - b
 
 
+def test_elements_of_two_builds_of_one_group_combine():
+    # each call builds a new GradingGroup; builds of one (family, p, q)
+    # share a key, so their elements add and compare equal
+    a = make_grading_group("loop", 3, 3).x
+    b = make_grading_group("loop", 3, 3).x
+    assert a.group is not b.group and a.group.key == b.group.key
+    assert a + b == b + a == 2 * a
+    assert a == b and hash(a) == hash(b)
+    assert (a - b).is_zero()
+    assert a != make_grading_group("loop", 3, 4).x
+
+
 def test_examples_from_each_family():
     # loop(2,2): |L/Zc| = 3
     assert make_grading_group("loop", 2, 2).order_mod_c == 3

@@ -11,7 +11,7 @@ the boundary.
 import random
 from fractions import Fraction
 
-from mfvc._linalg import Subspace, nullspace, rank
+from mfvc._linalg import Subspace, _div, _q, nullspace, rank
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +96,16 @@ def sparse(vec):
     return {c: a for c, a in enumerate(vec) if a}
 
 
+def canonical(a):
+    """a is a nonzero exact value in canonical form: an int, or a Fraction
+    that is not integral (never a float, never a Fraction with denominator 1)."""
+    return a != 0 and (type(a) is int or type(a) is Fraction and a.denominator != 1)
+
+
 def dense(vec, ncols):
     """A returned dict as a dense list, after checking that it holds only
-    nonzero Fractions inside the column range."""
-    assert all(type(a) is Fraction and a != 0 for a in vec.values()), vec
+    nonzero values in canonical form inside the column range."""
+    assert all(canonical(a) for a in vec.values()), vec
     assert all(0 <= c < ncols for c in vec), vec
     return [vec.get(c, Fraction(0)) for c in range(ncols)]
 
@@ -202,7 +208,7 @@ def test_nullspace_ncols_without_rows_is_identity():
 
 
 def test_integer_input_gives_fractions():
-    # entries may arrive as ints; results are exact Fractions, never floats
+    # entries may arrive as ints; results are exact, never floats
     assert rank([[2, 1], [4, 3]]) == 2 and rank([[2, 1], [4, 2]]) == 1
     [v, w] = nullspace([{0: 2, 1: 1}], 3)
     assert dense(v, 3) == [Fraction(-1, 2), 1, 0] and dense(w, 3) == [0, 0, 1]
@@ -211,3 +217,33 @@ def test_integer_input_gives_fractions():
     assert dense(span.reduce({0: 1}), 2) == [0, Fraction(-1, 2)]
     assert dense(span.reduce({0: 3, 1: 0}), 2) == [0, Fraction(-3, 2)]
     assert span.contains({0: 4, 1: 2}) and not span.contains({1: 1})
+
+
+def test_div_is_exact_and_canonical():
+    # b = +-1 returns a or -a unchanged; any other divisor goes through
+    # Fraction, so int / int never becomes a float, and an integral
+    # quotient comes back as an int
+    half = Fraction(1, 2)
+    assert _div(5, 1) == 5 and _div(5, -1) == -5
+    assert _div(half, 1) is half and _div(half, -1) == Fraction(-1, 2)
+    assert _div(3, 2) == Fraction(3, 2) and type(_div(3, 2)) is Fraction
+    assert _div(6, 3) == 2 and type(_div(6, 3)) is int
+    assert _div(-6, 4) == Fraction(-3, 2)
+    assert _div(half, Fraction(1, 4)) == 2 and type(_div(half, Fraction(1, 4))) is int
+    assert _div(1, Fraction(2, 3)) == Fraction(3, 2)
+    assert all(canonical(_div(a, b)) for a in (-3, -1, 1, 2, half) for b in (-2, -1, 1, 3, half))
+
+
+def test_q_gives_canonical_form():
+    assert _q(3) == 3 and type(_q(3)) is int
+    assert _q(Fraction(4, 2)) == 2 and type(_q(Fraction(4, 2))) is int
+    assert _q(Fraction(3, 2)) == Fraction(3, 2) and type(_q(Fraction(3, 2))) is Fraction
+
+
+def test_nullspace_of_integer_row():
+    [v] = nullspace([{0: 2, 1: 3}], 2)
+    assert v == {0: Fraction(-3, 2), 1: 1}
+    assert type(v[0]) is Fraction and type(v[1]) is int
+    # integer input with a unit pivot stays integral throughout
+    [w] = nullspace([{0: 1, 1: 3}, {1: 2, 2: 4}], 3)
+    assert w == {0: 6, 1: -2, 2: 1} and all(type(a) is int for a in w.values())

@@ -28,6 +28,40 @@ def test_poly_arithmetic_exact():
     assert (3 * h).terms == {(0, 0): 1}
 
 
+
+def test_integral_coefficients_are_ints():
+    # values that enter a Poly are held in canonical form
+    f = Poly({(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2), (0, 0): Fraction(0)})
+    assert f.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)}
+    assert type(f.terms[(1, 0)]) is int
+    assert type(Poly.monomial(1, 1, Fraction(3, 3)).terms[(1, 1)]) is int
+    assert type(Poly.constant(Fraction(-6, 2)).terms[(0, 0)]) is int
+
+
+def test_monic_divides_exactly():
+    m = Poly({(1, 0): 2, (0, 1): 3}).monic()
+    assert m.terms == {(1, 0): 1, (0, 1): Fraction(3, 2)}
+    assert type(m.terms[(1, 0)]) is int and type(m.terms[(0, 1)]) is Fraction
+    assert Poly({(1, 0): -1, (0, 1): 4}).monic().terms == {(1, 0): 1, (0, 1): -4}
+
+
+def test_groebner_of_non_monic_generators():
+    # (2x^2 + 3y, 3xy + 1) has the reduced basis (x^2 + 3/2 y, xy + 1/3,
+    # y^2 - 2/9 x): monic, with the exact rationals the divisions leave
+    gb = groebner([Poly({(2, 0): 2, (0, 1): 3}), Poly({(1, 1): 3, (0, 0): 1})])
+    assert [h.terms for h in gb] == [
+        {(0, 2): 1, (1, 0): Fraction(-2, 9)},
+        {(1, 1): 1, (0, 0): Fraction(1, 3)},
+        {(2, 0): 1, (0, 1): Fraction(3, 2)},
+    ]
+    coeffs = [c for h in gb for c in h.terms.values()]
+    assert all(type(c) is int or type(c) is Fraction and c.denominator != 1 for c in coeffs)
+    # x^2 y = x (xy + 1/3) - x/3, and three times that has the int coefficient -1
+    assert normal_form(Poly.monomial(2, 1), gb).terms == {(1, 0): Fraction(-1, 3)}
+    r = normal_form(Poly.monomial(2, 1, 3), gb)
+    assert r.terms == {(1, 0): -1} and type(r.terms[(1, 0)]) is int
+
+
 def test_degrevlex_order():
     # x > y, and higher total degree wins
     assert mono_key((1, 0)) > mono_key((0, 1))
