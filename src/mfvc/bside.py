@@ -67,12 +67,15 @@ class HomTable:
     """Computed per-degree hom dimensions, with class representatives.
 
     Every (pair, degree) cell of the window is compared with
-    `expected_hom_dim`.  Cohomology is computed only for the cells inside
+    `expected_hom_dim`.  Dimensions are computed only for the cells inside
     the pair's `HomCohomology.degree_support`: outside it every Buchweitz
-    term is empty, so the dim is 0 without building anything.  For a
-    finite-staircase target this bound closes the pair in all degrees; for
-    the targets R/(x), R/(y) and R/(f) it has no upper end, and degrees
-    past the window rest on the divisibility lemma of the README."""
+    term is empty, so the dim is 0 without building anything.  Inside it a
+    cell's dimension comes from the ranks of its two differentials
+    (`HomCohomology.dim`); representatives are built only where they are
+    read, by `rows` and by composition.  For a finite-staircase target the
+    support closes the pair in all degrees; for the targets R/(x), R/(y)
+    and R/(f) it has no upper end, and degrees past the window rest on the
+    divisibility lemma of the README."""
 
     def __init__(self, spec: FamilySpec, window=DEGREE_WINDOW):
         self.spec = spec
@@ -89,7 +92,7 @@ class HomTable:
                 for d in range(window[0], window[1] + 1):
                     n = d + Y.offset - X.offset
                     supported = lo <= n and (hi is None or n <= hi)
-                    dim = coh.cohomology(n).dim if supported else 0
+                    dim = coh.dim(n) if supported else 0
                     if dim:
                         self.dims[(X.label, Y.label, d)] = dim
                     want = expected_hom_dim(spec, X.label, Y.label, d)

@@ -24,7 +24,7 @@ outer factor f alone, multiplied by the one matrix of g it meets, so the
 composite is never formed.
 """
 
-from ._linalg import Subspace, _div, nullspace
+from ._linalg import Subspace, _div, _q, nullspace
 from .grading import GroupElement
 from .polyring import (
     Poly,
@@ -82,6 +82,7 @@ class MatrixFactorisation:
         self.module = module  # the QuotientRing K resolves, with its shift
         self.aug = list(aug)  # projection K^0 -> module, one Poly per even summand
         self.label = label
+        self._term_shifts = {}
 
     @property
     def rank(self):
@@ -105,13 +106,13 @@ class MatrixFactorisation:
         )
 
     def term_shifts(self, n):
-        """Shifts of the free module K^{-n}."""
-        c = self.group.c
-        if n % 2 == 0:
-            m = n // 2
-            return [a - m * c for a in self.even_shifts]
-        m = (n - 1) // 2
-        return [b - m * c for b in self.odd_shifts]
+        """Shifts of the free module K^{-n}, built once per n."""
+        got = self._term_shifts.get(n)
+        if got is None:
+            mc = (n // 2) * self.group.c
+            got = self._term_shifts[n] = [a - mc for a in (self.odd_shifts if n % 2
+                                                           else self.even_shifts)]
+        return got
 
     def validate(self):
         """Check both composition identities and entry homogeneity.
@@ -252,6 +253,12 @@ class HomCohomology:
     Terms are direct sums of exact graded pieces of M indexed by the
     summands of K^{-n}; differentials precompose with the structure maps of
     K.  Basis vectors are (summand, monomial) coordinates.
+
+    Each differential is eliminated once, as the `Subspace` of its
+    columns, which is the image in the next degree: `dim(n)` is
+    |term(n)| - rank d_n - rank d_(n-1), read off two images.  Only
+    `cohomology(n)`, which the representatives are read from, runs
+    `nullspace` on d_n.
     """
 
     def __init__(self, K: MatrixFactorisation, module: QuotientRing):
@@ -259,6 +266,7 @@ class HomCohomology:
         self.module = module
         self._terms = {}
         self._diffs = {}
+        self._images = {}
         self._cohom = {}
 
     def degree_support(self):
@@ -321,41 +329,66 @@ class HomCohomology:
         if got is None:
             tgt_index = {c: i for i, c in enumerate(self.term(n + 1))}
             P = self.K.d(n)
+            nf_mono = self.module.nf_mono
             got = []
-            for (t, mono) in self.term(n):
+            for (t, (u, v)) in self.term(n):
+                # column sum_s sum_m c * nf(x^u y^v m) at (s, .), no Poly formed
                 col = {}
-                for s in range(self.K.rank):
-                    entry = P[t][s]
-                    if entry:
-                        prod = self.module.nf(entry.mul_mono(mono))
-                        for pm, pc in prod.terms.items():
-                            col[tgt_index[(s, pm)]] = pc
+                for s, entry in enumerate(P[t]):
+                    for (a, b), c in entry.terms.items():
+                        for pm, pc in nf_mono((a + u, b + v)).terms.items():
+                            i = tgt_index[(s, pm)]
+                            x = col.get(i, 0) + c * pc
+                            if x:
+                                col[i] = x if type(x) is int else _q(x)
+                            else:
+                                del col[i]
                 got.append(col)
             self._diffs[n] = got
         return got
+
+    def image(self, n):
+        """The image of d_(n-1) in term(n), the coboundaries of degree n, as
+        the `Subspace` of the columns of diff(n - 1)."""
+        got = self._images.get(n)
+        if got is None:
+            if self.term(n) and self.term(n - 1):
+                got = Subspace(col for col in self.diff(n - 1) if col)
+            else:
+                got = _NO_IMAGE
+            self._images[n] = got
+        return got
+
+    def dim(self, n):
+        """dim H^n = |term(n)| - rank d_n - rank d_(n-1), from the images of
+        degrees n + 1 and n; no representatives are built."""
+        size = len(self.term(n))
+        if not size:
+            return 0
+        return size - len(self.image(n + 1).basis) - len(self.image(n).basis)
 
     def cohomology(self, n):
         got = self._cohom.get(n)
         if got is None:
             src = self.term(n)
-            if not src:
-                # zero cohomology and no differentials to build: most cells of
-                # a hom table are like this, so im and classes share one space
-                empty = Subspace()
-                got = CohomologyData(src, empty, empty)
-                self._cohom[n] = got
-                return got
-            # the kernel needs the rows of the outgoing differential; the
-            # coboundaries are the columns of the incoming one
-            rows = {}
-            for j, col in enumerate(self.diff(n)):
-                for i, a in col.items():
-                    rows.setdefault(i, {})[j] = a
-            ker = nullspace(list(rows.values()), len(src))
-            im = Subspace(col for col in self.diff(n - 1) if col)
-            got = CohomologyData(src, im, Subspace(im.reduce(v) for v in ker))
+            im = self.image(n)
+            if src:
+                # the kernel needs the rows of the outgoing differential
+                rows = {}
+                for j, col in enumerate(self.diff(n)):
+                    for i, a in col.items():
+                        rows.setdefault(i, {})[j] = a
+                ker = nullspace(list(rows.values()), len(src))
+                classes = Subspace(im.reduce(v) for v in ker)
+            else:
+                # zero cohomology and no differentials to build
+                classes = im
+            got = CohomologyData(src, im, classes)
             self._cohom[n] = got
         return got
+
+
+_NO_IMAGE = Subspace()  # the image of a zero map; never added to
 
 
 class CohomologyData:
@@ -407,7 +440,7 @@ class MFMorphism:
     matrices f0 : K^0 -> H^n and f1 : K^{-1} -> H^{n-1}.
 
     A morphism is not modified after construction, so the chain-map check
-    runs once and its answer is kept."""
+    and the projection run once and their answers are kept."""
 
     def __init__(self, source, target, degree, f0, f1):
         self.source = source
@@ -416,6 +449,7 @@ class MFMorphism:
         self.f0 = f0
         self.f1 = f1
         self._is_chain_map = None
+        self._projection = None
 
     def component(self, k):
         """The matrix f_k on K^{-k}, into H^{n-k}: f0 for even k, f1 for odd k."""
@@ -429,9 +463,13 @@ class MFMorphism:
 
     def projection(self):
         """nf(aug_H . f_n), the projection onto the target's module: one
-        normal form per summand of K^{-n}."""
-        H = self.target
-        return [H.module.nf(v) for v in mat_mul([H.aug], self.component(self.degree))[0]]
+        normal form per summand of K^{-n}.  The list is shared; do not
+        modify it."""
+        if self._projection is None:
+            H = self.target
+            self._projection = [H.module.nf(v)
+                                for v in mat_mul([H.aug], self.component(self.degree))[0]]
+        return self._projection
 
 
 def identity_morphism(K):

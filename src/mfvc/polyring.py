@@ -332,10 +332,22 @@ class QuotientRing:
         self.lead_terms = [g.lead()[0] for g in self.gb]
         self._nf_cache = {}
         self._std_cache = {}
+        box = self.staircase_bound()
+        if box is not None:
+            # a finite staircase: index its at most bx*by standard monomials
+            # by degree once, so that every later piece is one lookup
+            for u in range(box[0]):
+                for v in range(box[1]):
+                    if self.is_standard((u, v)):
+                        self._std_cache.setdefault(group.element(u, v), []).append((u, v))
+            for monos in self._std_cache.values():
+                monos.sort(key=mono_key)
+        self._finite = box is not None
 
     def shifted(self, l: GroupElement):
-        """A copy with shift + l.  It shares the Groebner basis and the
-        caches, which are keyed by absolute degree."""
+        """A copy with shift + l.  It shares the Groebner basis, the
+        normal-form cache and the standard-monomial index, which are keyed
+        by absolute degree."""
         out = copy(self)
         out.shift = self.shift + l
         return out
@@ -374,9 +386,13 @@ class QuotientRing:
     # -- piece enumeration ---------------------------------------------------
 
     def standard_monomials_exact(self, d: GroupElement):
-        """Standard monomials of exact degree d: a basis of (S/I)_d."""
+        """Standard monomials of exact degree d, sorted by `mono_key`: a
+        basis of (S/I)_d.  A finite staircase reads them from the index
+        built with the ring; an infinite one enumerates each degree once."""
         cached = self._std_cache.get(d)
         if cached is None:
+            if self._finite:
+                return ()
             cached = [m for m in monomials_of_exact_degree(self.group, d) if self.is_standard(m)]
             cached.sort(key=mono_key)
             self._std_cache[d] = cached

@@ -433,3 +433,86 @@ def test_identify_in_a_two_dimensional_cohomology():
     j = next(j for j, col in enumerate(coh.diff(3)) if col)
     with pytest.raises(ArithmeticError, match="not a cocycle"):
         coh.cohomology(3).identify({j: Fraction(1)})
+
+
+# specs of the rank and staircase reference tests; loop(7,4) has torsion in L
+REFERENCE_SPECS = [("loop", 4, 4), ("chain", 4, 5), ("bp", 5, 3), ("loop", 7, 4)]
+
+
+@pytest.mark.parametrize("fam,p,q", REFERENCE_SPECS)
+def test_dim_from_ranks_equals_cohomology_dim(fam, p, q):
+    # dim(n) reads two ranks; a fresh HomCohomology's cohomology(n) builds
+    # the kernel of d_n by nullspace and the classes modulo the image
+    from mfvc.bside import DEGREE_WINDOW, basic_objects
+    from mfvc.families import FamilySpec
+
+    objects = basic_objects(FamilySpec(fam, p, q))
+    cells = 0
+    for X in objects:
+        for Y in objects:
+            coh = HomCohomology(X.mf, Y.mf.module)
+            lo, hi = coh.degree_support()
+            for d in range(DEGREE_WINDOW[0], DEGREE_WINDOW[1] + 1):
+                n = d + Y.offset - X.offset
+                if lo <= n and (hi is None or n <= hi):
+                    reference = HomCohomology(X.mf, Y.mf.module).cohomology(n).dim
+                    assert coh.dim(n) == reference, (X.label, Y.label, n)
+                    cells += bool(reference)
+    assert cells >= len(objects)  # at least the identities
+
+
+def _nf_diff(coh, n):
+    """diff(n) built from one temporary Poly per entry and monomial:
+    nf(entry * mono), its terms written into the column."""
+    index = {c: i for i, c in enumerate(coh.term(n + 1))}
+    P = coh.K.d(n)
+    out = []
+    for (t, mono) in coh.term(n):
+        col = {}
+        for s in range(coh.K.rank):
+            if P[t][s]:
+                for pm, pc in coh.module.nf(P[t][s].mul_mono(mono)).terms.items():
+                    col[index[(s, pm)]] = pc
+        out.append(col)
+    return out
+
+
+@pytest.mark.parametrize("fam,p,q", [("loop", 4, 4), ("chain", 4, 5)])
+def test_diff_equals_normal_forms_of_products(fam, p, q):
+    # Kf has the binomial entry F, so the normal forms of its two terms must
+    # be summed, and in R/(f) they cancel.  (bp has no Kf and no binomial
+    # entry, and no two consecutive terms of its hom complexes are nonempty.)
+    from mfvc.bside import basic_objects
+    from mfvc.families import FamilySpec
+
+    objects = basic_objects(FamilySpec(fam, p, q))
+    [K] = [o.mf for o in objects if o.label == ("Kf",)]
+    summed = 0
+    for X in (K, K.shifted(K.group.x)):
+        for Y in objects:
+            coh = HomCohomology(X, Y.mf.module)
+            for n in range(-8, 9):
+                assert coh.diff(n) == _nf_diff(coh, n), (X.label, Y.label, n)
+                summed += sum(len(col) for col in coh.diff(n))
+    assert summed
+
+
+def test_projection_is_computed_once_per_morphism(monkeypatch):
+    from mfvc.mf import mat_mul
+
+    g = make_grading_group("loop", 3, 3)
+    a = build_basic_object(g, ("K0", 1, 1))
+    b = build_basic_object(g, ("Kf",))
+    gen = generator_morphism(a, b, 3, HomCohomology(a, b.module))
+    first = gen.projection()
+    assert first == [b.module.nf(v) for v in mat_mul([b.aug], gen.component(3))[0]]
+    calls = []
+    nf = QuotientRing.nf
+
+    def counting(self, poly):
+        calls.append(poly)
+        return nf(self, poly)
+
+    monkeypatch.setattr(QuotientRing, "nf", counting)
+    assert gen.projection() is first
+    assert calls == []

@@ -271,3 +271,32 @@ def test_loop_degree_zero_pattern(p, q):
 @pytest.mark.parametrize("q", range(2, 7))
 def test_chain_divisibility_pattern(p, q):
     assert chain_divisibility_counterexamples(p, q) == []
+
+
+@pytest.mark.parametrize("fam,p,q", [("loop", 4, 4), ("chain", 4, 5), ("bp", 5, 3), ("loop", 7, 4),
+                                     ("loop", 3, 4)])
+def test_indexed_staircase_equals_filtered_enumeration(fam, p, q):
+    # every finite staircase among the basic objects' modules, and a larger
+    # box with degrees of several monomials: its index against the standard
+    # monomials of each degree, found by enumeration.  In loop(3,4) x is
+    # heavier than y, so a degree's monomials in order of u are not in
+    # degrevlex order
+    from mfvc.bside import basic_objects
+    from mfvc.families import FamilySpec
+    from mfvc.polyring import mono_key, monomials_of_exact_degree
+
+    rings = [o.mf.module for o in basic_objects(FamilySpec(fam, p, q))]
+    box = QuotientRing(rings[0].group, [poly_x(2 * p), poly_y(2 * q)], label="box")
+    assert any(len(monos) > 1 for monos in box._std_cache.values())
+    finite = [r for r in rings if r.staircase_bound() is not None] + [box]
+    for ring in finite:
+        g = ring.group
+        bx, by = ring.staircase_bound()
+        for u in range(bx):
+            for v in range(by):
+                for d in (g.element(u, v), g.element(u, v) + g.c, g.element(u, v) - g.c):
+                    want = sorted((m for m in monomials_of_exact_degree(g, d) if ring.is_standard(m)),
+                                  key=mono_key)
+                    assert list(ring.standard_monomials_exact(d)) == want, (ring.label, u, v)
+        moved = ring.shifted(g.x)
+        assert moved.standard_monomials_exact(g.zero) is ring.standard_monomials_exact(g.zero)
