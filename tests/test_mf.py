@@ -435,14 +435,11 @@ def test_identify_in_a_two_dimensional_cohomology():
         coh.cohomology(3).identify({j: Fraction(1)})
 
 
-# specs of the rank and staircase reference tests; loop(7,4) has torsion in L
-REFERENCE_SPECS = [("loop", 4, 4), ("chain", 4, 5), ("bp", 5, 3), ("loop", 7, 4)]
-
-
-@pytest.mark.parametrize("fam,p,q", REFERENCE_SPECS)
+@pytest.mark.parametrize("fam,p,q", [("loop", 4, 4), ("chain", 4, 5), ("bp", 5, 3), ("loop", 7, 4)])
 def test_dim_from_ranks_equals_cohomology_dim(fam, p, q):
     # dim(n) reads two ranks; a fresh HomCohomology's cohomology(n) builds
-    # the kernel of d_n by nullspace and the classes modulo the image
+    # the kernel of d_n by nullspace and the classes modulo the image.
+    # loop(7,4) has torsion in L
     from mfvc.bside import DEGREE_WINDOW, basic_objects
     from mfvc.families import FamilySpec
 
@@ -481,7 +478,7 @@ def _nf_diff(coh, n):
 def test_diff_equals_normal_forms_of_products(fam, p, q):
     # Kf has the binomial entry F, so the normal forms of its two terms must
     # be summed, and in R/(f) they cancel.  (bp has no Kf and no binomial
-    # entry, and no two consecutive terms of its hom complexes are nonempty.)
+    # entry.)
     from mfvc.bside import basic_objects
     from mfvc.families import FamilySpec
 
