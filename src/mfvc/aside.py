@@ -344,11 +344,10 @@ def assemble_directed_algebra(spec: FamilySpec):
     lift computation puts every generator in degree 0.  The composition
     law is not computed: it is taken from the paper's thimble basis, in
     which every composite of generators into a nonzero hom is +1 times the
-    generator and every other one is 0.  That is the law
-    `DirectedAlgebra.coefficient` reads off the pairs, and
-    `check_associativity` off their bitmask graph.  (`sweep_square_signs`
-    rectifies the signs of a grid, but runs only on random grids, never on
-    this algebra.)"""
+    generator and every other one is 0.  The pairs fix that law, and
+    `DirectedAlgebra.check_associativity` reads it off their bitmask
+    graph.  (`sweep_square_signs` rectifies the signs of a grid, but runs
+    only on random grids, never on this algebra.)"""
     schedule = path_schedule(spec)
     table = intersection_table(schedule)
     _grading_degrees(schedule, table)

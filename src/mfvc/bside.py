@@ -15,23 +15,9 @@ from .mf import HomCohomology, build_basic_object, compose_and_identify, generat
 DEGREE_WINDOW = (-6, 6)
 
 
-class BObject:
-    """A basic object: a matrix factorisation plus a cohomological offset."""
-
-    def __init__(self, label, factorisation, offset):
-        self.label = label
-        self.mf = factorisation
-        self.offset = offset
-
-    def display(self):
-        return display_label(self.label)
-
-    def __repr__(self):
-        return self.display()
-
-
 def basic_objects(spec: FamilySpec):
-    """The ordered exceptional collection for the family."""
+    """The ordered exceptional collection for the family, as
+    {label: MatrixFactorisation} in collection order."""
     group = make_grading_group(spec.family, spec.p, spec.q)
     (p, e), (f, q) = group.exponents
     grid = sorted(((i, j) for i in range(1, p) for j in range(1, q)),
@@ -41,8 +27,13 @@ def basic_objects(spec: FamilySpec):
         labels += [("Kx", i) for i in range(1, p)]
     if e == 1:
         labels += [("Ky", j) for j in range(1, q)] + [("Kf",)]
-    return [BObject(label, build_basic_object(group, label), object_shift(label))
-            for label in labels]
+    return {label: build_basic_object(group, label) for label in labels}
+
+
+def _complex_degree(a, b, d=0):
+    """The degree of the hom complex from the factorisation of a to the
+    module of b that holds hom^d(a, b) between the shifted objects."""
+    return d + object_shift(b) - object_shift(a)
 
 
 def expected_hom_dim(spec: FamilySpec, a, b, degree):
@@ -64,18 +55,20 @@ def expected_hom_dim(spec: FamilySpec, a, b, degree):
 
 
 class HomTable:
-    """Computed per-degree hom dimensions, with class representatives.
+    """Computed per-degree hom dimensions between the basic objects, with
+    class representatives.
 
-    Every (pair, degree) cell of the window is compared with
-    `expected_hom_dim`.  Dimensions are computed only for the cells inside
-    the pair's `HomCohomology.degree_support`: outside it every Buchweitz
-    term is empty, so the dim is 0 without building anything.  Inside it a
-    cell's dimension comes from the ranks of its two differentials
-    (`HomCohomology.dim`); representatives are built only where they are
-    read, by `rows` and by composition.  For a finite-staircase target the
-    support closes the pair in all degrees; for the targets R/(x), R/(y)
-    and R/(f) it has no upper end, and degrees past the window rest on the
-    divisibility lemma of the README."""
+    `objects` is `basic_objects(spec)`.  Every (pair, degree) cell of the
+    window is compared with `expected_hom_dim`; `dims` holds the nonzero
+    cells in (source, target, degree) order.  Dimensions are computed only
+    for the cells inside the pair's `HomCohomology.degree_support`: outside
+    it every Buchweitz term is empty, so the dim is 0 without building
+    anything.  Inside it a cell's dimension comes from the ranks of its two
+    differentials (`HomCohomology.dim`); representatives are built only
+    where they are read, by `rows` and by composition.  For a
+    finite-staircase target the support closes the pair in all degrees; for
+    the targets R/(x), R/(y) and R/(f) it has no upper end, and degrees past
+    the window rest on the divisibility lemma of the README."""
 
     def __init__(self, spec: FamilySpec, window=DEGREE_WINDOW):
         self.spec = spec
@@ -84,52 +77,36 @@ class HomTable:
         self._coh = {}
         self.dims = {}
         self.mismatches = []
-        for X in self.objects:
-            for Y in self.objects:
-                coh = HomCohomology(X.mf, Y.mf.module)
-                self._coh[(X.label, Y.label)] = coh
+        degrees = range(window[0], window[1] + 1)
+        for a, X in self.objects.items():
+            for b, Y in self.objects.items():
+                coh = self._coh[(a, b)] = HomCohomology(X, Y.module)
                 lo, hi = coh.degree_support()
-                for d in range(window[0], window[1] + 1):
-                    n = d + Y.offset - X.offset
+                # n, the complex degree of d, steps with d
+                for n, d in enumerate(degrees, _complex_degree(a, b, window[0])):
                     supported = lo <= n and (hi is None or n <= hi)
                     dim = coh.dim(n) if supported else 0
                     if dim:
-                        self.dims[(X.label, Y.label, d)] = dim
-                    want = expected_hom_dim(spec, X.label, Y.label, d)
+                        self.dims[(a, b, d)] = dim
+                    want = expected_hom_dim(spec, a, b, d)
                     if dim != want:
                         self.mismatches.append(
-                            {"source": X.display(), "target": Y.display(),
+                            {"source": display_label(a), "target": display_label(b),
                              "degree": d, "dim": dim, "expected": want}
                         )
 
-    def matches_closed_form(self):
-        return not self.mismatches
-
     def cohomology(self, a, b):
         return self._coh[(a, b)]
-
-    def object(self, label):
-        return next(o for o in self.objects if o.label == label)
 
     def dim(self, a, b, degree=0):
         return self.dims.get((a, b, degree), 0)
 
     def rows(self):
-        """Serializable rows for every nonzero hom space."""
-        out = []
-        for X in self.objects:
-            for Y in self.objects:
-                for d in range(self.window[0], self.window[1] + 1):
-                    dim = self.dim(X.label, Y.label, d)
-                    if not dim:
-                        continue
-                    n = d + Y.offset - X.offset
-                    reps = self._coh[(X.label, Y.label)].cohomology(n).rep_strings()
-                    out.append({
-                        "source": X.display(), "target": Y.display(),
-                        "degree": d, "dim": dim, "basis": reps,
-                    })
-        return out
+        """Serializable rows for every nonzero hom space, in the order of
+        `dims`."""
+        return [{"source": display_label(a), "target": display_label(b), "degree": d,
+                 "dim": dim, "basis": self._coh[(a, b)].rep_strings(_complex_degree(a, b, d))}
+                for (a, b, d), dim in self.dims.items()]
 
     def skeleton(self):
         """The DirectedAlgebra on the nonzero homs between distinct objects.
@@ -138,8 +115,7 @@ class HomTable:
         which makes each of those homs one-dimensional in degree 0."""
         if self.mismatches:
             raise ArithmeticError(f"hom table deviates from the closed form: {self.mismatches[:3]}")
-        return DirectedAlgebra([o.label for o in self.objects],
-                               [(a, b) for (a, b, _) in self.dims if a != b])
+        return DirectedAlgebra(self.objects, [(a, b) for (a, b, _) in self.dims if a != b])
 
 
 def hom_table(spec: FamilySpec, window=DEGREE_WINDOW):
@@ -162,14 +138,14 @@ def composition_table(spec: FamilySpec, table: HomTable = None):
     table = table or hom_table(spec)
     skeleton = table.skeleton()
     gens = {}
+    objects = table.objects
     for (a, b) in skeleton.nonzero_pairs():
-        X, Y = table.object(a), table.object(b)
-        n = Y.offset - X.offset  # displayed degree 0
+        n = _complex_degree(a, b)
         try:
-            gens[(a, b)] = generator_morphism(X.mf, Y.mf, n, table.cohomology(a, b))
+            gens[(a, b)] = generator_morphism(objects[a], objects[b], n, table.cohomology(a, b))
         except ArithmeticError as exc:
-            raise ArithmeticError(f"lift of {X.display()} -> {Y.display()} in degree {n}: "
-                                  f"{exc}") from exc
+            raise ArithmeticError(f"lift of {display_label(a)} -> {display_label(b)} in degree "
+                                  f"{n}: {exc}") from exc
     for (a, b, c) in skeleton.composable_triples():
         try:
             vec = compose_and_identify(gens[(b, c)], gens[(a, b)], table.cohomology(a, c))
@@ -177,7 +153,7 @@ def composition_table(spec: FamilySpec, table: HomTable = None):
             if vec != want:
                 raise ArithmeticError(f"is {[str(v) for v in vec]}, not {want}")
         except ArithmeticError as exc:
-            n = table.object(c).offset - table.object(a).offset
+            n = _complex_degree(a, c)
             route = " -> ".join(display_label(x) for x in (a, b, c))
             raise ArithmeticError(f"composite {route} in degree {n}: {exc}") from exc
     return skeleton

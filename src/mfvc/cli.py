@@ -10,6 +10,7 @@ is deterministic for fixed flags and seed.
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -44,22 +45,18 @@ def _emit(args, payload):
 # DOT
 
 
-def quiver_to_dot(quiver, display, groups=None):
+def quiver_to_dot(quiver, display):
+    """DOT text of a quiver, its vertices in one cluster per label kind."""
     lines = ["digraph quiver {", '  rankdir="BT";']
     ids = {v: f"v{i}" for i, v in enumerate(quiver.vertices)}
-    if groups:
-        for gname, members in groups.items():
-            lines.append(f"  subgraph cluster_{gname} {{")
-            lines.append(f'    label="{gname}";')
-            for v in members:
-                lines.append(f'    {ids[v]} [label="{display(v)}"];')
-            lines.append("  }")
-        grouped = {v for members in groups.values() for v in members}
-    else:
-        grouped = set()
+    groups = {}
     for v in quiver.vertices:
-        if v not in grouped:
-            lines.append(f'  {ids[v]} [label="{display(v)}"];')
+        groups.setdefault(v[0], []).append(v)
+    for kind, members in groups.items():
+        lines.append(f"  subgraph cluster_{kind} {{")
+        lines.append(f'    label="{kind}";')
+        lines += [f'    {ids[v]} [label="{display(v)}"];' for v in members]
+        lines.append("  }")
     for k, (a, b) in enumerate(quiver.arrows):
         lines.append(f'  {ids[a]} -> {ids[b]} [label="a{k}"];')
     lines.append("}")
@@ -83,13 +80,6 @@ def parse_dot(text):
         elif "[" in line:
             nodes.add(line.split("[", 1)[0].strip())
     return nodes, edges
-
-
-def _vertex_groups(labels):
-    groups = {}
-    for lab in labels:
-        groups.setdefault(lab[0], []).append(lab)
-    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +124,7 @@ def cmd_quiver(args):
 
     quiver = build(args.side)
     if args.format == "dot":
-        _write(args, quiver_to_dot(quiver, display_label, _vertex_groups(quiver.vertices)))
+        _write(args, quiver_to_dot(quiver, display_label))
     else:
         payload = quiver.to_json_dict(display_label, object_shift)
         payload["spec"] = spec.label()
@@ -241,6 +231,20 @@ def non_negative_int(text):
     return value
 
 
+def writable_path(text):
+    """An --out path that can be opened for writing: not a directory, in an
+    existing writable directory.  Checked before any computation; the file
+    is not created here."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text} is a directory")
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"no directory {parent}")
+    if not os.access(text if os.path.exists(text) else parent, os.W_OK):
+        raise argparse.ArgumentTypeError(f"{text} is not writable")
+    return text
+
+
 def positive_float(text):
     value = float(text)
     if not 0 < value < math.inf:
@@ -263,7 +267,7 @@ def build_parser():
         sp.add_argument("--q", type=int, required=True)
         if formats:
             sp.add_argument("--format", choices=formats, default=formats[0])
-        sp.add_argument("--out", default=None)
+        sp.add_argument("--out", type=writable_path, default=None)
         if degree_window:
             sp.add_argument("--degree-window", dest="degree_window", type=non_negative_int,
                             default=6)

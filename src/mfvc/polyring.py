@@ -352,20 +352,13 @@ class QuotientRing:
         out.shift = self.shift + l
         return out
 
-    def is_finite_dimensional(self):
-        """True when the staircase is bounded (pure powers of x and y lead)."""
-        has_x = any(v == 0 for (u, v) in self.lead_terms)
-        has_y = any(u == 0 for (u, v) in self.lead_terms)
-        return has_x and has_y
-
     def staircase_bound(self):
         """(bx, by) with every standard monomial having u < bx, v < by;
-        None when infinite-dimensional."""
-        if not self.is_finite_dimensional():
-            return None
-        bx = min(u for (u, v) in self.lead_terms if v == 0)
-        by = min(v for (u, v) in self.lead_terms if u == 0)
-        return bx, by
+        None when the ring is infinite-dimensional, that is unless pure
+        powers of x and of y lead."""
+        bx = min((u for (u, v) in self.lead_terms if v == 0), default=None)
+        by = min((v for (u, v) in self.lead_terms if u == 0), default=None)
+        return None if bx is None or by is None else (bx, by)
 
     def is_standard(self, mono):
         return not any(mono_divides(lt, mono) for lt in self.lead_terms)

@@ -49,15 +49,15 @@ def test_criterion_1_hom_table_fixture_loop46():
     objects = table.objects
     assert len(objects) == 24
     checked = 0
-    for X in objects:
-        for Y in objects:
+    for a in objects:
+        for b in objects:
             for d in range(-6, 7):
-                got = table.dim(X.label, Y.label, d)
-                want = expected_hom_dim(spec, X.label, Y.label, d)
-                assert got == want, (X.label, Y.label, d, got, want)
+                got = table.dim(a, b, d)
+                want = expected_hom_dim(spec, a, b, d)
+                assert got == want, (a, b, d, got, want)
                 checked += 1
     elapsed = time.monotonic() - t0
-    report(1, table.matches_closed_form() and elapsed < 60,
+    report(1, not table.mismatches and elapsed < 60,
            f"loop(4,6) hom table matches closed form in {checked} cells ({elapsed:.1f}s)")
 
 
@@ -206,13 +206,13 @@ def test_criterion_9_tilting():
                 spec = FamilySpec(fam, p, q)
                 table = cached_table(spec)
                 # End^i of the direct sum: all pairs, all degrees in window
-                for X in table.objects:
-                    for Y in table.objects:
+                for a in table.objects:
+                    for b in table.objects:
                         for d in range(-6, 7):
                             if d == 0:
                                 continue
-                            if table.dim(X.label, Y.label, d) != 0:
-                                bad.append((spec.label(), X.label, Y.label, d))
+                            if table.dim(a, b, d) != 0:
+                                bad.append((spec.label(), a, b, d))
                 if not table.skeleton().is_directed():
                     bad.append((spec.label(), "order"))
     report(9, not bad, "End^i of the tilting object vanishes for i != 0, "

@@ -370,3 +370,25 @@ def test_out_writes_the_same_bytes_as_stdout(tmp_path):
         code, out, _ = run_cli(*args)
         assert run_cli(*args, "--out", str(path)) == (code, "", "")
         assert path.read_text() == out, args
+
+
+def test_unwritable_out_exits_2_before_any_computation(tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "missing" / "x.txt"
+    for command in ("milnor", "mirror-check"):
+        for path in (missing, tmp_path):
+            code, out, err = run_cli(command, "--family", "loop", "--p", "3", "--q", "3",
+                                     "--out", str(path))
+            assert code == 2, (command, path)
+            assert out == "" and "error:" in err and "Traceback" not in err, (command, path)
+    assert not missing.parent.exists() and list(tmp_path.iterdir()) == []
+
+    from mfvc import compare
+    from mfvc.cli import main
+
+    def computing(*args):
+        raise AssertionError("the check ran before --out was rejected")
+
+    monkeypatch.setattr(compare, "mirror_check", computing)
+    assert main(["mirror-check", "--family", "loop", "--p", "3", "--q", "3",
+                 "--out", str(missing)]) == 2
+    assert capsys.readouterr().out == ""

@@ -99,6 +99,12 @@ PINNED_DIGESTS = {
         "9fa26ab4a9e81c7de186d752c53f527e5787d5957928db3c5ddc929531e7acc1",
     ("chain", 4, 5, "homtable --degree-window 9"):
         "531b5815381cd0f9d9cdcce79a3f0798bb711df3ef5f579012c169fc092eecf5",
+    # the wider window at sizes where most cells are decided by ranks
+    # alone and only the nonzero rows build representatives
+    ("loop", 10, 10, "homtable --degree-window 9"):
+        "f08be9bb7e0cd34cfce1dd62bc3df365e8bb8f9e2582ce6ff518c743e44ef638",
+    ("bp", 12, 8, "homtable --degree-window 9"):
+        "7980613dc99587886c6ec690e642e2b3f5114956045e626962ec5bd1deb4e338",
     ("bp", 5, 3, "mirror-check --degree-window 0"):
         "14da8eea674a66f750731ade8ec780de7c4ad60de2aeec0e7495edee9aabda33",
     # the A side at p = 2, q = 2 and a skewed bp shape: schedule, fingers,

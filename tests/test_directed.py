@@ -17,6 +17,12 @@ def naive_composable_triples(algebra):
     return out
 
 
+def coefficient(algebra, a, b, c):
+    """The k in  gen(b,c) o gen(a,b) = k * gen(a,c) under the +1 law: 1 when
+    the homs a->b, b->c and a->c are nonzero, 0 otherwise."""
+    return int((a, b) in algebra.pairs and (b, c) in algebra.pairs and (a, c) in algebra.pairs)
+
+
 def naive_check_associativity(algebra):
     """Reference: the 4-deep loop over the paths a->b->c->d of nonzero
     pairs, in position order, comparing the two bracketings through
@@ -26,13 +32,12 @@ def naive_check_associativity(algebra):
     succ = {}
     for (a, b) in pairs:
         succ.setdefault(a, []).append(b)
-    coefficient = algebra.coefficient
     bad = []
     for (a, b) in pairs:
         for c in succ.get(b, ()):
             for d in succ.get(c, ()):
-                left = coefficient(a, b, c) * coefficient(a, c, d)
-                right = coefficient(b, c, d) * coefficient(a, b, d)
+                left = coefficient(algebra, a, b, c) * coefficient(algebra, a, c, d)
+                right = coefficient(algebra, b, c, d) * coefficient(algebra, a, b, d)
                 if left != right:
                     bad.append((a, b, c, d, left, right))
     return bad
