@@ -10,7 +10,13 @@ basic objects ends up in degree 0.
 from .directed import DirectedAlgebra, display_label, gabriel_presentation, object_shift
 from .families import FamilySpec
 from .grading import make_grading_group
-from .mf import HomCohomology, build_basic_object, compose_and_identify, generator_morphism
+from .mf import (
+    HomCohomology,
+    build_basic_object,
+    compose_and_identify,
+    generator_cocycle,
+    generator_morphism,
+)
 
 DEGREE_WINDOW = (-6, 6)
 
@@ -128,34 +134,58 @@ def composition_table(spec: FamilySpec, table: HomTable = None):
     """The B-side DirectedAlgebra, once every composite of generators is
     shown to be exactly +1 or 0.
 
-    Each generator of a nonzero hom is lifted once to a chain map.  For
-    every composable triple a -> b -> c, the class of gen(b,c) o gen(a,b)
-    in hom(a,c) must be [1] (+1 times the generator) when (a, c) is a
-    nonzero pair and [] (a coboundary) otherwise.  Then the algebra is
-    fixed by its homs, and the skeleton of the table is returned;
-    ArithmeticError at the first pair or triple that fails, naming it and
-    the degree of its hom complex."""
+    For every composable triple a -> b -> c, the class of
+    gen(b,c) o gen(a,b) in hom(a,c) must be [1] (+1 times the generator)
+    when (a, c) is a nonzero pair and [] (a coboundary) otherwise.  The
+    composites are computed only where a -> b is an arrow, a pair that
+    factors through no third object:
+    * first the pairs must pass `check_associativity`;
+    * then each arrow's generator is lifted once to a chain map, and
+      composed with the generator of every (b, c), taken as the class
+      representative from `generator_cocycle`, not lifted.
+    Associativity carries the law to the other triples, by induction on
+    the position gap of a -> b.  When a -> b factors, it does so through an
+    arrow a -> b1, so gen(a,b) = gen(b1,b) o gen(a,b1); gen(b,c) o
+    gen(b1,b) is gen(b1,c) or 0 (a smaller gap), which leaves the arrow
+    composite gen(b1,c) o gen(a,b1) or 0, and associativity of the pattern
+    on a -> b1 -> b -> c makes that [1] exactly when (a, c) is nonzero.
+    Then the algebra is fixed by its homs, and the skeleton of
+    the table is returned; ArithmeticError at the first associativity
+    violation, lift or composite that fails, naming it and, for a lift or a
+    composite, the degree of its hom complex."""
     table = table or hom_table(spec)
     skeleton = table.skeleton()
-    gens = {}
+    violations = skeleton.check_associativity()
+    if violations:
+        *path, left, right = violations[0]
+        route = " -> ".join(display_label(x) for x in path)
+        raise ArithmeticError(f"the pairs are not associative on the path {route}: its two "
+                              f"bracketings give {left} and {right} times the generator")
     objects = table.objects
-    for (a, b) in skeleton.nonzero_pairs():
+    outer = {}  # (b, c) -> the class representative of gen(b, c)
+    for (a, b) in skeleton.arrows():
         n = _complex_degree(a, b)
         try:
-            gens[(a, b)] = generator_morphism(objects[a], objects[b], n, table.cohomology(a, b))
+            gen = generator_morphism(objects[a], objects[b], n, table.cohomology(a, b))
+            if not gen.is_chain_map():
+                raise ArithmeticError("the lift is not a chain map, and composites need chain maps")
         except ArithmeticError as exc:
             raise ArithmeticError(f"lift of {display_label(a)} -> {display_label(b)} in degree "
                                   f"{n}: {exc}") from exc
-    for (a, b, c) in skeleton.composable_triples():
-        try:
-            vec = compose_and_identify(gens[(b, c)], gens[(a, b)], table.cohomology(a, c))
-            want = [1] if (a, c) in skeleton.pairs else []
-            if vec != want:
-                raise ArithmeticError(f"is {[str(v) for v in vec]}, not {want}")
-        except ArithmeticError as exc:
-            n = _complex_degree(a, c)
-            route = " -> ".join(display_label(x) for x in (a, b, c))
-            raise ArithmeticError(f"composite {route} in degree {n}: {exc}") from exc
+        for c in skeleton.successors(b):
+            m = _complex_degree(b, c)
+            try:
+                row = outer.get((b, c))
+                if row is None:
+                    row = outer[(b, c)] = generator_cocycle(table.cohomology(b, c), m)
+                vec = compose_and_identify(row, m, gen, table.cohomology(a, c))
+                want = [1] if (a, c) in skeleton.pairs else []
+                if vec != want:
+                    raise ArithmeticError(f"is {[str(v) for v in vec]}, not {want}")
+            except ArithmeticError as exc:
+                route = " -> ".join(display_label(x) for x in (a, b, c))
+                raise ArithmeticError(f"composite {route} in degree {_complex_degree(a, c)}: "
+                                      f"{exc}") from exc
     return skeleton
 
 

@@ -49,10 +49,12 @@ class DirectedAlgebra:
 
     The A side enforces the one-dimensional degree-0 homs in
     `aside._grading_degrees`, the B side in `bside.hom_table`.  The +1 law
-    is checked by `bside.composition_table` on the B side and taken from
-    the paper's thimble basis on the A side.  Under that law the pairs fix
-    every composite; the pair listings, the associativity check, the arrows
-    and the quiver certificate read it off the masks."""
+    is taken from the paper's thimble basis on the A side.  On the B side
+    `bside.composition_table` proves it from the composites that start on
+    an arrow together with `check_associativity`, which carries it to every
+    other composable triple.  Under that law the pairs fix every
+    composite; the pair listings, the associativity check, the arrows and
+    the quiver certificate read it off the masks."""
 
     def __init__(self, objects, pairs):
         self.objects = list(objects)
@@ -69,6 +71,11 @@ class DirectedAlgebra:
 
     def nonzero_pairs(self):
         return [(self.objects[i], self.objects[j]) for i, j in self._position_pairs()]
+
+    def successors(self, a):
+        """The objects b with (a, b) a pair, in position order."""
+        objects = self.objects
+        return [objects[j] for j in _bits(self.succ[self.position[a]])]
 
     def is_directed(self):
         """No morphisms backwards and scalar endomorphisms."""

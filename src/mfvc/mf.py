@@ -21,9 +21,11 @@ Morphism spaces are computed two ways:
 The two are tied together by the projection of a chain map onto the
 module: `HomCohomology.vector` reads it as a vector over the term, and
 `HomCohomology.identify` reads its class coordinates off the pivots of
-one reduced echelon basis.  A composite f o g is identified from the
-projection of the outer factor f alone, multiplied by the one matrix of g
-it meets, so the composite is never formed.
+one reduced echelon basis.  A composite f o g is identified from a
+cocycle in the class of the outer factor f alone, multiplied by the one
+matrix of the chain map g it meets, so the composite is never formed and
+f need not be lifted: `generator_cocycle` gives the class representative
+of a generator as that cocycle.
 """
 
 from ._linalg import Subspace, _div, _q, nullspace
@@ -437,7 +439,7 @@ class MFMorphism:
     matrices f0 : K^0 -> H^n and f1 : K^{-1} -> H^{n-1}.
 
     A morphism is not modified after construction, so the chain-map check
-    and the projection run once and their answers are kept."""
+    runs once and its answer is kept."""
 
     def __init__(self, source, target, degree, f0, f1):
         self.source = source
@@ -446,7 +448,6 @@ class MFMorphism:
         self.f0 = f0
         self.f1 = f1
         self._is_chain_map = None
-        self._projection = None
 
     def component(self, k):
         """The matrix f_k on K^{-k}, into H^{n-k}: f0 for even k, f1 for odd k."""
@@ -460,13 +461,9 @@ class MFMorphism:
 
     def projection(self):
         """nf(aug_H . f_n), the projection onto the target's module: one
-        normal form per summand of K^{-n}.  The list is shared; do not
-        modify it."""
-        if self._projection is None:
-            H = self.target
-            self._projection = [H.module.nf(v)
-                                for v in mat_mul([H.aug], self.component(self.degree))[0]]
-        return self._projection
+        normal form per summand of K^{-n}."""
+        H = self.target
+        return [H.module.nf(v) for v in mat_mul([H.aug], self.component(self.degree))[0]]
 
 
 def identity_morphism(K):
@@ -537,6 +534,16 @@ def chain_map_space(K, H, n):
     return out
 
 
+def _generator_class(cohom, n):
+    """The one class representative of a degree-n hom; ArithmeticError
+    unless the hom is one-dimensional."""
+    basis = cohom.classes(n).basis
+    if len(basis) != 1:
+        raise ArithmeticError(f"the degree-{n} hom has dimension {len(basis)}, not 1")
+    [rep] = basis.values()
+    return rep
+
+
 def generator_morphism(K, H, n, cohom: HomCohomology):
     """A chain map whose Buchweitz class is exactly the generator of a
     one-dimensional hom: the first chain map whose class coordinate a is
@@ -546,9 +553,7 @@ def generator_morphism(K, H, n, cohom: HomCohomology):
     chain map hits its class, which the equivalence between the two hom
     models rules out for the factorisations in this package.
     """
-    dim = len(cohom.classes(n).basis)
-    if dim != 1:
-        raise ArithmeticError(f"the degree-{n} hom has dimension {dim}, not 1")
+    _generator_class(cohom, n)
     for f in chain_map_space(K, H, n):
         [a] = cohom.identify(n, cohom.vector(n, f.projection()))
         if a:
@@ -557,17 +562,38 @@ def generator_morphism(K, H, n, cohom: HomCohomology):
     raise ArithmeticError("no chain map lifts the cohomology class")
 
 
-def compose_and_identify(f: MFMorphism, g: MFMorphism, cohom: HomCohomology):
-    """Class coordinates of f o g in the cohomology basis of the target.
+def generator_cocycle(cohom: HomCohomology, n):
+    """The generator of a one-dimensional degree-n hom as a cocycle: its
+    class representative, written as a row of normal forms, one per summand
+    of K^{-n}.  Its class coordinate is [1], as is that of
+    `generator_morphism`'s lift, so it is the lift's projection up to a
+    coboundary, and it stands in for the lift as an outer factor of
+    `compose_and_identify`.  ArithmeticError unless the hom is
+    one-dimensional."""
+    coords = cohom.term(n)
+    terms = [{} for _ in cohom.K.term_shifts(n)]
+    for k, c in _generator_class(cohom, n).items():
+        t, mono = coords[k]
+        terms[t][mono] = c
+    return [Poly(t) for t in terms]
 
-    f and g must be chain maps with composable degrees, else
-    ArithmeticError; cohom is the hom cohomology of (g.source, f.target
-    module).  The composite is not formed: on K^{-n}, n = deg f + deg g,
-    it is f_{deg f} g_n, and the normal form is linear modulo the ideal,
-    so its projection is nf(f.projection() . g_n).
+
+def compose_and_identify(outer, degree, g: MFMorphism, cohom: HomCohomology):
+    """Class coordinates of z o g in the cohomology basis of the target,
+    for a degree-`degree` cocycle z from g.target to cohom.module.
+
+    outer is z as a row of normal forms, one per summand of g.target's
+    K^{-degree}: the projection of a chain map, or a class representative
+    from `generator_cocycle`.  g must be a chain map, else ArithmeticError;
+    cohom is the hom cohomology of (g.source, the module).  The composite
+    is not formed: on K^{-n}, n = degree + deg g, its projection is
+    nf(z . g_n), and the normal form is linear modulo the ideal.
+    Precomposing a coboundary with a chain map gives a coboundary, so the
+    class of the composite depends only on the class of z.
     """
-    if not g.is_chain_map() or not f.is_chain_map():
+    if not g.is_chain_map():
         raise ArithmeticError("compose_and_identify requires chain maps")
-    n = f.degree + g.degree
-    row = mat_mul([f.projection()], g.component(n))[0]
-    return cohom.identify(n, cohom.vector(n, [f.target.module.nf(v) for v in row]))
+    n = degree + g.degree
+    nf = cohom.module.nf
+    row = mat_mul([outer], g.component(n))[0]
+    return cohom.identify(n, cohom.vector(n, [nf(v) for v in row]))

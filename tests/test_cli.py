@@ -173,7 +173,7 @@ def test_b_side_composition_deviation_gives_report(monkeypatch, capsys):
 
     from mfvc import bside
 
-    monkeypatch.setattr(bside, "compose_and_identify", lambda f, g, coh: [Fraction(2)])
+    monkeypatch.setattr(bside, "compose_and_identify", lambda outer, degree, g, coh: [Fraction(2)])
     code, payload = _mirror_check_in_process(capsys)
     assert code == 1
     [mismatch] = payload["mismatches"]
@@ -182,15 +182,16 @@ def test_b_side_composition_deviation_gives_report(monkeypatch, capsys):
 
 def test_negated_b_side_composite_gives_report(monkeypatch, capsys):
     # no rescaling of the generators absorbs a sign flip of the loop(3,3)
-    # composite K0(1,1) -> K0(2,2) -> Kf
+    # composite K0(1,1) -> K0(2,1) -> K0(2,2), whose first step is an arrow
+    # (the module of K0(i,j) carries its label)
     from mfvc import bside
 
     compose = bside.compose_and_identify
     negated = []
 
-    def negate_one(f, g, coh):
-        vec = compose(f, g, coh)
-        if (g.source.label, g.target.label, f.target.label) == ("K0(1,1)", "K0(2,2)", "Kf"):
+    def negate_one(outer, degree, g, coh):
+        vec = compose(outer, degree, g, coh)
+        if (g.source.label, g.target.label, coh.module.label) == ("K0(1,1)", "K0(2,1)", "K0(2,2)"):
             negated.append(vec)
             return [-v for v in vec]
         return vec
@@ -207,16 +208,16 @@ def test_flipped_b_side_generator_gives_report(monkeypatch, capsys):
     # flipping the sign of the loop(3,3) generator K0(1,1) -> K0(2,1)
     # negates every composite it is a factor of, or whose target hom it
     # spans; a rescaling of the generators would absorb this, the exact +1
-    # check does not
+    # check does not (the module of K0(i,j) carries its label)
     from mfvc import bside
 
     compose = bside.compose_and_identify
     flipped = ("K0(1,1)", "K0(2,1)")
     negated = []
 
-    def flip_one_generator(f, g, coh):
-        vec = compose(f, g, coh)
-        a, b, c = g.source.label, g.target.label, f.target.label
+    def flip_one_generator(outer, degree, g, coh):
+        vec = compose(outer, degree, g, coh)
+        a, b, c = g.source.label, g.target.label, coh.module.label
         if flipped in ((a, b), (b, c), (a, c)):
             negated.append((a, b, c, vec))
             return [-v for v in vec]
@@ -232,7 +233,7 @@ def test_flipped_b_side_generator_gives_report(monkeypatch, capsys):
 
 
 def test_b_side_generator_that_is_not_a_chain_map_gives_report(monkeypatch, capsys):
-    # break the f1 matrix of the loop(3,3) generator K0(1,1) -> K0(2,2):
+    # break the f1 matrix of the loop(3,3) arrow K0(1,1) -> K0(2,1):
     # the computation has failed, the input was valid, so mirror-check
     # reports the B side and quiver prints an error line, both exiting 1
     from mfvc import bside
@@ -244,7 +245,7 @@ def test_b_side_generator_that_is_not_a_chain_map_gives_report(monkeypatch, caps
 
     def break_one(K, H, n, cohom):
         gen = lift(K, H, n, cohom)
-        if (K.label, H.label) == ("K0(1,1)", "K0(2,2)"):
+        if (K.label, H.label) == ("K0(1,1)", "K0(2,1)"):
             gen = type(gen)(K, H, n, gen.f0, [[poly_x(), Poly()], [Poly(), Poly()]])
             assert not gen.is_chain_map()
             broken.append(gen)
@@ -258,12 +259,45 @@ def test_b_side_generator_that_is_not_a_chain_map_gives_report(monkeypatch, caps
     [mismatch] = payload["mismatches"]
     assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"
     assert "chain maps" in mismatch["detail"]
-    assert "K0(1,1)" in mismatch["detail"] and "K0(2,2)" in mismatch["detail"]
+    assert "K0(1,1)" in mismatch["detail"] and "K0(2,1)" in mismatch["detail"]
     code = main(["quiver", "--side", "B", "--family", "loop", "--p", "3", "--q", "3"])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "chain maps" in err and "Traceback" not in err
+
+
+def test_b_side_pattern_that_is_not_associative_gives_report(monkeypatch, capsys):
+    # drop the pair K0(1,1) -> K0(2,2) from the loop(3,3) skeleton: the
+    # pattern is no longer associative, and composition_table says so
+    # before it lifts any generator, since the arrow-first proof rests on it
+    from mfvc import bside
+    from mfvc.directed import DirectedAlgebra
+    from mfvc.families import FamilySpec
+
+    skeleton = bside.HomTable.skeleton
+    dropped = (("K0", 1, 1), ("K0", 2, 2))
+
+    def without_one_pair(self):
+        algebra = skeleton(self)
+        return DirectedAlgebra(algebra.objects, algebra.pairs - {dropped})
+
+    lifts = []
+    monkeypatch.setattr(bside.HomTable, "skeleton", without_one_pair)
+    monkeypatch.setattr(bside, "generator_morphism", lambda *args: lifts.append(args))
+    table = bside.HomTable(FamilySpec("loop", 3, 3))
+    first = table.skeleton().check_associativity()[0]
+    assert first[:3] == (("K0", 1, 1), ("K0", 1, 2), ("K0", 2, 2))
+    path = r"not associative on the path K0\(1,1\) -> K0\(1,2\) -> K0\(2,2\) -> "
+    with pytest.raises(ArithmeticError, match=path):
+        bside.composition_table(table.spec, table)
+    code, payload = _mirror_check_in_process(capsys, "3", "3")
+    assert lifts == []
+    assert code == 1
+    assert payload["pass"] is False
+    [mismatch] = payload["mismatches"]
+    assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"
+    assert "not associative" in mismatch["detail"]
 
 
 def test_projection_outside_the_buchweitz_term_gives_report(monkeypatch, capsys):

@@ -9,6 +9,7 @@ from mfvc.mf import (
     build_basic_object,
     chain_map_space,
     compose_and_identify,
+    generator_cocycle,
     generator_morphism,
     identity_morphism,
 )
@@ -216,12 +217,14 @@ def test_composition_examples():
     Kf = build_basic_object(g, ("Kf",))
     mid = generator_morphism(K11, K22, 0, HomCohomology(K11, K22.module))
     top = generator_morphism(K22, Kf, 3, HomCohomology(K22, Kf.module))
-    coeff = compose_and_identify(top, mid, HomCohomology(K11, Kf.module))
+    coeff = compose_and_identify(top.projection(), 3, mid, HomCohomology(K11, Kf.module))
     assert len(coeff) == 1 and abs(coeff[0]) == 1
 
     # g composed with the identity is g
-    assert compose_and_identify(mid, identity_morphism(K11), HomCohomology(K11, K22.module)) == [1]
-    assert compose_and_identify(identity_morphism(K22), mid, HomCohomology(K11, K22.module)) == [1]
+    ident = identity_morphism(K11)
+    assert compose_and_identify(mid.projection(), 0, ident, HomCohomology(K11, K22.module)) == [1]
+    ident = identity_morphism(K22)
+    assert compose_and_identify(ident.projection(), 0, mid, HomCohomology(K11, K22.module)) == [1]
 
 
 def test_composition_into_zero_hom_space_vanishes():
@@ -232,7 +235,7 @@ def test_composition_into_zero_hom_space_vanishes():
     kx2 = build_basic_object(g, ("Kx", 2))
     f1 = generator_morphism(a, b, 0, HomCohomology(a, b.module))
     f2 = generator_morphism(b, kx2, 3, HomCohomology(b, kx2.module))
-    coeff = compose_and_identify(f2, f1, HomCohomology(a, kx2.module))
+    coeff = compose_and_identify(f2.projection(), 3, f1, HomCohomology(a, kx2.module))
     assert coeff == []
 
 
@@ -257,7 +260,9 @@ def _explicit_class(f, g, cohom):
 @pytest.mark.parametrize("fam,p,q", [("loop", 3, 3), ("chain", 3, 4), ("bp", 3, 3)])
 def test_compose_and_identify_matches_explicit_composites(fam, p, q):
     # every composable triple of generators, the degree-3 ones into Kx, Ky
-    # and Kf among them, and the identity on either side of each generator
+    # and Kf among them, and the identity on either side of each generator;
+    # with the class representative of a generator in place of its lift's
+    # projection as the outer factor, every composite keeps its class
     from mfvc.bside import _complex_degree, hom_table
     from mfvc.families import FamilySpec
 
@@ -277,9 +282,12 @@ def test_compose_and_identify_matches_explicit_composites(fam, p, q):
             if b2 != b:
                 continue
             cohom = table.cohomology(a, c)
-            got = compose_and_identify(f, g, cohom)
+            got = compose_and_identify(f.projection(), f.degree, g, cohom)
             assert got == _explicit_class(f, g, cohom), (a, b, c)
             assert got == ([1] if a == c or (a, c) in skeleton.pairs else []), (a, b, c)
+            if b != c:
+                outer = generator_cocycle(table.cohomology(b, c), f.degree)
+                assert compose_and_identify(outer, f.degree, g, cohom) == got, (a, b, c)
             degrees.add((f.degree, g.degree))
             count += 1
     pairs = len(gens) - len(table.objects)
@@ -373,7 +381,7 @@ def test_compose_and_identify_rejects_non_chain_maps():
     broken = type(gen)(a, b, 0, gen.f0, [[poly_x(), Poly()], [Poly(), Poly()]])
     assert not broken.is_chain_map()
     with pytest.raises(ArithmeticError):
-        compose_and_identify(gen, broken, HomCohomology(a, b.module))
+        compose_and_identify(gen.projection(), 0, broken, HomCohomology(a, b.module))
 
 
 def test_chain_map_check_runs_once_per_morphism(monkeypatch):
@@ -392,8 +400,10 @@ def test_chain_map_check_runs_once_per_morphism(monkeypatch):
 
     monkeypatch.setattr(mf, "_boundary_matrices", counting)
     ident = identity_morphism(a)
+    outer = gen.projection()
     for _ in range(3):
-        compose_and_identify(gen, ident, HomCohomology(a, b.module))
+        compose_and_identify(outer, 0, ident, HomCohomology(a, b.module))
+        compose_and_identify(ident.projection(), 0, gen, HomCohomology(a, b.module))
     assert len(calls) == 2  # gen and ident, each checked once
 
 
@@ -424,14 +434,61 @@ def test_vector_reads_positions_off_the_term_and_keeps_nothing():
 
     w = family_w("loop", 3, 3)
     coh = HomCohomology(a, QuotientRing(g, [poly_x(3), poly_y(5), w]))
-    coords = coh.term(4)
-    assert len(coords) > 2
+    assert len(coh.term(4)) > 2
     for rep in coh.classes(4).basis.values():
-        row = [Poly() for _ in range(a.rank)]
-        for k, c in rep.items():
-            t, mono = coords[k]
-            row[t] = row[t] + Poly.monomial(*mono) * c
-        assert coh.vector(4, row) == rep
+        assert coh.vector(4, _row(coh, 4, rep)) == rep
+
+
+def _row(coh, n, vec):
+    """The row of normal forms, one per summand of K^{-n}, of a sparse
+    vector over term(n)."""
+    row = [Poly() for _ in coh.K.term_shifts(n)]
+    for k, c in vec.items():
+        t, mono = coh.term(n)[k]
+        row[t] = row[t] + Poly.monomial(*mono) * c
+    return row
+
+
+@pytest.mark.parametrize("fam,p,q", [("loop", 4, 4), ("chain", 4, 5), ("bp", 5, 3)])
+def test_generator_cocycle_is_the_class_representative(fam, p, q):
+    # the outer factor of an arrow-first composite: coordinate [1], the row
+    # of the one class representative, and the lift's class
+    from mfvc.bside import _complex_degree, hom_table
+    from mfvc.families import FamilySpec
+
+    table = hom_table(FamilySpec(fam, p, q))
+    pairs = table.skeleton().nonzero_pairs()
+    for (a, b) in pairs:
+        n, coh = _complex_degree(a, b), table.cohomology(a, b)
+        row = generator_cocycle(coh, n)
+        [rep] = coh.classes(n).basis.values()
+        assert row == _row(coh, n, rep)
+        assert coh.identify(n, coh.vector(n, row)) == [1], (a, b)
+        lift = generator_morphism(table.objects[a], table.objects[b], n, coh)
+        assert coh.identify(n, coh.vector(n, lift.projection())) == [1], (a, b)
+    assert pairs
+
+
+def test_outer_factor_enters_only_by_its_class():
+    # precomposing a coboundary with a chain map gives a coboundary, so one
+    # cocycle stands in for its whole class as an outer factor; K0(2,2)
+    # against R/(x^3, y^5, w) has coboundaries in degree 4, which no hom
+    # between basic objects has in the degree of its generator
+    g = make_grading_group("loop", 3, 3)
+    w = family_w("loop", 3, 3)
+    K11, K22 = (build_basic_object(g, ("K0", i, i)) for i in (1, 2))
+    M = QuotientRing(g, [poly_x(3), poly_y(5), w])
+    inner = generator_morphism(K11, K22, 0, HomCohomology(K11, K22.module))
+    outer_coh, coh = HomCohomology(K22, M), HomCohomology(K11, M)
+    [rep] = outer_coh.classes(4).basis.values()
+    want = compose_and_identify(_row(outer_coh, 4, rep), 4, inner, coh)
+    assert len(want) == 2 and any(want)
+    boundaries = list(outer_coh.image(4).basis.values())
+    assert boundaries
+    for z in boundaries:
+        assert compose_and_identify(_row(outer_coh, 4, z), 4, inner, coh) == [0, 0]
+        mixed = {k: rep.get(k, 0) + 3 * z.get(k, 0) for k in set(rep) | set(z)}
+        assert compose_and_identify(_row(outer_coh, 4, mixed), 4, inner, coh) == want
 
 
 def test_identify_in_a_two_dimensional_cohomology():
@@ -452,6 +509,8 @@ def test_identify_in_a_two_dimensional_cohomology():
     # only a one-dimensional hom has a generator to lift
     with pytest.raises(ArithmeticError, match="dimension 2"):
         generator_morphism(K, K, 4, coh)
+    with pytest.raises(ArithmeticError, match="dimension 2"):
+        generator_cocycle(coh, 4)
     # a non-cocycle: a unit vector whose diff(3) column is nonzero, in a
     # zero and in a one-dimensional cohomology
     j = next(j for j, col in enumerate(coh.diff(3)) if col)
@@ -521,24 +580,3 @@ def test_diff_equals_normal_forms_of_products(fam, p, q):
                 assert coh.diff(n) == _nf_diff(coh, n), (X.label, Y.label, n)
                 summed += sum(len(col) for col in coh.diff(n))
     assert summed
-
-
-def test_projection_is_computed_once_per_morphism(monkeypatch):
-    from mfvc.mf import mat_mul
-
-    g = make_grading_group("loop", 3, 3)
-    a = build_basic_object(g, ("K0", 1, 1))
-    b = build_basic_object(g, ("Kf",))
-    gen = generator_morphism(a, b, 3, HomCohomology(a, b.module))
-    first = gen.projection()
-    assert first == [b.module.nf(v) for v in mat_mul([b.aug], gen.component(3))[0]]
-    calls = []
-    nf = QuotientRing.nf
-
-    def counting(self, poly):
-        calls.append(poly)
-        return nf(self, poly)
-
-    monkeypatch.setattr(QuotientRing, "nf", counting)
-    assert gen.projection() is first
-    assert calls == []
