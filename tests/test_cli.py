@@ -267,6 +267,33 @@ def test_b_side_generator_that_is_not_a_chain_map_gives_report(monkeypatch, caps
     assert err.startswith("error:") and "chain maps" in err and "Traceback" not in err
 
 
+def test_b_side_lift_that_starts_no_composite_is_checked(monkeypatch, capsys):
+    # Kf has no successor in loop(3,3), so no composite starts on the arrow
+    # K0(2,2) -> Kf: only the check of each lift sees its f1 broken
+    from mfvc import bside
+    from mfvc.polyring import Poly, poly_x
+
+    lift = bside.generator_morphism
+    broken = []
+
+    def break_one(K, H, n, cohom):
+        gen = lift(K, H, n, cohom)
+        if (K.label, H.label) == ("K0(2,2)", "Kf"):
+            gen = type(gen)(K, H, n, gen.f0, [[poly_x(), Poly()]])
+            assert not gen.is_chain_map()
+            broken.append(gen)
+        return gen
+
+    monkeypatch.setattr(bside, "generator_morphism", break_one)
+    code, payload = _mirror_check_in_process(capsys, "3", "3")
+    assert broken
+    assert code == 1
+    [mismatch] = payload["mismatches"]
+    assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"
+    assert mismatch["detail"].startswith("lift of K0(2,2) -> Kf[3] in degree 3: ")
+    assert "not a chain map" in mismatch["detail"]
+
+
 def test_b_side_pattern_that_is_not_associative_gives_report(monkeypatch, capsys):
     # drop the pair K0(1,1) -> K0(2,2) from the loop(3,3) skeleton: the
     # pattern is no longer associative, and composition_table says so
