@@ -13,6 +13,7 @@ from .grading import make_grading_group
 from .mf import (
     HomCohomology,
     build_basic_object,
+    buchweitz_pieces,
     compose_and_identify,
     generator_cocycle,
     generator_morphism,
@@ -42,59 +43,83 @@ def _complex_degree(a, b, d=0):
     return d + object_shift(b) - object_shift(a)
 
 
-def expected_hom_dim(spec: FamilySpec, a, b, degree):
-    """The closed-form hom dimension the computation must reproduce."""
+def expected_homs(spec: FamilySpec, a, b):
+    """The closed form the computation must reproduce: the nonzero hom
+    dimensions from a to b, as {degree: dim}."""
     if a == b:
-        return 1 if degree == 0 else 0
-    if degree != 0:
-        return 0
+        return {0: 1}
     ka, kb = a[0], b[0]
-    if ka == "K0" and kb == "K0":
-        return 1 if (b[1] >= a[1] and b[2] >= a[2]) else 0
-    if ka == "K0" and kb == "Kx":
-        return 1 if b[1] == a[1] else 0
-    if ka == "K0" and kb == "Ky":
-        return 1 if b[1] == a[2] else 0
-    if ka == "K0" and kb == "Kf":
-        return 1
-    return 0
+    if ka != "K0":
+        return {}
+    if kb == "K0":
+        nonzero = b[1] >= a[1] and b[2] >= a[2]
+    elif kb == "Kx":
+        nonzero = b[1] == a[1]
+    elif kb == "Ky":
+        nonzero = b[1] == a[2]
+    else:
+        nonzero = True  # every K0 maps to Kf
+    return {0: 1} if nonzero else {}
 
 
 class HomTable:
     """Computed per-degree hom dimensions between the basic objects, with
     class representatives.
 
-    `objects` is `basic_objects(spec)`.  Every (pair, degree) cell of the
-    window is compared with `expected_hom_dim`; `dims` holds the nonzero
-    cells in (source, target, degree) order.  Dimensions are computed only
-    for the cells inside the pair's `HomCohomology.degree_support`: outside
-    it every Buchweitz term is empty, so the dim is 0 without building
-    anything.  Inside it a cell's dimension comes from the ranks of its two
-    differentials (`HomCohomology.dim`); representatives are built only
-    where they are read, by `rows` and by composition.  For a
-    finite-staircase target the support closes the pair in all degrees; for
-    the targets R/(x), R/(y) and R/(f) it has no upper end, and degrees past
-    the window rest on the divisibility lemma of the README."""
+    `objects` is `basic_objects(spec)`.  The table is built degree-first:
+    one join (`mf.buchweitz_pieces`) finds every nonempty Buchweitz term of
+    every pair from the staircases of the targets, and a `HomCohomology` is
+    kept only for the pairs it finds.  A cell's dimension is computed only
+    where its term is nonempty, from the ranks of its two differentials
+    (`HomCohomology.dim`); representatives are built only where they are
+    read, by `rows` and by composition.
+
+    The check against the closed form (`expected_homs`) is sparse, over the
+    pairs that have a nonempty term or an expected nonzero cell, in
+    collection order.  A mismatch is a computed nonzero cell that the
+    closed form does not give, or an expected cell in the window that is
+    not computed nonzero; they are listed in (source, target, degree)
+    order.  A finite-staircase target (every K0) is closed in every degree
+    by construction, so its nonzero cells outside the window are checked
+    too; `dims`, which holds the nonzero cells in (source, target, degree)
+    order, and `rows` stay inside the window.  The targets R/(x), R/(y)
+    and R/(f) are enumerated up to `top`, the highest degree the window
+    reads, and degrees past the window rest on the divisibility lemma of
+    the README."""
 
     def __init__(self, spec: FamilySpec, window=DEGREE_WINDOW):
         self.spec = spec
         self.window = window
         self.objects = basic_objects(spec)
+        # the highest complex degree read: a dimension in the window's top
+        # degree into the most shifted target, and the neighbour degree
+        self.top = window[1] + max(map(object_shift, self.objects)) + 1
+        pieces = buchweitz_pieces(self.objects, {b: Y.module for b, Y in self.objects.items()},
+                                  self.top)
         self._coh = {}
         self.dims = {}
         self.mismatches = []
-        degrees = range(window[0], window[1] + 1)
+        lo, hi = window
         for a, X in self.objects.items():
             for b, Y in self.objects.items():
-                coh = self._coh[(a, b)] = HomCohomology(X, Y.module)
-                lo, hi = coh.degree_support()
-                # n, the complex degree of d, steps with d
-                for n, d in enumerate(degrees, _complex_degree(a, b, window[0])):
-                    supported = lo <= n and (hi is None or n <= hi)
-                    dim = coh.dim(n) if supported else 0
-                    if dim:
+                found = pieces.get((a, b))
+                expected = expected_homs(spec, a, b)
+                if found is None and not expected:
+                    continue
+                # degree -> dim: the expected cells of the window, then the
+                # computed ones, which override them
+                cells = {d: 0 for d, want in expected.items() if want and lo <= d <= hi}
+                if found is not None:
+                    coh = self._coh[(a, b)] = HomCohomology(X, Y.module, self.top, found)
+                    offset = _complex_degree(a, b)
+                    for n in coh.degrees():
+                        d = n - offset
+                        if coh.top is None or lo <= d <= hi:
+                            cells[d] = coh.dim(n)
+                for d in sorted(cells):
+                    dim, want = cells[d], expected.get(d, 0)
+                    if dim and lo <= d <= hi:
                         self.dims[(a, b, d)] = dim
-                    want = expected_hom_dim(spec, a, b, d)
                     if dim != want:
                         self.mismatches.append(
                             {"source": display_label(a), "target": display_label(b),
@@ -102,7 +127,12 @@ class HomTable:
                         )
 
     def cohomology(self, a, b):
-        return self._coh[(a, b)]
+        """The pair's `HomCohomology`; for a pair with no nonempty term, a
+        fresh one with no pieces, over b's own module."""
+        got = self._coh.get((a, b))
+        if got is None:
+            got = HomCohomology(self.objects[a], self.objects[b].module, self.top, {})
+        return got
 
     def dim(self, a, b, degree=0):
         return self.dims.get((a, b, degree), 0)

@@ -14,7 +14,10 @@ Morphism spaces are computed two ways:
 * hom cohomology against the module the factorisation resolves, a shifted
   `QuotientRing` (finite graded pieces with multiplication differentials):
   one `HomCohomology` answers, per degree, `dim`, `classes`, `identify`
-  and `rep_strings`, and
+  and `rep_strings`.  Its Buchweitz terms are found degree-first by
+  `buchweitz_pieces`, one join of the summands of the factorisations with
+  the standard monomials of the modules, walked by degree, so no degree
+  is probed for a term it does not have; and
 * explicit chain maps between the factorisations themselves, found by exact
   linear algebra from the one hom differential of `_boundary_matrices`.
 
@@ -250,6 +253,43 @@ def build_basic_object(group, label):
 # Buchweitz hom complexes
 
 
+def buchweitz_pieces(sources, targets, top):
+    """The nonempty pieces of the Buchweitz terms of every hom complex from
+    a factorisation in `sources` to a module in `targets` (two dicts keyed
+    by label), as {(a, b): {n: [(t, monomials)]}}: summand t of K_a^{-n}
+    meets the standard monomials `monomials` of M_b, a list that the ring
+    keeps.  Pairs with no nonempty term are left out.
+
+    Summand s of K^{-n}, n = 2m + parity, has shift s - m*c, so it meets
+    the standard monomials of absolute degree δ exactly when
+    δ - shift(M) + s = m*c.  The summands are indexed once by the class of
+    -s in L/Zc, each target's standard monomials are walked once by degree,
+    each degree δ looks up the class of δ - shift(M), and m is read off the
+    weight.  The cost is the staircase sizes plus the pieces found; it does
+    not depend on the degrees asked for.  A finite staircase gives the
+    pieces of every degree.  An infinite one (R/(x), R/(y), R/(f)) is
+    walked up to the weight that complex degree `top` reaches, and its
+    pieces above `top` are dropped, so its terms are exact up to `top`."""
+    index = {}  # the class of -s in L/Zc -> [(a, parity, t, weight of s)]
+    for a, K in sources.items():
+        for parity, shifts in enumerate((K.even_shifts, K.odd_shifts)):
+            for t, s in enumerate(shifts):
+                index.setdefault((-s).mod_c(), []).append((a, parity, t, s.w))
+    wc = next(iter(sources.values())).group.c.w
+    # the largest weight over shift(M) that a piece of degree <= top has
+    reach = max((top - parity) // 2 * wc - sw
+                for hits in index.values() for (_, parity, _, sw) in hits)
+    out = {}
+    for b, M in targets.items():
+        for d, monos in M.standard_monomials_by_degree(M.shift.w + reach):
+            rel = d - M.shift
+            for a, parity, t, sw in index.get(rel.mod_c(), ()):
+                n = 2 * ((rel.w + sw) // wc) + parity
+                if M.finite or n <= top:
+                    out.setdefault((a, b), {}).setdefault(n, []).append((t, monos))
+    return out
+
+
 class HomCohomology:
     """H^*(Hom(K (x) R, M)) for a factorisation K and a module M = R(l)/I,
     given as a QuotientRing whose shift is l.
@@ -258,6 +298,17 @@ class HomCohomology:
     summands of K^{-n}; differentials precompose with the structure maps of
     K.  Basis vectors are (summand, monomial) coordinates.
 
+    The terms are read off the pieces of `buchweitz_pieces`: `bside.HomTable`
+    finds those of every pair in one join and passes each pair its own; a
+    standalone HomCohomology(K, module) runs the same join for its one
+    pair.  For a finite staircase every degree is known, and every degree
+    without a piece is empty.  For an infinite one (R/(x), R/(y), R/(f))
+    the terms are known up to degree `top`, and term(n) raises
+    ArithmeticError above it, naming the pair and the degree; the default
+    10 covers what a table reads at the default window [-6, 6]: its top
+    degree, the largest object shift 3 and the neighbour degree that a
+    dimension reads.
+
     Each differential is eliminated once, as the `Subspace` of its
     columns, which is the image in the next degree: `dim(n)` is
     |term(n)| - rank d_n - rank d_(n-1), read off two images.  Only
@@ -265,54 +316,42 @@ class HomCohomology:
     `nullspace` on d_n; `identify` and `rep_strings` read those classes.
     """
 
-    def __init__(self, K: MatrixFactorisation, module: QuotientRing):
+    def __init__(self, K: MatrixFactorisation, module: QuotientRing, top=10, pieces=None):
         self.K = K
         self.module = module
-        # n -> term(n); perfbench's pre-hook on `term` tests n in it to count
-        # each term once, so it stays a dict keyed by n
+        # the last degree whose term is known; None when every degree is
+        self.top = None if module.finite else top
+        if pieces is None:
+            pieces = buchweitz_pieces({0: K}, {0: module}, top).get((0, 0), {})
+        # n -> [(t, monomials)] for a nonempty term not yet read
+        self._pieces = pieces
+        # n -> term(n), once read and nonempty; perfbench's pre-hook on
+        # `term` tests n in it to count each term once, so it stays a dict
+        # keyed by n
         self._terms = {}
         self._diffs = {}
         self._images = {}
         self._classes = {}
 
-    def degree_support(self):
-        """(lo, hi): every n with term(n) nonempty has lo <= n <= hi, and
-        hi is None when the module's staircase is infinite.
-
-        Summand a of K^{-n}, n = 2m + parity, contributes the piece of the
-        module of weight m*w(c) + w(shift) - w(a).  A piece has weight
-        >= 0, and for a finite staircase (bx, by) at most the weight of
-        x^(bx-1) y^(by-1).  Solving for m, per summand and parity, and taking
-        the hull gives the interval, from weights alone.  When no summand can
-        be nonempty the interval is empty (lo > hi)."""
-        g = self.K.group
-        wc = g.c.w
-        base = self.module.shift.w
-        box = self.module.staircase_bound()
-        top = None if box is None else (box[0] - 1) * g.x.w + (box[1] - 1) * g.y.w
-        los, his = [], []
-        for parity, shifts in ((0, self.K.even_shifts), (1, self.K.odd_shifts)):
-            for a in shifts:
-                gap = a.w - base  # the piece has weight m*wc - gap
-                m_lo = -(-gap // wc)
-                if top is None:
-                    los.append(2 * m_lo + parity)
-                    continue
-                m_hi = (top + gap) // wc
-                if m_lo <= m_hi:
-                    los.append(2 * m_lo + parity)
-                    his.append(2 * m_hi + parity)
-        if top is None:
-            return min(los), None
-        return (min(los), max(his)) if los else (1, 0)
+    def degrees(self):
+        """The degrees n with term(n) nonempty, ascending; up to `top` for
+        an infinite staircase."""
+        return sorted(self._pieces.keys() | self._terms.keys())
 
     def term(self, n):
+        """The (summand, monomial) coordinates of degree n, in summand order
+        and by `mono_key` within a summand."""
         got = self._terms.get(n)
         if got is None:
-            M = self.module
-            got = [(t, mono) for t, s in enumerate(self.K.term_shifts(n))
-                   for mono in M.standard_monomials_exact(M.shift - s)]
-            self._terms[n] = got
+            if self.top is not None and n > self.top:
+                M = self.module
+                raise ArithmeticError(
+                    f"degree {n} of the hom complex from {self.K.label} to {M.label} shifted "
+                    f"by {M.shift.vec} lies above degree {self.top}, the last one enumerated")
+            pieces = self._pieces.pop(n, None)  # kept once, as pieces or as a term
+            if pieces is None:
+                return []  # an empty term is not kept
+            got = self._terms[n] = [(t, mono) for t, monos in sorted(pieces) for mono in monos]
         return got
 
     def vector(self, n, row):
@@ -366,11 +405,9 @@ class HomCohomology:
         the `Subspace` of the columns of diff(n - 1)."""
         got = self._images.get(n)
         if got is None:
-            if self.term(n) and self.term(n - 1):
-                got = Subspace(col for col in self.diff(n - 1) if col)
-            else:
-                got = _NO_IMAGE
-            self._images[n] = got
+            if not (self.term(n) and self.term(n - 1)):
+                return _NO_IMAGE  # the image of a zero map is not kept
+            got = self._images[n] = Subspace(col for col in self.diff(n - 1) if col)
         return got
 
     def dim(self, n):
@@ -406,7 +443,7 @@ class HomCohomology:
         degree n, as a list; vector is a sparse vector over term(n).
         ArithmeticError if vector is not a cocycle."""
         classes = self.classes(n)
-        red = self._images[n].reduce(vector)  # classes(n) has built image(n)
+        red = self.image(n).reduce(vector)
         if not classes.contains(red):
             raise ArithmeticError("vector is not a cocycle of this degree")
         return [red.get(p, 0) for p in classes.basis]

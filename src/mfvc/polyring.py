@@ -342,7 +342,7 @@ class QuotientRing:
                         self._std_cache.setdefault(group.element(u, v), []).append((u, v))
             for monos in self._std_cache.values():
                 monos.sort(key=mono_key)
-        self._finite = box is not None
+        self.finite = box is not None
 
     def shifted(self, l: GroupElement):
         """A copy with shift + l.  It shares the Groebner basis, the
@@ -384,12 +384,36 @@ class QuotientRing:
         built with the ring; an infinite one enumerates each degree once."""
         cached = self._std_cache.get(d)
         if cached is None:
-            if self._finite:
+            if self.finite:
                 return ()
             cached = [m for m in monomials_of_exact_degree(self.group, d) if self.is_standard(m)]
             cached.sort(key=mono_key)
             self._std_cache[d] = cached
         return cached
+
+    def standard_monomials_by_degree(self, max_weight):
+        """(degree, standard monomials of that exact degree) pairs, the
+        monomials sorted by `mono_key` as in `standard_monomials_exact`:
+        every degree of a finite staircase, read off the index built with
+        the ring, and for an infinite one every degree of weight at most
+        max_weight.  The standard monomials are closed under division, so
+        the walk stops at the first nonstandard monomial of each row and
+        at the first nonstandard row."""
+        if self.finite:
+            return self._std_cache.items()
+        g = self.group
+        wx, wy = g.x.w, g.y.w
+        found = {}
+        u = 0
+        while u * wx <= max_weight and self.is_standard((u, 0)):
+            v = 0
+            while u * wx + v * wy <= max_weight and self.is_standard((u, v)):
+                found.setdefault(g.element(u, v), []).append((u, v))
+                v += 1
+            u += 1
+        for monos in found.values():
+            monos.sort(key=mono_key)
+        return found.items()
 
     def graded_piece_basis(self, delta, bound=None):
         """Monomial basis of the piece of R(shift)/I in class [delta] of L/Zc.

@@ -2,13 +2,14 @@ import pytest
 
 from mfvc.bside import (
     DEGREE_WINDOW,
+    HomTable,
     _complex_degree,
     basic_objects,
     composition_table,
     gabriel_quiver,
     hom_table,
 )
-from mfvc.directed import _arrows_and_relations, _certify
+from mfvc.directed import _arrows_and_relations, _certify, display_label
 from mfvc.families import FamilySpec
 from mfvc.mf import HomCohomology, compose_and_identify, generator_morphism
 
@@ -32,48 +33,148 @@ def test_hom_table_matches_closed_form(fam, p, q):
     assert not table.mismatches
 
 
-@pytest.mark.parametrize("fam", ["loop", "chain", "bp"])
-def test_degree_support_holds_every_nonempty_term(fam):
-    # the weight interval must contain every nonempty Buchweitz term, and
-    # for a finite-staircase target it must lie inside the degrees the
-    # default window visits, so that the window misses no class there
-    supported = finite = 0
-    for p in range(2, 6):
-        for q in range(2, 6):
-            objects = basic_objects(FamilySpec(fam, p, q))
-            for a, X in objects.items():
-                for b, Y in objects.items():
-                    coh = HomCohomology(X, Y.module)
-                    lo, hi = coh.degree_support()
-                    for n in range(-15, 16):
-                        if coh.term(n):
-                            assert lo <= n and (hi is None or n <= hi), (fam, p, q, a, b, n)
-                            supported += 1
-                    if Y.module.staircase_bound() is not None:
-                        assert hi is not None
-                        if lo <= hi:
-                            assert _complex_degree(a, b, DEGREE_WINDOW[0]) <= lo
-                            assert hi <= _complex_degree(a, b, DEGREE_WINDOW[1])
-                        finite += 1
-    assert supported and finite
+def naive_term(K, module, n):
+    """Reference: term(n) probed degree by degree, the standard monomials of
+    the module in the degree of each summand of K^{-n}."""
+    return [(t, mono) for t, s in enumerate(K.term_shifts(n))
+            for mono in module.standard_monomials_exact(module.shift - s)]
+
+
+class ProbedCohomology(HomCohomology):
+    """A HomCohomology whose terms are probed by `naive_term`, not read off
+    the enumerated pieces."""
+
+    def __init__(self, K, module):
+        super().__init__(K, module, pieces={})
+
+    def term(self, n):
+        got = self._terms.get(n)
+        if got is None:
+            got = self._terms[n] = naive_term(self.K, self.module, n)
+        return got
+
+
+def naive_hom_table(spec, window=DEGREE_WINDOW):
+    """Reference: probe every (pair, degree) cell of the window and compare
+    each with the closed form.  Returns the nonzero cells as
+    {(a, b, degree): dim} and the mismatches, in (source, target, degree)
+    order."""
+    from mfvc import bside
+
+    objects = basic_objects(spec)
+    dims, mismatches = {}, []
+    for a, X in objects.items():
+        for b, Y in objects.items():
+            coh = ProbedCohomology(X, Y.module)
+            expected = bside.expected_homs(spec, a, b)
+            for d in range(window[0], window[1] + 1):
+                dim = coh.dim(_complex_degree(a, b, d))
+                if dim:
+                    dims[(a, b, d)] = dim
+                if dim != expected.get(d, 0):
+                    mismatches.append({"source": display_label(a), "target": display_label(b),
+                                       "degree": d, "dim": dim, "expected": expected.get(d, 0)})
+    return dims, mismatches
+
+
+@pytest.mark.parametrize("fam,p,q", [
+    ("loop", 4, 4), ("chain", 4, 5), ("bp", 5, 3), ("loop", 7, 4), ("chain", 10, 10),
+])
+def test_enumerated_table_matches_the_window_probe(fam, p, q):
+    # the degree-first table gives the probe's nonzero cells in its order,
+    # its mismatches, and its every term in degrees -15..15, up to the
+    # enumerated degree for an infinite-staircase target.  loop(7,4) has
+    # torsion in L
+    spec = FamilySpec(fam, p, q)
+    table = HomTable(spec)
+    dims, mismatches = naive_hom_table(spec)
+    assert list(table.dims.items()) == list(dims.items())
+    assert table.mismatches == mismatches
+    nonempty = 0
+    for a, X in table.objects.items():
+        for b, Y in table.objects.items():
+            coh = table.cohomology(a, b)
+            for n in range(-15, 16):
+                if coh.top is not None and n > coh.top:
+                    break
+                term = coh.term(n)
+                assert term == naive_term(X, Y.module, n), (a, b, n)
+                nonempty += bool(term)
+    assert nonempty
+
+
+def test_table_keeps_a_cohomology_only_for_pairs_with_a_nonempty_term():
+    # every other pair gets a fresh HomCohomology over its own target's
+    # module, which composition reads for zero pairs (a, c)
+    spec = FamilySpec("loop", 4, 4)
+    table = HomTable(spec)
+    nonempty = {(a, b) for a, X in table.objects.items() for b, Y in table.objects.items()
+                if any(naive_term(X, Y.module, n) for n in range(-15, table.top + 1))}
+    assert set(table._coh) == nonempty
+    assert len(nonempty) < len(table.objects) ** 2
+    zero = next((a, b) for a in table.objects for b in table.objects if (a, b) not in nonempty)
+    coh = table.cohomology(*zero)
+    assert coh.module is table.objects[zero[1]].module and coh.degrees() == []
+    assert composition_table(spec, table).pairs == table.skeleton().pairs
+
+
+def test_finite_target_class_outside_the_window_is_reported(monkeypatch):
+    # a finite-staircase target is enumerated in every degree, so its
+    # classes outside the window are checked against the closed form too.
+    # A piece added to K0(1,1) -> K0(2,2) in degree 8, with no neighbour,
+    # is a class there; dims and rows stay inside the window
+    from mfvc import bside
+
+    spec = FamilySpec("loop", 3, 3)
+    clean = HomTable(spec)
+    join = bside.buchweitz_pieces
+
+    def with_a_far_piece(sources, targets, top):
+        out = join(sources, targets, top)
+        out[(("K0", 1, 1), ("K0", 2, 2))][8] = [(0, [(0, 0)])]
+        return out
+
+    monkeypatch.setattr(bside, "buchweitz_pieces", with_a_far_piece)
+    table = HomTable(spec)
+    assert table.mismatches == [{"source": "K0(1,1)", "target": "K0(2,2)", "degree": 8,
+                                 "dim": 1, "expected": 0}]
+    assert list(table.dims.items()) == list(clean.dims.items())
+    assert table.rows() == clean.rows()
+    with pytest.raises(ArithmeticError, match="closed form"):
+        table.skeleton()
+
+
+def test_infinite_target_term_above_the_enumerated_degree_raises():
+    # the terms of R/(x), R/(y) and R/(f) are enumerated up to the table's
+    # top degree, and a read above it is an error, never an empty term
+    table = HomTable(FamilySpec("loop", 3, 3), (0, 0))
+    a, b = ("K0", 1, 1), ("Kx", 1)
+    coh = table.cohomology(a, b)
+    assert coh.top == table.top == 4
+    assert coh.term(4) == naive_term(table.objects[a], table.objects[b].module, 4)
+    with pytest.raises(ArithmeticError, match=r"degree 5 .* from K0\(1,1\) to R/\(x\)"):
+        coh.term(5)
+    assert table.cohomology(("K0", 1, 1), ("K0", 2, 2)).top is None
 
 
 def test_skeleton_raises_on_a_table_off_the_closed_form(monkeypatch):
     # a closed form that puts hom(K0(1,1), K0(1,2)) in degree 1: the table
-    # computes it in degree 0, and the skeleton must not drop the difference
+    # computes it in degree 0, where the closed form now has nothing, and
+    # in degree 1 the term is empty; the skeleton must not drop either
     from mfvc import bside
 
-    closed_form = bside.expected_hom_dim
+    closed_form = bside.expected_homs
     moved = (("K0", 1, 1), ("K0", 1, 2))
 
-    def moved_to_degree_1(spec, a, b, degree):
+    def moved_to_degree_1(spec, a, b):
         if (a, b) == moved:
-            return int(degree == 1)
-        return closed_form(spec, a, b, degree)
+            return {1: 1}
+        return closed_form(spec, a, b)
 
-    monkeypatch.setattr(bside, "expected_hom_dim", moved_to_degree_1)
+    monkeypatch.setattr(bside, "expected_homs", moved_to_degree_1)
     table = bside.HomTable(FamilySpec("loop", 2, 3))
     assert [(m["degree"], m["dim"], m["expected"]) for m in table.mismatches] == [(0, 1, 0), (1, 0, 1)]
+    assert table.mismatches == naive_hom_table(table.spec)[1]
     with pytest.raises(ArithmeticError, match="closed form"):
         table.skeleton()
 

@@ -159,7 +159,7 @@ def _mirror_check_in_process(capsys, p="2", q="3"):
 def test_b_side_hom_table_deviation_gives_report(monkeypatch, capsys):
     from mfvc import bside
 
-    monkeypatch.setattr(bside, "expected_hom_dim", lambda spec, a, b, degree: 7)
+    monkeypatch.setattr(bside, "expected_homs", lambda spec, a, b: {0: 7})
     code, payload = _mirror_check_in_process(capsys)
     assert code == 1
     assert payload["pass"] is False
@@ -378,7 +378,7 @@ def test_failed_check_in_a_command_is_an_error_line(monkeypatch, capsys):
     from mfvc import bside
     from mfvc.cli import main
 
-    monkeypatch.setattr(bside, "expected_hom_dim", lambda spec, a, b, degree: 7)
+    monkeypatch.setattr(bside, "expected_homs", lambda spec, a, b: {0: 7})
     code = main(["homtable", "--family", "loop", "--p", "2", "--q", "3"])
     out, err = capsys.readouterr()
     assert code == 1
