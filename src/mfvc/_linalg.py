@@ -3,11 +3,10 @@
 A row or vector is a dict {column: coefficient} that holds only nonzero
 entries; the matrices here are monomial or binomial differentials and
 chain-map equations, so most entries are zero and are never touched.
-`nullspace` and `Subspace` take and return such dicts, and `nullspace`
-takes the column count, which a dict cannot supply.  Entries may be given
-as `int` or `Fraction`, and zero entries given on input are dropped.
-`rank` alone takes dense rows (lists), since its callers, the brute-force
-piece-dimension oracle and the benchmark harness, build dense rows.
+`rank`, `nullspace` and `Subspace` take such dicts, `nullspace` and
+`Subspace` return them, and `nullspace` takes the column count, which a
+dict cannot supply.  Entries may be given as `int` or `Fraction`, and zero
+entries given on input are dropped.
 
 Exact coefficients throughout mfvc are held in canonical form: an `int`
 when the value is integral and a `Fraction` only when it is not (`_q`).
@@ -96,8 +95,10 @@ def _echelon(rows):
 
 
 def rank(rows):
-    """Rank of a matrix given as dense rows."""
-    return len(_echelon({c: a for c, a in enumerate(r) if a} for r in rows))
+    """Rank of the matrix with these rows.  A row given as a dense list is
+    read as {position: entry}; only the benchmark harness's tests still
+    pass such rows."""
+    return len(_echelon(r if type(r) is dict else dict(enumerate(r)) for r in rows))
 
 
 def nullspace(rows, ncols):

@@ -423,11 +423,14 @@ class QuotientRing:
         monomials of exact degree l + shift + m*c, joined over every m whose
         weight fits the exponent box.  The box is the staircase when it is
         finite; otherwise an explicit exponent bound is required and the
-        monomials are kept to exponents <= bound.
+        monomials are kept to exponents <= bound.  A negative bound raises
+        `ValueError`.
         """
         g = self.group
         if not isinstance(delta, GroupElement):
             raise TypeError("delta must be a GroupElement representative")
+        if bound is not None and bound < 0:
+            raise ValueError(f"exponent bound {bound} is negative")
         box = self.staircase_bound()
         if box is None:
             if bound is None:
@@ -447,18 +450,37 @@ class QuotientRing:
 def brute_force_piece_dim(group, generators, shift, delta_rep, bound):
     """Independent oracle for graded piece dimensions.
 
-    Enumerates every monomial with exponents <= bound in the class of
-    delta_rep (mod c), collects all multiples m*g of the ideal generators
-    lying in the same class with exponents <= bound, and row-reduces to
-    count surviving monomials.  No Groebner machinery is used.
+    Counts the monomials with exponents <= bound in the class of
+    delta_rep + shift modulo c, less the rank of the multiples s*g of the
+    ideal generators that lie wholly inside that box and class.  No
+    Groebner machinery is used.
+
+    The class is enumerated by coordinate: x^u y^v lies in it exactly when
+    v*y lies in the class of target - u*x, so the exponents v are bucketed
+    by the class of v*y once and each u reads one bucket.  A generator is
+    homogeneous, so a multiple lies in the class iff any one of its terms
+    does: the multiples are read off the class monomials through one fixed
+    term, each as a sparse row over them.
+
+    A bounded infinite staircase is truncated differently here and in
+    `QuotientRing.graded_piece_basis`, which keeps the standard monomials
+    inside the box: a multiple of a binomial generator with one term
+    outside the box is not subtracted here, so on such staircases the two
+    counts agree only for monomial ideals.  A finite staircase inside the
+    box is counted alike by both.
     """
     import warnings
 
     from ._linalg import rank as mat_rank
 
-    max_gen_exp = max(
-        (max(u, v) for g in generators if g for (u, v) in g.terms), default=0
-    )
+    if not isinstance(delta_rep, GroupElement):
+        raise TypeError("delta must be a GroupElement representative")
+    if bound < 0:
+        raise ValueError(f"exponent bound {bound} is negative")
+    generators = [g for g in generators if g]
+    if any(g.degree_in(group) is None for g in generators):
+        raise ValueError("oracle needs homogeneous generators")
+    max_gen_exp = max((max(u, v) for g in generators for (u, v) in g.terms), default=0)
     if bound < max_gen_exp:
         warnings.warn(
             f"bound {bound} does not enclose the ideal staircase "
@@ -466,36 +488,24 @@ def brute_force_piece_dim(group, generators, shift, delta_rep, bound):
             stacklevel=2,
         )
     target = (delta_rep + shift).mod_c()
-    monos = [
-        (u, v)
-        for u in range(bound + 1)
-        for v in range(bound + 1)
-        if group.element(u, v).mod_c() == target
-    ]
-    if not monos:
-        return 0
-    index = {m: i for i, m in enumerate(monos)}
+    by_class = {}
+    for v in range(bound + 1):
+        by_class.setdefault(group.element(0, v).mod_c(), []).append(v)
+    index = {}
+    for u in range(bound + 1):
+        for v in by_class.get((target - group.element(u, 0)).mod_c(), ()):
+            index[(u, v)] = len(index)
     rows = []
     for gpoly in generators:
-        if not gpoly:
-            continue
-        gdeg = gpoly.degree_in(group)
-        if gdeg is None:
-            raise ValueError("oracle needs homogeneous generators")
-        maxu = max(u for (u, v) in gpoly.terms)
-        maxv = max(v for (u, v) in gpoly.terms)
-        for su in range(bound - maxu + 1):
-            for sv in range(bound - maxv + 1):
-                shifted = {(su + u, sv + v): c for (u, v), c in gpoly.terms.items()}
-                if any(m not in index for m in shifted):
-                    continue
-                first = next(iter(shifted))
-                if group.element(*first).mod_c() != target:
-                    continue
-                row = [0] * len(monos)
-                for m, c in shifted.items():
-                    row[index[m]] = c
-                rows.append(row)
+        terms = gpoly.terms.items()
+        (fu, fv), _ = next(iter(terms))
+        # shifts (su, sv) that keep every term inside the box
+        top_u = bound - max(u for (u, v), _ in terms)
+        top_v = bound - max(v for (u, v), _ in terms)
+        for (u, v) in index:
+            su, sv = u - fu, v - fv
+            if 0 <= su <= top_u and 0 <= sv <= top_v:
+                rows.append({index[(su + a, sv + b)]: c for (a, b), c in terms})
     if not rows:
-        return len(monos)
-    return len(monos) - mat_rank(rows)
+        return len(index)
+    return len(index) - mat_rank(rows)

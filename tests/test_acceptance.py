@@ -134,11 +134,11 @@ def test_criterion_5_transport_verification():
            f"{worst_mod:.1e}, halving factor {halving:.1f} ({elapsed:.1f}s)")
 
 
-def test_criterion_6_property_suites():
+def criterion_6_cases():
+    """(group, generators, delta, bound) for criterion 6's 200 seeded
+    graded-piece cases."""
     rng = random.Random(2024)
-    mismatches = 0
-    cases = 0
-    while cases < 200:
+    for _ in range(200):
         family = rng.choice(list(ALL_FAMILIES))
         p, q = rng.randint(2, 5), rng.randint(2, 5)
         g = make_grading_group(family, p, q)
@@ -150,11 +150,15 @@ def test_criterion_6_property_suites():
             if f is not None:
                 gens.append(f)
         delta = g.element(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-1, 1))
-        bound = 3 * p * q
+        yield g, gens, delta, 3 * p * q
+
+
+def test_criterion_6_property_suites():
+    mismatches = 0
+    for g, gens, delta, bound in criterion_6_cases():
         dim = len(QuotientRing(g, gens).graded_piece_basis(delta, bound=bound))
         if dim != brute_force_piece_dim(g, gens, g.zero, delta, bound):
             mismatches += 1
-        cases += 1
     counterexamples = 0
     for p in range(2, 7):
         for q in range(2, 7):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mfvc._linalg import rank
 from mfvc.grading import make_grading_group
 from mfvc.polyring import (
     Poly,
@@ -185,10 +186,25 @@ def test_brute_force_warns_when_bound_too_small():
     assert any("staircase" in str(w.message) for w in caught)
 
 
-def test_graded_piece_matches_oracle_randomized():
+def test_negative_bound_and_non_element_delta_are_rejected():
+    import warnings
+
+    g = make_grading_group("loop", 3, 3)
+    for ring in (QuotientRing(g, [poly_x(2), poly_y(2)]), QuotientRing(g, [poly_x(2)])):
+        with pytest.raises(ValueError, match="negative"):
+            ring.graded_piece_basis(g.zero, bound=-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="negative"):
+            brute_force_piece_dim(g, [poly_x(2)], g.zero, g.zero, -1)
+    with pytest.raises(TypeError, match="GroupElement"):
+        brute_force_piece_dim(g, [poly_x(2)], g.zero, (0, 0), 4)
+
+
+def randomized_cases():
+    """(group, generators, delta, bound) for 200 cases on finite staircases."""
     rng = random.Random(2024)
-    cases = 0
-    while cases < 200:
+    for _ in range(200):
         family = rng.choice(["loop", "chain", "bp"])
         p = rng.randint(2, 5)
         q = rng.randint(2, 5)
@@ -203,19 +219,21 @@ def test_graded_piece_matches_oracle_randomized():
             if f is not None:
                 gens.append(poly_x() * f if rng.random() < 0.5 else f)
         delta = g.element(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-1, 1))
+        yield g, gens, delta, 3 * p * q
+
+
+def test_graded_piece_matches_oracle_randomized():
+    for g, gens, delta, bound in randomized_cases():
         ring = QuotientRing(g, gens)
-        bound = 3 * p * q
         dim = len(ring.graded_piece_basis(delta, bound=bound))
         oracle = brute_force_piece_dim(g, gens, g.zero, delta, bound)
-        assert dim == oracle, (family, p, q, [str(x) for x in gens], delta)
-        cases += 1
+        assert dim == oracle, (g.key, [str(x) for x in gens], delta)
 
 
-def test_graded_piece_matches_oracle_shifted_and_unbounded():
-    # Nonzero shifts on finite staircases, and infinite staircases with an
-    # exponent bound.  The infinite ones come from monomial ideals: there
-    # the oracle's box truncation (multiples lying wholly inside the box)
-    # keeps exactly the standard monomials of the box, so both counts agree.
+def shifted_cases():
+    """(group, generators, shift, delta, bound) for 150 cases: nonzero
+    shifts on finite staircases (odd cases), and infinite staircases of
+    monomial ideals with an exponent bound (even cases)."""
     rng = random.Random(5)
     for case in range(150):
         family = rng.choice(["loop", "chain", "bp"])
@@ -234,15 +252,98 @@ def test_graded_piece_matches_oracle_shifted_and_unbounded():
             ])
         shift = g.element(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-1, 1))
         delta = g.element(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-1, 1))
+        yield g, gens, shift, delta, rng.randint(p + q, 3 * p * q)
+
+
+def test_graded_piece_matches_oracle_shifted_and_unbounded():
+    # On the infinite staircases of monomial ideals the oracle's box
+    # truncation (multiples lying wholly inside the box) keeps exactly the
+    # standard monomials of the box, so both counts agree.
+    for case, (g, gens, shift, delta, bound) in enumerate(shifted_cases()):
         ring = QuotientRing(g, gens, shift=shift)
         assert (ring.staircase_bound() is None) == (not case % 2)
-        bound = rng.randint(p + q, 3 * p * q)
         basis = ring.graded_piece_basis(delta, bound=bound)
         for mono, m in basis:
             assert g.element(*mono) == delta + shift + m * g.c
             assert max(mono) <= bound and ring.is_standard(mono)
         oracle = brute_force_piece_dim(g, gens, shift, delta, bound)
-        assert len(basis) == oracle, (family, p, q, [str(x) for x in gens], shift, delta)
+        assert len(basis) == oracle, (g.key, [str(x) for x in gens], shift, delta)
+
+
+def naive_piece_dim(group, generators, shift, delta_rep, bound):
+    """The reference oracle: scans the whole exponent box for the monomials
+    of the class, tries every shift of every generator, and builds each
+    multiple inside the box and class as a dense row."""
+    import warnings
+
+    max_gen_exp = max(
+        (max(u, v) for g in generators if g for (u, v) in g.terms), default=0
+    )
+    if bound < max_gen_exp:
+        warnings.warn(
+            f"bound {bound} does not enclose the ideal staircase "
+            f"(generator exponent {max_gen_exp}); the count may be too large",
+            stacklevel=2,
+        )
+    target = (delta_rep + shift).mod_c()
+    monos = [
+        (u, v)
+        for u in range(bound + 1)
+        for v in range(bound + 1)
+        if group.element(u, v).mod_c() == target
+    ]
+    if not monos:
+        return 0
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for gpoly in generators:
+        if not gpoly:
+            continue
+        if gpoly.degree_in(group) is None:
+            raise ValueError("oracle needs homogeneous generators")
+        maxu = max(u for (u, v) in gpoly.terms)
+        maxv = max(v for (u, v) in gpoly.terms)
+        for su in range(bound - maxu + 1):
+            for sv in range(bound - maxv + 1):
+                shifted = {(su + u, sv + v): c for (u, v), c in gpoly.terms.items()}
+                if any(m not in index for m in shifted):
+                    continue
+                first = next(iter(shifted))
+                if group.element(*first).mod_c() != target:
+                    continue
+                row = [0] * len(monos)
+                for m, c in shifted.items():
+                    row[index[m]] = c
+                rows.append(row)
+    return len(monos) - rank([{c: a for c, a in enumerate(r) if a} for r in rows])
+
+
+def test_oracle_matches_naive_reference():
+    from test_acceptance import criterion_6_cases
+
+    cases = [(g, gens, g.zero, delta, bound) for g, gens, delta, bound in criterion_6_cases()]
+    cases += [(g, gens, g.zero, delta, bound) for g, gens, delta, bound in randomized_cases()]
+    cases += list(shifted_cases())
+    assert len(cases) == 550
+    g = make_grading_group("loop", 3, 4)
+    cases += [
+        (g, [Poly.constant(1)], g.zero, g.y, 6),  # the unit ideal
+        (g, [Poly(), poly_x(2), poly_y(3)], g.x, g.zero, 8),  # a zero generator
+        (g, [], g.zero, g.x, 0),  # no monomial in the class
+        (g, [], g.y, g.x, 7),  # no generator: every monomial of the class
+        # a homogeneous binomial on an infinite staircase, where the box
+        # truncation differs from graded_piece_basis's
+        (g, [family_w("loop", 3, 4)], g.zero, g.zero, 12),
+        (g, [family_factor("loop", 3, 4)], g.x, g.y, 11),
+    ]
+    for case in cases:
+        assert brute_force_piece_dim(*case) == naive_piece_dim(*case), case
+    # a bound below a generator exponent: both warn, and agree
+    case = (g, [poly_x(9), poly_y(2)], g.zero, g.zero, 4)
+    with pytest.warns(UserWarning, match="staircase"):
+        got = brute_force_piece_dim(*case)
+    with pytest.warns(UserWarning, match="staircase"):
+        assert got == naive_piece_dim(*case)
 
 
 # ---------------------------------------------------------------------------
