@@ -85,9 +85,13 @@ class HomTable:
     order, and `rows` stay inside the window.  The targets R/(x), R/(y)
     and R/(f) are enumerated up to `top`, the highest degree the window
     reads, and degrees past the window rest on the divisibility lemma of
-    the README."""
+    the README.  The window (lo, hi) must contain degree 0, whose cells
+    `skeleton` reads; any other raises `ValueError`."""
 
     def __init__(self, spec: FamilySpec, window=DEGREE_WINDOW):
+        lo, hi = window
+        if not lo <= 0 <= hi:
+            raise ValueError(f"degree window {window} does not contain degree 0")
         self.spec = spec
         self.window = window
         self.objects = basic_objects(spec)
@@ -99,7 +103,6 @@ class HomTable:
         self._coh = {}
         self.dims = {}
         self.mismatches = []
-        lo, hi = window
         for a, X in self.objects.items():
             for b, Y in self.objects.items():
                 found = pieces.get((a, b))

@@ -29,7 +29,7 @@ def _failure(spec, kind, stage, exc):
     }
 
 
-def mirror_check(spec: FamilySpec, window=DEGREE_WINDOW, table=None):
+def mirror_check(spec: FamilySpec, window=DEGREE_WINDOW):
     """Compare the two sides under the object correspondence: (a) hom
     dimensions between distinct objects, then directedness.  Both sides
     read their objects off (f, e), so each side's object count is also
@@ -66,11 +66,10 @@ def mirror_check(spec: FamilySpec, window=DEGREE_WINDOW, table=None):
         a_alg = assemble_directed_algebra(spec)
     except ArithmeticError as exc:
         return _failure(spec, "a_side", "assemble_directed_algebra", exc)
-    if table is None or table.window != window:
-        try:
-            table = hom_table(spec, window)
-        except ArithmeticError as exc:
-            return _failure(spec, "b_side", "hom_table", exc)
+    try:
+        table = hom_table(spec, window)
+    except ArithmeticError as exc:
+        return _failure(spec, "b_side", "hom_table", exc)
     try:
         b_alg = composition_table(spec, table)
     except ArithmeticError as exc:

@@ -72,9 +72,6 @@ class GroupElement:
     def is_zero(self):
         return self.r == 0 and self.w == 0
 
-    def weight(self):
-        return self.w
-
     @property
     def vec(self):
         """A canonical integer 3-vector over (xv, yv, cv) representing this element."""

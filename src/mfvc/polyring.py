@@ -297,8 +297,8 @@ def monomials_of_exact_degree(group, d):
     `group.monomials_by_degree`."""
     out = group.monomials_by_degree.get(d)
     if out is None:
-        w = d.weight()
-        wx, wy = group.x.weight(), group.y.weight()
+        w = d.w
+        wx, wy = group.x.w, group.y.w
         found = []
         if w >= 0:
             for u in range(w // wx + 1):
@@ -318,6 +318,11 @@ class QuotientRing:
     The degree-d piece of R(shift)/I is spanned by the standard monomials
     (those outside the leading-term staircase) of exact L-degree d + shift.
     Generators are expected to be L-homogeneous so that pieces make sense.
+
+    The standard monomials are listed one way, by the walk of
+    `standard_monomials_by_degree`: a finite staircase is walked whole once,
+    with the ring, and an infinite one up to the weight each caller asks
+    for.
     """
 
     def __init__(self, group: GradingGroup, generators, shift: GroupElement = None, label=""):
@@ -331,23 +336,21 @@ class QuotientRing:
         self.gb = groebner(self.generators)
         self.lead_terms = [g.lead()[0] for g in self.gb]
         self._nf_cache = {}
-        self._std_cache = {}
-        box = self.staircase_bound()
-        if box is not None:
-            # a finite staircase: index its at most bx*by standard monomials
-            # by degree once, so that every later piece is one lookup
-            for u in range(box[0]):
-                for v in range(box[1]):
-                    if self.is_standard((u, v)):
-                        self._std_cache.setdefault(group.element(u, v), []).append((u, v))
-            for monos in self._std_cache.values():
-                monos.sort(key=mono_key)
-        self.finite = box is not None
+        bx = min((u for (u, v) in self.lead_terms if v == 0), default=None)
+        by = min((v for (u, v) in self.lead_terms if u == 0), default=None)
+        self.finite = bx is not None and by is not None
+        self._box = (bx, by) if self.finite else None
+        # a finite staircase is walked whole once, up to the weight of its
+        # box corner: degree -> standard monomials
+        self._staircase = None
+        if self.finite:
+            corner = (bx - 1) * group.x.w + (by - 1) * group.y.w
+            self._staircase = dict(self.standard_monomials_by_degree(corner))
 
     def shifted(self, l: GroupElement):
         """A copy with shift + l.  It shares the Groebner basis, the
-        normal-form cache and the standard-monomial index, which are keyed
-        by absolute degree."""
+        normal-form cache and the walked staircase, which are keyed by
+        absolute degree."""
         out = copy(self)
         out.shift = self.shift + l
         return out
@@ -356,9 +359,7 @@ class QuotientRing:
         """(bx, by) with every standard monomial having u < bx, v < by;
         None when the ring is infinite-dimensional, that is unless pure
         powers of x and of y lead."""
-        bx = min((u for (u, v) in self.lead_terms if v == 0), default=None)
-        by = min((v for (u, v) in self.lead_terms if u == 0), default=None)
-        return None if bx is None or by is None else (bx, by)
+        return self._box
 
     def is_standard(self, mono):
         return not any(mono_divides(lt, mono) for lt in self.lead_terms)
@@ -378,39 +379,27 @@ class QuotientRing:
 
     # -- piece enumeration ---------------------------------------------------
 
-    def standard_monomials_exact(self, d: GroupElement):
-        """Standard monomials of exact degree d, sorted by `mono_key`: a
-        basis of (S/I)_d.  A finite staircase reads them from the index
-        built with the ring; an infinite one enumerates each degree once."""
-        cached = self._std_cache.get(d)
-        if cached is None:
-            if self.finite:
-                return ()
-            cached = [m for m in monomials_of_exact_degree(self.group, d) if self.is_standard(m)]
-            cached.sort(key=mono_key)
-            self._std_cache[d] = cached
-        return cached
-
     def standard_monomials_by_degree(self, max_weight):
         """(degree, standard monomials of that exact degree) pairs, the
-        monomials sorted by `mono_key` as in `standard_monomials_exact`:
-        every degree of a finite staircase, read off the index built with
-        the ring, and for an infinite one every degree of weight at most
-        max_weight.  The standard monomials are closed under division, so
-        the walk stops at the first nonstandard monomial of each row and
-        at the first nonstandard row."""
-        if self.finite:
-            return self._std_cache.items()
+        monomials sorted by `mono_key` and the degrees in the order of
+        their first monomial, u-major and v ascending: every degree of a
+        finite staircase, walked once with the ring, and for an infinite
+        one every degree of weight at most max_weight, walked on each call.
+        The standard monomials are closed under division, so the walk stops
+        at the first nonstandard monomial of each row and at the first
+        nonstandard row."""
+        if self._staircase is not None:
+            return self._staircase.items()
         g = self.group
         wx, wy = g.x.w, g.y.w
         found = {}
-        u = 0
-        while u * wx <= max_weight and self.is_standard((u, 0)):
-            v = 0
-            while u * wx + v * wy <= max_weight and self.is_standard((u, v)):
+        for u in range(max_weight // wx + 1):
+            if not self.is_standard((u, 0)):
+                break
+            for v in range((max_weight - u * wx) // wy + 1):
+                if not self.is_standard((u, v)):
+                    break
                 found.setdefault(g.element(u, v), []).append((u, v))
-                v += 1
-            u += 1
         for monos in found.values():
             monos.sort(key=mono_key)
         return found.items()
@@ -420,29 +409,31 @@ class QuotientRing:
 
         delta is a GroupElement used as the exact representative l of the
         class.  Returns [(monomial, m)] sorted by monomial: the standard
-        monomials of exact degree l + shift + m*c, joined over every m whose
-        weight fits the exponent box.  The box is the staircase when it is
-        finite; otherwise an explicit exponent bound is required and the
-        monomials are kept to exponents <= bound.  A negative bound raises
-        `ValueError`.
+        monomials inside the exponent box whose degree is l + shift + m*c
+        for some m, each with its m, read off the weight.  The box is the
+        staircase when it is finite; otherwise an explicit exponent bound
+        is required, the staircase is walked up to the largest weight in
+        the box, and the monomials are kept to exponents <= bound.  A
+        negative bound raises `ValueError`.
         """
         g = self.group
         if not isinstance(delta, GroupElement):
             raise TypeError("delta must be a GroupElement representative")
         if bound is not None and bound < 0:
             raise ValueError(f"exponent bound {bound} is negative")
-        box = self.staircase_bound()
+        box = self._box
         if box is None:
             if bound is None:
                 raise ValueError("infinite-dimensional piece: supply an exponent bound")
             box = (bound + 1, bound + 1)
         base = delta + self.shift
+        target = base.mod_c()
         top = (box[0] - 1) * g.x.w + (box[1] - 1) * g.y.w
         out = []
-        for m in range(-(base.w // g.c.w), (top - base.w) // g.c.w + 1):
-            for mono in self.standard_monomials_exact(base + m * g.c):
-                if mono[0] < box[0] and mono[1] < box[1]:
-                    out.append((mono, m))
+        for d, monos in self.standard_monomials_by_degree(top):
+            if d.mod_c() == target:
+                m = (d.w - base.w) // g.c.w
+                out.extend((mono, m) for mono in monos if mono[0] < box[0] and mono[1] < box[1])
         out.sort(key=lambda t: mono_key(t[0]))
         return out
 

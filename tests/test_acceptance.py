@@ -69,7 +69,7 @@ def test_criterion_2_mirror_check_sweep():
         for p in range(2, 7):
             for q in range(2, 7):
                 spec = FamilySpec(fam, p, q)
-                r = mirror_check(spec, table=cached_table(spec))
+                r = mirror_check(spec)
                 count += 1
                 if not r["pass"]:
                     failures.append((spec.label(), r["mismatches"][:2]))

@@ -12,6 +12,7 @@ from mfvc.bside import (
 from mfvc.directed import _arrows_and_relations, _certify, display_label
 from mfvc.families import FamilySpec
 from mfvc.mf import HomCohomology, compose_and_identify, generator_morphism
+from mfvc.polyring import mono_key, monomials_of_exact_degree
 
 
 def test_object_counts():
@@ -35,9 +36,11 @@ def test_hom_table_matches_closed_form(fam, p, q):
 
 def naive_term(K, module, n):
     """Reference: term(n) probed degree by degree, the standard monomials of
-    the module in the degree of each summand of K^{-n}."""
+    the module in the degree of each summand of K^{-n}, found by filtering
+    every monomial of that degree."""
     return [(t, mono) for t, s in enumerate(K.term_shifts(n))
-            for mono in module.standard_monomials_exact(module.shift - s)]
+            for mono in sorted((m for m in monomials_of_exact_degree(module.group, module.shift - s)
+                                if module.is_standard(m)), key=mono_key)]
 
 
 class ProbedCohomology(HomCohomology):

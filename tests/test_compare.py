@@ -1,6 +1,7 @@
 import pytest
 
 from mfvc.aside import enumerate_critical_data
+from mfvc.bside import hom_table
 from mfvc.compare import correspondence, mirror_check
 from mfvc.families import FamilySpec
 
@@ -124,3 +125,14 @@ def test_profile_disagreement_is_an_a_side_failure(monkeypatch):
     assert report["pass"] is False
     assert [(m["kind"], m["stage"]) for m in report["mismatches"]] == [
         ("a_side", "assemble_directed_algebra")]
+
+
+@pytest.mark.parametrize("window", [(1, 6), (3, -3), (-6, -1)])
+def test_window_without_degree_zero_is_rejected(window):
+    # the skeleton reads the degree-0 cells, so a window without them is
+    # bad input, not an empty table
+    spec = FamilySpec("loop", 3, 3)
+    with pytest.raises(ValueError, match="degree 0"):
+        hom_table(spec, window)
+    with pytest.raises(ValueError, match="degree 0"):
+        mirror_check(spec, window)

@@ -24,7 +24,7 @@ def test_hnf_reduces_relations_to_zero():
 def test_structure_invariants(family, p, q):
     g = make_grading_group(family, p, q)
     assert g.order_mod_c == expected_order_mod_c(family, p, q)
-    assert g.c.weight() > 0  # so c has infinite order: torsion has weight 0
+    assert g.c.w > 0  # so c has infinite order: torsion has weight 0
     # L = Z + Z/d with d computed, not assumed
     d = {"loop": math.gcd(p - 1, q - 1), "chain": math.gcd(p, q - 1), "bp": math.gcd(p, q)}[family]
     assert g.free_rank == 1
@@ -109,9 +109,9 @@ def test_mod_c_is_constant_on_c_cosets():
             l = g.element(rng.randint(-8, 8), rng.randint(-8, 8), rng.randint(-3, 3))
             cls = l.mod_c()
             # the canonical element: weight in [0, c.w), differing from l by a multiple of c
-            assert 0 <= cls.weight() < g.c.weight()
+            assert 0 <= cls.w < g.c.w
             assert cls.mod_c() == cls
-            assert l - cls == ((l - cls).weight() // g.c.weight()) * g.c
+            assert l - cls == ((l - cls).w // g.c.w) * g.c
             for m in range(-20, 21):
                 assert (m * g.c + l).mod_c() == cls
 
@@ -136,7 +136,7 @@ def test_weight_positive_on_monomials():
         for p in range(2, 7):
             for q in range(2, 7):
                 g = make_grading_group(family, p, q)
-                assert g.x.weight() > 0 and g.y.weight() > 0 and g.c.weight() > 0
+                assert g.x.w > 0 and g.y.w > 0 and g.c.w > 0
 
 
 def test_mod_c_classes_count():
@@ -242,7 +242,7 @@ def test_smith_coordinates_agree_with_hnf_reference(family):
             if same:
                 assert hash(ea) == hash(eb)
             assert _hnf_reduce(hnf, ea.vec) == _hnf_reduce(hnf, a)
-            assert ea.weight() == _reference_weight(g, a)
+            assert ea.w == _reference_weight(g, a)
             # classes mod c against the HNF of the relations plus cv
             same_mod_c = _hnf_reduce(hnf_mod_c, a) == _hnf_reduce(hnf_mod_c, b)
             assert (ea.mod_c() == eb.mod_c()) == same_mod_c, (family, p, q, a, b)

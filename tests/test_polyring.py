@@ -378,25 +378,56 @@ def test_chain_divisibility_pattern(p, q):
                                      ("loop", 3, 4)])
 def test_indexed_staircase_equals_filtered_enumeration(fam, p, q):
     # every finite staircase among the basic objects' modules, and a larger
-    # box with degrees of several monomials: its index against the standard
-    # monomials of each degree, found by enumeration.  In loop(3,4) x is
-    # heavier than y, so a degree's monomials in order of u are not in
-    # degrevlex order
+    # box with degrees of several monomials: its walk against the standard
+    # monomials of each degree, found by filtering every monomial of that
+    # degree.  In loop(3,4) x is heavier than y, so a degree's monomials in
+    # order of u are not in degrevlex order
     from mfvc.bside import basic_objects
     from mfvc.families import FamilySpec
-    from mfvc.polyring import mono_key, monomials_of_exact_degree
+    from mfvc.polyring import monomials_of_exact_degree
 
     rings = [K.module for K in basic_objects(FamilySpec(fam, p, q)).values()]
     box = QuotientRing(rings[0].group, [poly_x(2 * p), poly_y(2 * q)], label="box")
-    assert any(len(monos) > 1 for monos in box._std_cache.values())
+    assert any(len(monos) > 1 for _, monos in box.standard_monomials_by_degree(0))
     finite = [r for r in rings if r.staircase_bound() is not None] + [box]
     for ring in finite:
         g = ring.group
         bx, by = ring.staircase_bound()
+        # a finite staircase is walked whole, whatever weight is asked for
+        walked = dict(ring.standard_monomials_by_degree(0))
+        assert all(walked.values())
         for u in range(bx):
             for v in range(by):
                 for d in (g.element(u, v), g.element(u, v) + g.c, g.element(u, v) - g.c):
                     want = sorted((m for m in monomials_of_exact_degree(g, d) if ring.is_standard(m)),
                                   key=mono_key)
-                    assert list(ring.standard_monomials_exact(d)) == want, (ring.label, u, v)
-        assert ring.shifted(g.x)._std_cache is ring._std_cache
+                    assert walked.get(d, []) == want, (ring.label, u, v)
+        assert ring.shifted(g.x).standard_monomials_by_degree(0) == ring.standard_monomials_by_degree(0)
+
+
+@pytest.mark.parametrize("fam,p,q", [("loop", 4, 4), ("chain", 4, 5)])
+def test_infinite_walk_equals_filtered_enumeration(fam, p, q):
+    # R/(x), R/(y) and R/(f), as the basic objects carry them (some
+    # shifted), and a copy of each shifted by x + c: for each weight bound
+    # W the walk lists every degree of weight <= W, and no other, with the
+    # standard monomials found by filtering every monomial of that degree
+    from mfvc.bside import basic_objects
+    from mfvc.families import FamilySpec
+    from mfvc.polyring import monomials_of_exact_degree
+
+    rings = [K.module for K in basic_objects(FamilySpec(fam, p, q)).values()
+             if K.module.staircase_bound() is None]
+    assert {r.label for r in rings} == ({"R/(x)", "R/(y)", "R/(f)"} if fam == "loop"
+                                        else {"R/(y)", "R/(f)"})
+    g = rings[0].group
+    rings += [r.shifted(g.x + g.c) for r in rings]
+    for ring in rings:
+        for top in (0, g.x.w + g.y.w - 1, 2 * g.c.w, 3 * g.c.w + 1):
+            walked = dict(ring.standard_monomials_by_degree(top))
+            assert all(d.w <= top and monos for d, monos in walked.items()), (ring.label, top)
+            degrees = {g.element(u, v) for u in range(top // g.x.w + 1)
+                       for v in range((top - u * g.x.w) // g.y.w + 1)}
+            for d in degrees:
+                want = sorted((m for m in monomials_of_exact_degree(g, d) if ring.is_standard(m)),
+                              key=mono_key)
+                assert walked.get(d, []) == want, (ring.label, top, d)
