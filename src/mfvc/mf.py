@@ -281,11 +281,12 @@ def buchweitz_pieces(sources, targets, top):
                 for hits in index.values() for (_, parity, _, sw) in hits)
     out = {}
     for b, M in targets.items():
+        finite = M.finite
         for d, monos in M.standard_monomials_by_degree(M.shift.w + reach):
             rel = d - M.shift
             for a, parity, t, sw in index.get(rel.mod_c(), ()):
                 n = 2 * ((rel.w + sw) // wc) + parity
-                if M.finite or n <= top:
+                if finite or n <= top:
                     out.setdefault((a, b), {}).setdefault(n, []).append((t, monos))
     return out
 

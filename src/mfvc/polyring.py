@@ -338,8 +338,7 @@ class QuotientRing:
         self._nf_cache = {}
         bx = min((u for (u, v) in self.lead_terms if v == 0), default=None)
         by = min((v for (u, v) in self.lead_terms if u == 0), default=None)
-        self.finite = bx is not None and by is not None
-        self._box = (bx, by) if self.finite else None
+        self._box = (bx, by) if bx is not None and by is not None else None
         # a finite staircase is walked whole once, up to the weight of its
         # box corner: degree -> standard monomials
         self._staircase = None
@@ -354,6 +353,11 @@ class QuotientRing:
         out = copy(self)
         out.shift = self.shift + l
         return out
+
+    @property
+    def finite(self):
+        """Whether the staircase is finite, that is R/I finite-dimensional."""
+        return self._box is not None
 
     def staircase_bound(self):
         """(bx, by) with every standard monomial having u < bx, v < by;
@@ -421,7 +425,7 @@ class QuotientRing:
             raise TypeError("delta must be a GroupElement representative")
         if bound is not None and bound < 0:
             raise ValueError(f"exponent bound {bound} is negative")
-        box = self._box
+        box = self.staircase_bound()
         if box is None:
             if bound is None:
                 raise ValueError("infinite-dimensional piece: supply an exponent bound")

@@ -402,6 +402,7 @@ def test_indexed_staircase_equals_filtered_enumeration(fam, p, q):
                     want = sorted((m for m in monomials_of_exact_degree(g, d) if ring.is_standard(m)),
                                   key=mono_key)
                     assert walked.get(d, []) == want, (ring.label, u, v)
+        assert ring.shifted(g.x)._staircase is ring._staircase
         assert ring.shifted(g.x).standard_monomials_by_degree(0) == ring.standard_monomials_by_degree(0)
 
 
