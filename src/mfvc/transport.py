@@ -93,6 +93,8 @@ def convergence_study(spec: FamilySpec, l, m, s, delta=1e-3, eps=0.1,
 
     A fourth-order method should shrink the error by about 16x per halving;
     the acceptance threshold is 8x."""
+    if base_steps < 1 or rounds < 1:
+        raise ValueError(f"base_steps and rounds must be at least 1, got {base_steps}, {rounds}")
     x0, y0, theta, phi, r_expected = _neck_path(spec, l, m, s, delta, eps)
     target = r_expected * complex(math.cos(phi), math.sin(phi))
     errors = []

@@ -83,6 +83,12 @@ def test_convergence_fourth_order():
     assert errs[1] / errs[2] >= 8
 
 
+@pytest.mark.parametrize("base_steps,rounds", [(0, 3), (-2, 3), (40, 0), (40, -1)])
+def test_convergence_study_rejects_an_empty_schedule(base_steps, rounds):
+    with pytest.raises(ValueError, match="at least 1"):
+        convergence_study(FamilySpec("loop", 4, 6), 1, 2, 1.0, base_steps=base_steps, rounds=rounds)
+
+
 @pytest.mark.parametrize("fam,p,q", [("loop", 2, 2), ("loop", 4, 3), ("chain", 3, 4)])
 def test_verification_grid_small(fam, p, q):
     reports = verification_grid(FamilySpec(fam, p, q), s_values=(-1, 0, 1))
