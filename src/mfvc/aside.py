@@ -91,15 +91,6 @@ def enumerate_critical_data(spec: FamilySpec):
     return data
 
 
-def shared_value_counts(spec: FamilySpec):
-    """How many interior critical points share each critical value."""
-    values = {}
-    for (l, m) in interior_index_set(spec):
-        key = theta_turns(spec, l, m) % 1
-        values[key] = values.get(key, 0) + 1
-    return values
-
-
 # ---------------------------------------------------------------------------
 # the path schedule
 
@@ -266,18 +257,13 @@ def intersection_table(schedule: PathSchedule):
     return table
 
 
-def grading_degrees(spec: FamilySpec):
+def _grading_degrees(schedule: PathSchedule, table):
     """Grading lifts for every cycle and the induced generator degrees.
 
     Interior cycles get lifts in (0, 1/2) strictly increasing with the path
     angle (a steeper cycle on the neck has the larger lift); waist curves
     sit at -1/2, except the bp waist which moves first in the order and
     takes +1/2.  Every generator must land in degree 0."""
-    schedule = path_schedule(spec)
-    return _grading_degrees(schedule, intersection_table(schedule))
-
-
-def _grading_degrees(schedule: PathSchedule, table):
     thetas = sorted({th for th in schedule.theta.values()})
     rank = {th: k for k, th in enumerate(thetas)}
     nlevels = len(thetas)
@@ -344,10 +330,11 @@ def assemble_directed_algebra(spec: FamilySpec):
     lift computation puts every generator in degree 0.  The composition
     law is not computed: it is taken from the paper's thimble basis, in
     which every composite of generators into a nonzero hom is +1 times the
-    generator and every other one is 0.  The pairs fix that law, and
-    `DirectedAlgebra.check_associativity` reads it off their bitmask
-    graph.  (`sweep_square_signs` rectifies the signs of a grid, but runs
-    only on random grids, never on this algebra.)"""
+    generator and every other one is 0.  The pairs fix that law.  Its
+    associativity is not checked here: once `compare.mirror_check` finds
+    the pairs equal to the B side's, the law is the B side's composition,
+    which is associative.  (`sweep_square_signs` rectifies the signs of a
+    grid, but runs only on random grids, never on this algebra.)"""
     schedule = path_schedule(spec)
     table = intersection_table(schedule)
     _grading_degrees(schedule, table)

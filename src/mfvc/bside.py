@@ -172,28 +172,39 @@ def composition_table(spec: FamilySpec, table: HomTable = None):
     when (a, c) is a nonzero pair and [] (a coboundary) otherwise.  The
     composites are computed only where a -> b is an arrow, a pair that
     factors through no third object:
-    * first the pairs must pass `check_associativity`;
+    * first the pairs must pass (ii'): for every arrow a -> b1, every b
+      with b1 -> b and a -> b, and every c with b -> c and a -> c, the pair
+      b1 -> c is nonzero (`DirectedAlgebra.arrow_path_violations`);
     * then each arrow's generator is lifted once to a chain map, and
       composed with the generator of every (b, c), taken as the class
       representative from `generator_cocycle`, not lifted.
-    Associativity carries the law to the other triples, by induction on
-    the position gap of a -> b.  When a -> b factors, it does so through an
-    arrow a -> b1, so gen(a,b) = gen(b1,b) o gen(a,b1); gen(b,c) o
-    gen(b1,b) is gen(b1,c) or 0 (a smaller gap), which leaves the arrow
-    composite gen(b1,c) o gen(a,b1) or 0, and associativity of the pattern
-    on a -> b1 -> b -> c makes that [1] exactly when (a, c) is nonzero.
-    Then the algebra is fixed by its homs, and the skeleton of
-    the table is returned; ArithmeticError at the first associativity
-    violation, lift or composite that fails, naming it and, for a lift or a
-    composite, the degree of its hom complex."""
+    (ii') carries the law to the other triples.
+    * Factoring: every non-arrow a -> b factors as a -> b1 -> b with
+      a -> b1 an arrow.  By induction on the position gap: a -> z -> b for
+      some z; if a -> z is not an arrow, it factors through an arrow
+      a -> b1 with b1 -> z, and (ii') on a -> b1 -> z, with b after both a
+      and z, gives b1 -> b.
+    * The law, by induction on the gap of a -> b: when a -> b factors as
+      above, gen(a,b) = gen(b1,b) o gen(a,b1), and composition in
+      cohomology is associative, so gen(b,c) o gen(a,b) =
+      (gen(b,c) o gen(b1,b)) o gen(a,b1).  The inner composite is
+      [(b1,c)] gen(b1,c) (a smaller gap), and the arrow composite turns
+      the whole into [(b1,c)][(a,c)] gen(a,c), where [(x,y)] is 1 for a
+      pair and 0 otherwise; (ii') makes that [(a,c)] gen(a,c).
+    Triples with a -> c zero and non-arrow first steps are never used, so
+    the rest of the pattern's associativity is not checked: it follows,
+    as the pattern is then the B side's real composition.  Then the algebra
+    is fixed by its homs, and the skeleton of the table is returned;
+    ArithmeticError at the first violation of (ii'), lift or composite that
+    fails, naming it and, for a lift or a composite, the degree of its hom
+    complex."""
     table = table or hom_table(spec)
     skeleton = table.skeleton()
-    violations = skeleton.check_associativity()
+    violations = skeleton.arrow_path_violations()
     if violations:
-        *path, left, right = violations[0]
-        route = " -> ".join(display_label(x) for x in path)
+        route = " -> ".join(display_label(x) for x in violations[0])
         raise ArithmeticError(f"the pairs are not associative on the path {route}: its two "
-                              f"bracketings give {left} and {right} times the generator")
+                              "bracketings give 1 and 0 times the generator")
     objects = table.objects
     outer = {}  # (b, c) -> the class representative of gen(b, c)
     for (a, b) in skeleton.arrows():

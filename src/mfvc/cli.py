@@ -63,25 +63,6 @@ def quiver_to_dot(quiver, display):
     return "\n".join(lines) + "\n"
 
 
-def parse_dot(text):
-    """Minimal reader for the DOT subset emitted above: returns
-    (node ids, edge list).  Used by the round-trip test."""
-    nodes = set()
-    edges = []
-    for raw in text.splitlines():
-        line = raw.strip().rstrip(";")
-        if not line or line.startswith(("digraph", "}", "{", "subgraph", "label=", "rankdir")):
-            continue
-        if "->" in line:
-            lhs, rhs = line.split("->", 1)
-            tgt = rhs.split("[", 1)[0].strip()
-            edges.append((lhs.strip(), tgt))
-            nodes.update((lhs.strip(), tgt))
-        elif "[" in line:
-            nodes.add(line.split("[", 1)[0].strip())
-    return nodes, edges
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 

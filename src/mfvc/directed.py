@@ -51,10 +51,12 @@ class DirectedAlgebra:
     `aside._grading_degrees`, the B side in `bside.hom_table`.  The +1 law
     is taken from the paper's thimble basis on the A side.  On the B side
     `bside.composition_table` proves it from the composites that start on
-    an arrow together with `check_associativity`, which carries it to every
-    other composable triple.  Under that law the pairs fix every
-    composite; the pair listings, the associativity check, the arrows and
-    the quiver certificate read it off the masks."""
+    an arrow together with `arrow_path_violations`, the one condition (ii')
+    on the pattern that carries it to every other composable triple; the
+    pattern is then associative because it is the B side's real
+    composition, so the full associativity of the pattern is not checked.
+    Under that law the pairs fix every composite; the pair listings,
+    (ii'), the arrows and the quiver certificate read it off the masks."""
 
     def __init__(self, objects, pairs):
         self.objects = list(objects)
@@ -81,27 +83,27 @@ class DirectedAlgebra:
         """No morphisms backwards and scalar endomorphisms."""
         return all(not sources >> j for j, sources in enumerate(self.pred))
 
-    def composable_triples(self):
-        objects, succ = self.objects, self.succ
-        return [(objects[i], objects[j], objects[k])
-                for i, j in self._position_pairs() for k in _bits(succ[j])]
-
-    def check_associativity(self):
-        """The violations (a, b, c, d, left, right) of (h o g) o f = h o (g o f)
-        on paths a->b->c->d of generators, in the order of composable_triples
-        and then of d.  Read off the pairs, left = [a->c][a->d] and right =
-        [b->d][a->d], so one AND per composable a->b->c gives the bad d:
-        succ(a) & succ(c) & ~succ(b), with (1, 0), when a->c is nonzero, and
-        succ(a) & succ(b) & succ(c), with (0, 1), otherwise."""
-        objects, succ = self.objects, self.succ
+    def arrow_path_violations(self):
+        """The paths a -> b1 -> b -> c of pairs, a -> b1 an arrow and a -> b,
+        a -> c pairs, with b1 -> c zero: the violations of (ii'), for every
+        arrow a -> b1 and every b in succ(b1) & succ(a),
+        succ(a) & succ(b) & ~succ(b1) == 0.  Listed by arrow in position
+        order, then by b and by c.  (ii') is the part of associativity that
+        `bside.composition_table`'s induction uses: on such a path
+        gen(b,c) o gen(a,b) is gen(a,c), while the bracketing through
+        b1 -> c gives 0."""
+        objects, succ, pred = self.objects, self.succ, self.pred
         bad = []
-        for i, j in self._position_pairs():
-            for k in _bits(succ[j]):
-                ac = succ[i] >> k & 1
-                ds = succ[i] & succ[k] & (~succ[j] if ac else succ[j])
-                if ds:
-                    a, b, c = objects[i], objects[j], objects[k]
-                    bad += [(a, b, c, objects[m], ac, 1 - ac) for m in _bits(ds)]
+        for i, si in enumerate(succ):
+            for j in _bits(si):
+                if si & pred[j]:
+                    continue  # a -> b1 factors: not an arrow
+                sj = succ[j]
+                for k in _bits(sj & si):
+                    cs = si & succ[k] & ~sj
+                    if cs:
+                        a, b1, b = objects[i], objects[j], objects[k]
+                        bad += [(a, b1, b, objects[m]) for m in _bits(cs)]
         return bad
 
     def arrows(self):

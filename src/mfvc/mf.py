@@ -504,12 +504,6 @@ class MFMorphism:
         return [H.module.nf(v) for v in mat_mul([H.aug], self.component(self.degree))[0]]
 
 
-def identity_morphism(K):
-    n = K.rank
-    eye = [[Poly.constant(1) if i == j else Poly() for j in range(n)] for i in range(n)]
-    return MFMorphism(K, K, 0, eye, [row[:] for row in eye])
-
-
 def _entry_degrees(K, H, n):
     """Exact L-degrees of the entries of (f0, f1) for a degree-n morphism:
     f_k maps K^{-k} to H^{n-k}."""

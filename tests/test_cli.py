@@ -13,6 +13,25 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def parse_dot(text):
+    """Minimal reader for the DOT subset `cli.quiver_to_dot` emits: returns
+    (node ids, edge list)."""
+    nodes = set()
+    edges = []
+    for raw in text.splitlines():
+        line = raw.strip().rstrip(";")
+        if not line or line.startswith(("digraph", "}", "{", "subgraph", "label=", "rankdir")):
+            continue
+        if "->" in line:
+            lhs, rhs = line.split("->", 1)
+            tgt = rhs.split("[", 1)[0].strip()
+            edges.append((lhs.strip(), tgt))
+            nodes.update((lhs.strip(), tgt))
+        elif "[" in line:
+            nodes.add(line.split("[", 1)[0].strip())
+    return nodes, edges
+
+
 def test_milnor_text():
     code, out, _ = run_cli("milnor", "--family", "chain", "--p", "3", "--q", "4", "--format", "text")
     assert code == 0
@@ -71,8 +90,6 @@ def test_invariants_builds_the_path_schedule_once(monkeypatch, capsys):
 
 
 def test_quiver_dot_round_trip():
-    from mfvc.cli import parse_dot
-
     code, out, _ = run_cli("quiver", "--family", "bp", "--p", "3", "--q", "3",
                            "--side", "B", "--format", "dot")
     assert code == 0
@@ -294,37 +311,82 @@ def test_b_side_lift_that_starts_no_composite_is_checked(monkeypatch, capsys):
     assert "not a chain map" in mismatch["detail"]
 
 
-def test_b_side_pattern_that_is_not_associative_gives_report(monkeypatch, capsys):
-    # drop the pair K0(1,1) -> K0(2,2) from the loop(3,3) skeleton: the
-    # pattern is no longer associative, and composition_table says so
-    # before it lifts any generator, since the arrow-first proof rests on it
+def _skeleton_without(monkeypatch, dropped):
+    """Make every B-side skeleton lose the pair `dropped`."""
     from mfvc import bside
     from mfvc.directed import DirectedAlgebra
-    from mfvc.families import FamilySpec
 
     skeleton = bside.HomTable.skeleton
-    dropped = (("K0", 1, 1), ("K0", 2, 2))
 
     def without_one_pair(self):
         algebra = skeleton(self)
+        assert dropped in algebra.pairs
         return DirectedAlgebra(algebra.objects, algebra.pairs - {dropped})
 
-    lifts = []
     monkeypatch.setattr(bside.HomTable, "skeleton", without_one_pair)
+
+
+def test_b_side_pattern_that_is_not_associative_gives_report(monkeypatch, capsys):
+    # drop the pair K0(1,1) -> K0(2,2) from the loop(3,3) skeleton: the
+    # pattern is no longer associative, but it passes (ii'), which reads
+    # only paths a -> b1 -> b -> c with a -> c nonzero.  The composite on
+    # the arrow K0(1,1) -> K0(1,2) reports it: the B side's real
+    # composition gives the generator where the pattern says 0
+    _skeleton_without(monkeypatch, (("K0", 1, 1), ("K0", 2, 2)))
+    code, payload = _mirror_check_in_process(capsys, "3", "3")
+    assert code == 1
+    assert payload["pass"] is False
+    [mismatch] = payload["mismatches"]
+    assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"
+    assert mismatch["detail"] == \
+        "composite K0(1,1) -> K0(1,2) -> K0(2,2) in degree 0: is ['1'], not []"
+
+
+def test_b_side_pattern_that_breaks_the_arrow_path_condition_gives_report(monkeypatch, capsys):
+    # drop the pair K0(1,2) -> Kf from the loop(3,3) skeleton: on the path
+    # K0(1,1) -> K0(1,2) -> K0(2,2) -> Kf[3], whose first step is an arrow,
+    # K0(1,1) -> K0(2,2) and K0(1,1) -> Kf[3] stay nonzero, so (ii') fails,
+    # and composition_table says so before it lifts any generator
+    from mfvc import bside
+    from mfvc.families import FamilySpec
+
+    _skeleton_without(monkeypatch, (("K0", 1, 2), ("Kf",)))
+    lifts = []
     monkeypatch.setattr(bside, "generator_morphism", lambda *args: lifts.append(args))
-    table = bside.HomTable(FamilySpec("loop", 3, 3))
-    first = table.skeleton().check_associativity()[0]
-    assert first[:3] == (("K0", 1, 1), ("K0", 1, 2), ("K0", 2, 2))
-    path = r"not associative on the path K0\(1,1\) -> K0\(1,2\) -> K0\(2,2\) -> "
+    path = r"not associative on the path K0\(1,1\) -> K0\(1,2\) -> K0\(2,2\) -> Kf\[3\]: "
     with pytest.raises(ArithmeticError, match=path):
-        bside.composition_table(table.spec, table)
+        bside.composition_table(FamilySpec("loop", 3, 3))
     code, payload = _mirror_check_in_process(capsys, "3", "3")
     assert lifts == []
     assert code == 1
     assert payload["pass"] is False
     [mismatch] = payload["mismatches"]
     assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"
-    assert "not associative" in mismatch["detail"]
+    assert mismatch["detail"] == (
+        "the pairs are not associative on the path K0(1,1) -> K0(1,2) -> K0(2,2) -> Kf[3]: "
+        "its two bracketings give 1 and 0 times the generator")
+
+
+def test_a_side_object_outside_the_correspondence_gives_report(monkeypatch, capsys):
+    # an A-side object that the correspondence does not name is an objects
+    # mismatch, not a KeyError out of the pair comparison
+    from mfvc import aside
+
+    schedule = aside.path_schedule
+
+    def with_stray_object(spec):
+        out = schedule(spec)
+        out.order.append(("Vyf", 99))
+        return out
+
+    monkeypatch.setattr(aside, "path_schedule", with_stray_object)
+    code, payload = _mirror_check_in_process(capsys, "3", "3")
+    assert code == 1
+    assert payload["pass"] is False
+    assert payload["mismatches"] == [
+        {"kind": "objects", "detail": "A-side object set mismatch"},
+        {"kind": "objects", "side": "A", "detail": "10 objects, Milnor number 9"},
+    ]
 
 
 def test_projection_outside_the_buchweitz_term_gives_report(monkeypatch, capsys):

@@ -99,6 +99,45 @@ def test_dropped_a_side_pair_is_a_hom_dim_mismatch(monkeypatch):
     ]
 
 
+def naive_hom_dim_mismatches(a_alg, b_alg, corr):
+    """Reference: every ordered pair of distinct A objects, with the hom
+    dimension on each side under the correspondence, in A-side order."""
+    out = []
+    for a_src in a_alg.objects:
+        for a_tgt in a_alg.objects:
+            if a_src == a_tgt:
+                continue
+            da = a_alg.hom_dim(a_src, a_tgt)
+            db = b_alg.hom_dim(corr[a_src], corr[a_tgt])
+            if da != db:
+                out.append({"kind": "hom_dim", "pair": (str(a_src), str(a_tgt)),
+                            "degree": 0, "a": da, "b": db})
+    return out
+
+
+def test_dropped_pair_on_each_side_lists_the_reference_mismatches(monkeypatch):
+    # the pair sets are compared once; when they differ, the mismatches are
+    # listed pair by pair, as the reference loop lists them
+    from mfvc import compare
+    from mfvc.aside import assemble_directed_algebra
+    from mfvc.bside import composition_table
+    from mfvc.directed import DirectedAlgebra
+
+    spec = FamilySpec("loop", 4, 4)
+    a_full, b_full = assemble_directed_algebra(spec), composition_table(spec)
+    a_dropped, b_dropped = (("V0", 0, 0), ("Vxy",)), (("K0", 1, 1), ("K0", 2, 2))
+    assert a_dropped in a_full.pairs and b_dropped in b_full.pairs
+    a_alg = DirectedAlgebra(a_full.objects, a_full.pairs - {a_dropped})
+    b_alg = DirectedAlgebra(b_full.objects, b_full.pairs - {b_dropped})
+    monkeypatch.setattr(compare, "assemble_directed_algebra", lambda spec: a_alg)
+    monkeypatch.setattr(compare, "composition_table", lambda spec, table: b_alg)
+    report = mirror_check(spec)
+    want = naive_hom_dim_mismatches(a_alg, b_alg, correspondence(spec))
+    assert sorted((m["a"], m["b"]) for m in want) == [(0, 1), (1, 0)]
+    assert report["pass"] is False
+    assert report["mismatches"] == want
+
+
 def test_object_count_off_milnor_names_both_sides(monkeypatch):
     spec = FamilySpec("chain", 3, 4)
     mu = spec.milnor()
