@@ -206,7 +206,6 @@ def composition_table(spec: FamilySpec, table: HomTable = None):
         raise ArithmeticError(f"the pairs are not associative on the path {route}: its two "
                               "bracketings give 1 and 0 times the generator")
     objects = table.objects
-    outer = {}  # (b, c) -> the class representative of gen(b, c)
     for (a, b) in skeleton.arrows():
         n = _complex_degree(a, b)
         try:
@@ -219,9 +218,7 @@ def composition_table(spec: FamilySpec, table: HomTable = None):
         for c in skeleton.successors(b):
             m = _complex_degree(b, c)
             try:
-                row = outer.get((b, c))
-                if row is None:
-                    row = outer[(b, c)] = generator_cocycle(table.cohomology(b, c), m)
+                row = generator_cocycle(table.cohomology(b, c), m)
                 vec = compose_and_identify(row, m, gen, table.cohomology(a, c))
                 want = [1] if (a, c) in skeleton.pairs else []
                 if vec != want:

@@ -12,16 +12,11 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from .directed import display_label, object_shift
 from .families import FAMILIES, FamilySpec
 
 SCHEMA = "1"
-
-
-def frac_str(fr: Fraction):
-    return f"{fr.numerator}/{fr.denominator}" if fr.denominator != 1 else str(fr.numerator)
 
 
 def _spec_from_args(args):
@@ -156,14 +151,12 @@ def cmd_invariants(args):
         "grading_group": group.invariants(),
         "milnor": spec.milnor(),
         "decomposition": spec.milnor_decomposition(),
-        "schedule": {f"{l},{m}": frac_str(th) for (l, m), th in sorted(sched.theta.items())},
+        "schedule": {f"{l},{m}": str(th) for (l, m), th in sorted(sched.theta.items())},
         "fingers": [[list(a), list(b)] for a, b in sched.fingers],
         "order": [display_label(lab) for lab in sched.order],
         "intersections": [
             {"src": display_label(a), "tgt": display_label(b), "count": c}
-            for (a, b), c in sorted(intersection_table(sched).items(),
-                                    key=lambda kv: (sched.order.index(kv[0][0]),
-                                                    sched.order.index(kv[0][1])))
+            for (a, b), c in intersection_table(sched).items()
         ],
     }
     _emit(args, payload)

@@ -111,9 +111,6 @@ class GradingGroup:
         self.order_mod_c = a * e + b * p
         d1 = gcd(a, b, p, e)
         self.torsion_mod_c = tuple(d for d in (d1, self.order_mod_c // d1) if d > 1)
-        # degree -> monomials, filled by polyring.monomials_of_exact_degree;
-        # held here so that it is freed together with the group
-        self.monomials_by_degree = {}
 
         self.x = self.element(1, 0)
         self.y = self.element(0, 1)

@@ -257,8 +257,8 @@ def buchweitz_pieces(sources, targets, top):
     """The nonempty pieces of the Buchweitz terms of every hom complex from
     a factorisation in `sources` to a module in `targets` (two dicts keyed
     by label), as {(a, b): {n: [(t, monomials)]}}: summand t of K_a^{-n}
-    meets the standard monomials `monomials` of M_b, a list that the ring
-    keeps.  Pairs with no nonempty term are left out.
+    meets the standard monomials `monomials` of M_b, a list of the walk of
+    M_b.  Pairs with no nonempty term are left out.
 
     Summand s of K^{-n}, n = 2m + parity, has shift s - m*c, so it meets
     the standard monomials of absolute degree δ exactly when

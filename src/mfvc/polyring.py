@@ -293,23 +293,19 @@ def groebner(generators):
 
 def monomials_of_exact_degree(group, d):
     """All monomials of S with L-degree exactly d, as a tuple (finite by
-    positivity of the weight homomorphism).  Cached per degree in
-    `group.monomials_by_degree`."""
-    out = group.monomials_by_degree.get(d)
-    if out is None:
-        w = d.w
-        wx, wy = group.x.w, group.y.w
-        found = []
-        if w >= 0:
-            for u in range(w // wx + 1):
-                rem = w - u * wx
-                if rem % wy:
-                    continue
-                v = rem // wy
-                if group.element(u, v) == d:
-                    found.append((u, v))
-        out = group.monomials_by_degree[d] = tuple(found)
-    return out
+    positivity of the weight homomorphism), u ascending."""
+    w = d.w
+    wx, wy = group.x.w, group.y.w
+    found = []
+    if w >= 0:
+        for u in range(w // wx + 1):
+            rem = w - u * wx
+            if rem % wy:
+                continue
+            v = rem // wy
+            if group.element(u, v) == d:
+                found.append((u, v))
+    return tuple(found)
 
 
 class QuotientRing:
@@ -320,9 +316,8 @@ class QuotientRing:
     Generators are expected to be L-homogeneous so that pieces make sense.
 
     The standard monomials are listed one way, by the walk of
-    `standard_monomials_by_degree`: a finite staircase is walked whole once,
-    with the ring, and an infinite one up to the weight each caller asks
-    for.
+    `standard_monomials_by_degree`: a finite staircase is walked whole, and
+    an infinite one up to the weight each caller asks for.
     """
 
     def __init__(self, group: GradingGroup, generators, shift: GroupElement = None, label=""):
@@ -339,17 +334,10 @@ class QuotientRing:
         bx = min((u for (u, v) in self.lead_terms if v == 0), default=None)
         by = min((v for (u, v) in self.lead_terms if u == 0), default=None)
         self._box = (bx, by) if bx is not None and by is not None else None
-        # a finite staircase is walked whole once, up to the weight of its
-        # box corner: degree -> standard monomials
-        self._staircase = None
-        if self.finite:
-            corner = (bx - 1) * group.x.w + (by - 1) * group.y.w
-            self._staircase = dict(self.standard_monomials_by_degree(corner))
 
     def shifted(self, l: GroupElement):
-        """A copy with shift + l.  It shares the Groebner basis, the
-        normal-form cache and the walked staircase, which are keyed by
-        absolute degree."""
+        """A copy with shift + l.  It shares the Groebner basis and the
+        normal-form cache, which are keyed by monomial."""
         out = copy(self)
         out.shift = self.shift + l
         return out
@@ -387,15 +375,16 @@ class QuotientRing:
         """(degree, standard monomials of that exact degree) pairs, the
         monomials sorted by `mono_key` and the degrees in the order of
         their first monomial, u-major and v ascending: every degree of a
-        finite staircase, walked once with the ring, and for an infinite
-        one every degree of weight at most max_weight, walked on each call.
-        The standard monomials are closed under division, so the walk stops
-        at the first nonstandard monomial of each row and at the first
-        nonstandard row."""
-        if self._staircase is not None:
-            return self._staircase.items()
+        finite staircase, walked up to the weight of its box corner whatever
+        max_weight is, and for an infinite one every degree of weight at
+        most max_weight.  The standard monomials are closed under division,
+        so the walk stops at the first nonstandard monomial of each row and
+        at the first nonstandard row."""
         g = self.group
         wx, wy = g.x.w, g.y.w
+        if self.finite:
+            bx, by = self._box
+            max_weight = (bx - 1) * wx + (by - 1) * wy
         found = {}
         for u in range(max_weight // wx + 1):
             if not self.is_standard((u, 0)):

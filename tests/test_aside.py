@@ -288,6 +288,17 @@ def test_waists_pairwise_disjoint():
         assert a[0] == "V0" or b[0] == "V0"
 
 
+def test_intersection_table_iterates_in_schedule_order():
+    # the invariants command lists the table as it iterates: each (earlier,
+    # later) pair in the order of its two schedule positions
+    specs = [FamilySpec(fam, p, q) for fam in ALL_FAMILIES for p in range(2, 7) for q in range(2, 7)]
+    for spec in specs + [FamilySpec("loop", 16, 16)]:
+        sched = path_schedule(spec)
+        pos = {lab: i for i, lab in enumerate(sched.order)}
+        pairs = list(intersection_table(sched))
+        assert pairs == sorted(pairs, key=lambda ab: (pos[ab[0]], pos[ab[1]])), spec.label()
+
+
 def test_degree_formula_spot_checks():
     assert math.floor(Fraction(1, 10) - Fraction(4, 10)) + 1 == 0
     assert math.floor(Fraction(-1, 2) - Fraction(3, 10)) + 1 == 0
