@@ -63,29 +63,35 @@ def expected_homs(spec: FamilySpec, a, b):
 
 
 class HomTable:
-    """Computed per-degree hom dimensions between the basic objects, with
-    class representatives.
+    """Computed per-degree hom dimensions between the basic objects, checked
+    against the closed form in one walk over the sources.
 
-    `objects` is `basic_objects(spec)`.  The table is built degree-first:
-    one join (`mf.buchweitz_pieces`) finds every nonempty Buchweitz term of
-    every pair from the staircases of the targets, and a `HomCohomology` is
-    kept only for the pairs it finds.  A cell's dimension is computed only
-    where its term is nonempty, from the ranks of its two differentials
-    (`HomCohomology.dim`); representatives are built only where they are
-    read, by `rows` and by composition.
+    `objects` is `basic_objects(spec)`.  Construction runs one join
+    (`mf.buchweitz_pieces`) that finds every nonempty Buchweitz term of
+    every pair from the staircases of the targets.  `walk` takes the
+    sources from last to first; for each source a it builds a
+    `HomCohomology` for each pair (a, b) the join found, checks a's cells,
+    and yields a's cohomologies to the caller, which reads what it needs
+    (`rows` the representatives, `composition_table` the lifts and
+    composites) before they are dropped.  So one source's cohomologies are
+    alive at a time.  The walk runs once; reading `dims`, `mismatches`,
+    `rows` or `skeleton` before it has started runs it, and
+    `cohomology(a, b)` builds a pair's cohomology again.
 
-    The check against the closed form (`expected_homs`) is sparse, over the
-    pairs that have a nonempty term or an expected nonzero cell, in
-    collection order.  A mismatch is a computed nonzero cell that the
-    closed form does not give, or an expected cell in the window that is
-    not computed nonzero; they are listed in (source, target, degree)
-    order.  A finite-staircase target (every K0) is closed in every degree
-    by construction, so its nonzero cells outside the window are checked
-    too; `dims`, which holds the nonzero cells in (source, target, degree)
-    order, and `rows` stay inside the window.  The targets R/(x), R/(y)
-    and R/(f) are enumerated up to `top`, the highest degree the window
-    reads, and degrees past the window rest on the divisibility lemma of
-    the README.  The window (lo, hi) must contain degree 0, whose cells
+    A cell's dimension is computed only where its term is nonempty, from
+    the ranks of its two differentials (`HomCohomology.dim`).  The check
+    against the closed form (`expected_homs`) is sparse, over the pairs
+    that have a nonempty term or an expected nonzero cell.  A mismatch is a
+    computed nonzero cell that the closed form does not give, or an
+    expected cell in the window that is not computed nonzero; once the
+    walk has ended they are listed in (source, target, degree) order.  A
+    finite-staircase target (every K0) is closed in every degree by
+    construction, so its nonzero cells outside the window are checked too;
+    `dims`, which holds the nonzero cells in (source, target, degree)
+    order, and `rows` stay inside the window.  The targets R/(x), R/(y) and
+    R/(f) are enumerated up to `top`, the highest degree the window reads,
+    and degrees past the window rest on the divisibility lemma of the
+    README.  The window (lo, hi) must contain degree 0, whose cells
     `skeleton` reads; any other raises `ValueError`."""
 
     def __init__(self, spec: FamilySpec, window=DEGREE_WINDOW):
@@ -98,14 +104,38 @@ class HomTable:
         # the highest complex degree read: a dimension in the window's top
         # degree into the most shifted target, and the neighbour degree
         self.top = window[1] + max(map(object_shift, self.objects)) + 1
-        pieces = buchweitz_pieces(self.objects, {b: Y.module for b, Y in self.objects.items()},
-                                  self.top)
-        self._coh = {}
-        self.dims = {}
-        self.mismatches = []
-        for a, X in self.objects.items():
-            for b, Y in self.objects.items():
-                found = pieces.get((a, b))
+        # source -> {target: pieces}: the one join, by source.  The walk pops
+        # each source's slice whole, which frees more than popping pair by
+        # pair from the join (at loop(24,24), a peak RSS of 101 against
+        # 108 MB on a 2-core host)
+        self._slices = {}
+        for (a, b), found in buchweitz_pieces(
+                self.objects, {b: Y.module for b, Y in self.objects.items()}, self.top).items():
+            self._slices.setdefault(a, {})[b] = found
+        self._walked = False
+        self._dims = {}
+        self._mismatches = []
+
+    def walk(self):
+        """The one pass over the sources, last to first: yields
+        (a, {b: HomCohomology}, a's nonzero cells in the window as
+        {(a, b, degree): dim}) once a's cells are checked, and drops a's
+        cohomologies when the caller asks for the next source.  It runs
+        once; RuntimeError on a second call."""
+        if self._walked:
+            raise RuntimeError("the walk of this hom table has already run")
+        self._walked = True
+        return self._sources()
+
+    def _sources(self):
+        spec, objects = self.spec, self.objects
+        lo, hi = self.window
+        walked = []  # (cells, mismatches) per source, the last source first
+        for a in reversed(objects):
+            X, slice_ = objects[a], self._slices.pop(a, {})
+            cohs, dims, mismatches = {}, {}, []
+            for b, Y in objects.items():
+                found = slice_.get(b)
                 expected = expected_homs(spec, a, b)
                 if found is None and not expected:
                     continue
@@ -113,7 +143,7 @@ class HomTable:
                 # computed ones, which override them
                 cells = {d: 0 for d, want in expected.items() if want and lo <= d <= hi}
                 if found is not None:
-                    coh = self._coh[(a, b)] = HomCohomology(X, Y.module, self.top, found)
+                    coh = cohs[b] = HomCohomology(X, Y.module, self.top, found)
                     offset = _complex_degree(a, b)
                     for n in coh.degrees():
                         d = n - offset
@@ -122,50 +152,107 @@ class HomTable:
                 for d in sorted(cells):
                     dim, want = cells[d], expected.get(d, 0)
                     if dim and lo <= d <= hi:
-                        self.dims[(a, b, d)] = dim
+                        dims[(a, b, d)] = dim
                     if dim != want:
-                        self.mismatches.append(
+                        mismatches.append(
                             {"source": display_label(a), "target": display_label(b),
                              "degree": d, "dim": dim, "expected": want}
                         )
+            walked.append((dims, mismatches))
+            self._mismatches += mismatches  # in walk order until the walk ends
+            yield a, cohs, dims
+            cohs.clear()
+        self._dims = {cell: dim for dims, _ in reversed(walked) for cell, dim in dims.items()}
+        self._mismatches = [m for _, mismatches in reversed(walked) for m in mismatches]
+
+    def _finish(self):
+        """Run the walk, reading nothing more, unless it has started."""
+        if not self._walked:
+            for _ in self.walk():
+                pass
+
+    @property
+    def dims(self):
+        """The nonzero cells of the window, {(a, b, degree): dim}."""
+        self._finish()
+        return self._dims
+
+    @property
+    def mismatches(self):
+        """The cells off the closed form; while the walk runs, those found
+        so far."""
+        self._finish()
+        return self._mismatches
+
+    def check(self):
+        """ArithmeticError if the walk has found the table off the closed
+        form, quoting the first three mismatches."""
+        if self.mismatches:
+            raise ArithmeticError(
+                f"hom table deviates from the closed form: {self.mismatches[:3]}")
 
     def cohomology(self, a, b):
-        """The pair's `HomCohomology`; for a pair with no nonempty term, a
-        fresh one with no pieces, over b's own module."""
-        got = self._coh.get((a, b))
-        if got is None:
-            got = HomCohomology(self.objects[a], self.objects[b].module, self.top, {})
-        return got
+        """The pair's `HomCohomology`, built on demand from a join of its
+        own, since the walk drops its own; for a pair with no nonempty
+        term, one with no pieces."""
+        return HomCohomology(self.objects[a], self.objects[b].module, self.top)
 
     def dim(self, a, b, degree=0):
         return self.dims.get((a, b, degree), 0)
 
     def rows(self):
         """Serializable rows for every nonzero hom space, in the order of
-        `dims`."""
-        return [{"source": display_label(a), "target": display_label(b), "degree": d,
-                 "dim": dim, "basis": self._coh[(a, b)].rep_strings(_complex_degree(a, b, d))}
-                for (a, b, d), dim in self.dims.items()]
+        `dims`: read off each source's cohomologies during the walk, which
+        this runs, and put back in collection order.  Once the walk has
+        run, each pair's cohomology is built again."""
+        if self._walked:
+            return [_row(a, b, d, dim, self.cohomology(a, b))
+                    for (a, b, d), dim in self.dims.items()]
+        by_source = {}
+        for a, cohs, dims in self.walk():
+            by_source[a] = [_row(a, b, d, dim, cohs[b]) for (_, b, d), dim in dims.items()]
+        return [row for a in self.objects for row in by_source[a]]
 
     def skeleton(self):
-        """The DirectedAlgebra on the nonzero homs between distinct objects.
+        """The DirectedAlgebra on the pairs of distinct objects with a
+        nonzero cell in the window by the closed form.
 
-        Raises ArithmeticError unless the table matches the closed form,
-        which makes each of those homs one-dimensional in degree 0."""
-        if self.mismatches:
-            raise ArithmeticError(f"hom table deviates from the closed form: {self.mismatches[:3]}")
-        return DirectedAlgebra(self.objects, [(a, b) for (a, b, _) in self.dims if a != b])
+        ArithmeticError once the walk has found the table off the closed
+        form; when it has not started, it is run first.  So the skeleton
+        of a table whose walk has ended is its computed nonzero homs
+        between distinct objects, each one-dimensional in degree 0.
+        `composition_table` reads it while the walk runs, as the pattern
+        that each source's cells are then checked against."""
+        self.check()
+        spec, objects = self.spec, self.objects
+        lo, hi = self.window
+        pairs = []
+        for a in objects:
+            for b in objects:
+                if a != b:
+                    for d, want in expected_homs(spec, a, b).items():
+                        if want and lo <= d <= hi:
+                            pairs.append((a, b))
+                            break
+        return DirectedAlgebra(objects, pairs)
+
+
+def _row(a, b, d, dim, coh):
+    """The serializable row of the nonzero cell (a, b, d)."""
+    return {"source": display_label(a), "target": display_label(b), "degree": d, "dim": dim,
+            "basis": coh.rep_strings(_complex_degree(a, b, d))}
 
 
 def hom_table(spec: FamilySpec, window=DEGREE_WINDOW):
-    table = HomTable(spec, window)
-    table.skeleton()  # raises unless the table matches the closed form
-    return table
+    """The hom table of spec over the window, its walk not yet run:
+    `composition_table` runs it with the composites, `rows` with the
+    representatives, and reading its cells runs it alone."""
+    return HomTable(spec, window)
 
 
 def composition_table(spec: FamilySpec, table: HomTable = None):
-    """The B-side DirectedAlgebra, once every composite of generators is
-    shown to be exactly +1 or 0.
+    """The B-side DirectedAlgebra, once the hom table matches the closed
+    form and every composite of generators is shown to be exactly +1 or 0.
 
     For every composable triple a -> b -> c, the class of
     gen(b,c) o gen(a,b) in hom(a,c) must be [1] (+1 times the generator)
@@ -194,39 +281,87 @@ def composition_table(spec: FamilySpec, table: HomTable = None):
     Triples with a -> c zero and non-arrow first steps are never used, so
     the rest of the pattern's associativity is not checked: it follows,
     as the pattern is then the B side's real composition.  Then the algebra
-    is fixed by its homs, and the skeleton of the table is returned;
-    ArithmeticError at the first violation of (ii'), lift or composite that
-    fails, naming it and, for a lift or a composite, the degree of its hom
-    complex."""
+    is fixed by its homs, and the skeleton of the table is returned.
+
+    The pattern is the table's skeleton, read as the walk starts, and
+    (ii') is checked on it before any lift.  The lifts and composites of a
+    source a run in a's pass of the walk: they read a's own cohomologies
+    and the `generator_cocycle` rows of the pairs (b, c) stored in the
+    passes of the later sources b, each kept until its last reader.
+    ArithmeticError, in this order of precedence: the table off the closed
+    form (every source's cells are checked first); a violation of (ii'),
+    naming its path; the failed lift or composite that comes first in
+    arrow position order, then by c, naming it and the degree of its hom
+    complex.  `table` must be one whose walk has not run (`hom_table`); by
+    default a new one."""
     table = table or hom_table(spec)
+    sources = table.walk()  # started first, so reading the skeleton does not run it
     skeleton = table.skeleton()
     violations = skeleton.arrow_path_violations()
     if violations:
+        for _ in sources:  # a table off the closed form is reported first
+            pass
+        table.check()
         route = " -> ".join(display_label(x) for x in violations[0])
         raise ArithmeticError(f"the pairs are not associative on the path {route}: its two "
                               "bracketings give 1 and 0 times the generator")
-    objects = table.objects
+    objects, top = table.objects, table.top
+    arrows = {}  # source -> the targets of its arrows, in position order
+    readers = {}  # b -> the sources of arrows into b not yet walked
     for (a, b) in skeleton.arrows():
-        n = _complex_degree(a, b)
+        arrows.setdefault(a, []).append(b)
+        readers[b] = readers.get(b, 0) + 1
+    outer = {}  # b -> {c: gen(b,c) as a generator_cocycle row}, until its last reader
+    failure = None
+    for a, cohs, _ in sources:
+        if table.mismatches:
+            continue  # the table will be reported; the walk only checks cells now
+        X = objects[a]
+
+        def coh(b):
+            """a's cohomology into b; for a pair with no term, one with no pieces."""
+            return cohs.get(b) or HomCohomology(X, objects[b].module, top, {})
+
         try:
-            gen = generator_morphism(objects[a], objects[b], n, table.cohomology(a, b))
-            if not gen.is_chain_map():
-                raise ArithmeticError("the lift is not a chain map, and composites need chain maps")
+            for b in arrows.get(a, ()):
+                n = _complex_degree(a, b)
+                try:
+                    gen = generator_morphism(X, objects[b], n, coh(b))
+                    if not gen.is_chain_map():
+                        raise ArithmeticError("the lift is not a chain map, and composites "
+                                              "need chain maps")
+                except ArithmeticError as exc:
+                    raise ArithmeticError(f"lift of {display_label(a)} -> {display_label(b)} "
+                                          f"in degree {n}: {exc}") from exc
+                for c in skeleton.successors(b):
+                    try:
+                        row = outer[b][c]
+                        if isinstance(row, ArithmeticError):
+                            raise row
+                        vec = compose_and_identify(row, _complex_degree(b, c), gen, coh(c))
+                        want = [1] if (a, c) in skeleton.pairs else []
+                        if vec != want:
+                            raise ArithmeticError(f"is {[str(v) for v in vec]}, not {want}")
+                    except ArithmeticError as exc:
+                        route = " -> ".join(display_label(x) for x in (a, b, c))
+                        raise ArithmeticError(f"composite {route} in degree "
+                                              f"{_complex_degree(a, c)}: {exc}") from exc
         except ArithmeticError as exc:
-            raise ArithmeticError(f"lift of {display_label(a)} -> {display_label(b)} in degree "
-                                  f"{n}: {exc}") from exc
-        for c in skeleton.successors(b):
-            m = _complex_degree(b, c)
-            try:
-                row = generator_cocycle(table.cohomology(b, c), m)
-                vec = compose_and_identify(row, m, gen, table.cohomology(a, c))
-                want = [1] if (a, c) in skeleton.pairs else []
-                if vec != want:
-                    raise ArithmeticError(f"is {[str(v) for v in vec]}, not {want}")
-            except ArithmeticError as exc:
-                route = " -> ".join(display_label(x) for x in (a, b, c))
-                raise ArithmeticError(f"composite {route} in degree {_complex_degree(a, c)}: "
-                                      f"{exc}") from exc
+            failure = exc  # sources run last to first: the last failure met comes first
+        for b in arrows.get(a, ()):
+            readers[b] -= 1
+            if not readers[b]:
+                del outer[b]
+        if readers.get(a):
+            outer[a] = {}
+            for c in skeleton.successors(a):
+                try:
+                    outer[a][c] = generator_cocycle(coh(c), _complex_degree(a, c))
+                except ArithmeticError as exc:  # raised by the composites that read it
+                    outer[a][c] = exc
+    table.check()
+    if failure is not None:
+        raise failure
     return skeleton
 
 

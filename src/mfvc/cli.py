@@ -116,11 +116,13 @@ def cmd_homtable(args):
     spec = _spec_from_args(args)
     window = (-args.degree_window, args.degree_window)
     table = hom_table(spec, window)
+    homs = table.rows()
+    table.check()
     payload = {
         "schema": SCHEMA,
         "spec": spec.label(),
         "window": list(window),
-        "homs": table.rows(),
+        "homs": homs,
     }
     _emit(args, payload)
     return 0

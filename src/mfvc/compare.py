@@ -38,10 +38,15 @@ def mirror_check(spec: FamilySpec, window=DEGREE_WINDOW):
 
     Each side checks, when it builds its algebra, that every hom between
     distinct objects is zero or one-dimensional in degree 0:
-    `assemble_directed_algebra` from the A-side lifts, `hom_table` by the
+    `assemble_directed_algebra` from the A-side lifts, the hom table by the
     closed form in every degree of the window.  So (a) compares the two
     sets of nonzero pairs, once as sets; the mismatches pair by pair are
     listed only when the sets differ.
+
+    The B side is one walk over its sources (`bside.HomTable.walk`), run
+    by `composition_table`: each source's cohomologies are built, its
+    cells checked, its arrows lifted and composed, and then dropped, so
+    the B side never holds the whole table.
 
     On each side every composite of generators into a nonzero hom is +1
     times the generator, and every other composite is 0.  On the B side
@@ -60,7 +65,9 @@ def mirror_check(spec: FamilySpec, window=DEGREE_WINDOW):
     count that the transport profile contradicts, a B-side hom table that
     deviates from the closed form, a B-side pattern of pairs that breaks
     (ii'), or a B-side composite of generators that is not exactly +1
-    or 0), the report names that side and stage instead."""
+    or 0), the report names that side and stage instead; a B-side hom
+    table off the closed form is named over a failed composite, as the
+    stage `hom_table`."""
     mismatches = []
     corr = correspondence(spec)
 
@@ -68,14 +75,12 @@ def mirror_check(spec: FamilySpec, window=DEGREE_WINDOW):
         a_alg = assemble_directed_algebra(spec)
     except ArithmeticError as exc:
         return _failure(spec, "a_side", "assemble_directed_algebra", exc)
-    try:
-        table = hom_table(spec, window)
-    except ArithmeticError as exc:
-        return _failure(spec, "b_side", "hom_table", exc)
+    table = hom_table(spec, window)
     try:
         b_alg = composition_table(spec, table)
-    except ArithmeticError as exc:
-        return _failure(spec, "b_side", "composition_table", exc)
+    except ArithmeticError as exc:  # the table's own report comes first
+        return _failure(spec, "b_side", "hom_table" if table.mismatches else "composition_table",
+                        exc)
 
     if sorted(corr) != sorted(a_alg.objects):
         mismatches.append({"kind": "objects", "detail": "A-side object set mismatch"})

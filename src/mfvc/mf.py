@@ -300,10 +300,11 @@ class HomCohomology:
     K.  Basis vectors are (summand, monomial) coordinates.
 
     The terms are read off the pieces of `buchweitz_pieces`: `bside.HomTable`
-    finds those of every pair in one join and passes each pair its own; a
-    standalone HomCohomology(K, module) runs the same join for its one
-    pair.  For a finite staircase every degree is known, and every degree
-    without a piece is empty.  For an infinite one (R/(x), R/(y), R/(f))
+    finds those of every pair in one join, and its walk passes each pair
+    its own while it holds that pair's source; a standalone
+    HomCohomology(K, module) runs the same join for its one pair.  For a
+    finite staircase every degree is known, and every degree without a
+    piece is empty.  For an infinite one (R/(x), R/(y), R/(f))
     the terms are known up to degree `top`, and term(n) raises
     ArithmeticError above it, naming the pair and the degree; the default
     10 covers what a table reads at the default window [-6, 6]: its top
@@ -330,7 +331,6 @@ class HomCohomology:
         # `term` tests n in it to count each term once, so it stays a dict
         # keyed by n
         self._terms = {}
-        self._diffs = {}
         self._images = {}
         self._classes = {}
 
@@ -378,27 +378,25 @@ class HomCohomology:
 
     def diff(self, n):
         """Images of the basis vectors of term(n) in term(n+1): one sparse
-        column {term(n+1) index: coefficient} per term(n) coordinate."""
-        got = self._diffs.get(n)
-        if got is None:
-            tgt_index = {c: i for i, c in enumerate(self.term(n + 1))}
-            P = self.K.d(n)
-            nf_mono = self.module.nf_mono
-            got = []
-            for (t, (u, v)) in self.term(n):
-                # column sum_s sum_m c * nf(x^u y^v m) at (s, .), no Poly formed
-                col = {}
-                for s, entry in enumerate(P[t]):
-                    for (a, b), c in entry.terms.items():
-                        for pm, pc in nf_mono((a + u, b + v)).terms.items():
-                            i = tgt_index[(s, pm)]
-                            x = col.get(i, 0) + c * pc
-                            if x:
-                                col[i] = x if type(x) is int else _q(x)
-                            else:
-                                del col[i]
-                got.append(col)
-            self._diffs[n] = got
+        column {term(n+1) index: coefficient} per term(n) coordinate.  Built
+        on each call: `image(n + 1)` and `classes(n)` read it, each once."""
+        tgt_index = {c: i for i, c in enumerate(self.term(n + 1))}
+        P = self.K.d(n)
+        nf_mono = self.module.nf_mono
+        got = []
+        for (t, (u, v)) in self.term(n):
+            # column sum_s sum_m c * nf(x^u y^v m) at (s, .), no Poly formed
+            col = {}
+            for s, entry in enumerate(P[t]):
+                for (a, b), c in entry.terms.items():
+                    for pm, pc in nf_mono((a + u, b + v)).terms.items():
+                        i = tgt_index[(s, pm)]
+                        x = col.get(i, 0) + c * pc
+                        if x:
+                            col[i] = x if type(x) is int else _q(x)
+                        else:
+                            del col[i]
+            got.append(col)
         return got
 
     def image(self, n):

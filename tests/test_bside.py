@@ -86,18 +86,18 @@ def naive_hom_table(spec, window=DEGREE_WINDOW):
 ])
 def test_enumerated_table_matches_the_window_probe(fam, p, q):
     # the degree-first table gives the probe's nonzero cells in its order,
-    # its mismatches, and its every term in degrees -15..15, up to the
-    # enumerated degree for an infinite-staircase target.  loop(7,4) has
-    # torsion in L
+    # its mismatches, and, in the cohomologies its walk yields, its every
+    # term in degrees -15..15, up to the enumerated degree for an
+    # infinite-staircase target; a pair the walk yields none for has no
+    # term.  loop(7,4) has torsion in L
     spec = FamilySpec(fam, p, q)
     table = HomTable(spec)
     dims, mismatches = naive_hom_table(spec)
-    assert list(table.dims.items()) == list(dims.items())
-    assert table.mismatches == mismatches
     nonempty = 0
-    for a, X in table.objects.items():
+    for a, cohs, _ in table.walk():
+        X = table.objects[a]
         for b, Y in table.objects.items():
-            coh = table.cohomology(a, b)
+            coh = cohs.get(b) or HomCohomology(X, Y.module, table.top, {})
             for n in range(-15, 16):
                 if coh.top is not None and n > coh.top:
                     break
@@ -105,21 +105,41 @@ def test_enumerated_table_matches_the_window_probe(fam, p, q):
                 assert term == naive_term(X, Y.module, n), (a, b, n)
                 nonempty += bool(term)
     assert nonempty
+    assert list(table.dims.items()) == list(dims.items())
+    assert table.mismatches == mismatches
 
 
-def test_table_keeps_a_cohomology_only_for_pairs_with_a_nonempty_term():
-    # every other pair gets a fresh HomCohomology over its own target's
-    # module, which composition reads for zero pairs (a, c)
+def test_table_keeps_a_cohomology_only_for_pairs_with_a_nonempty_term(monkeypatch):
+    # the walk builds a HomCohomology for exactly the pairs with a nonempty
+    # term, and nothing else; each source's are the ones it yields.  Any
+    # other pair gets, on demand, one with no pieces over its own target's
+    # module, as composition builds for a zero pair (a, c)
+    from mfvc import bside
+
+    built = []
+
+    class Recording(HomCohomology):
+        def __init__(self, K, module, top=10, pieces=None):
+            super().__init__(K, module, top, pieces)
+            built.append((K, module))
+
     spec = FamilySpec("loop", 4, 4)
     table = HomTable(spec)
-    nonempty = {(a, b) for a, X in table.objects.items() for b, Y in table.objects.items()
-                if any(naive_term(X, Y.module, n) for n in range(-15, table.top + 1))}
-    assert set(table._coh) == nonempty
-    assert len(nonempty) < len(table.objects) ** 2
-    zero = next((a, b) for a in table.objects for b in table.objects if (a, b) not in nonempty)
+    X = table.objects
+    nonempty = {(a, b) for a in X for b in X
+                if any(naive_term(X[a], X[b].module, n) for n in range(-15, table.top + 1))}
+    monkeypatch.setattr(bside, "HomCohomology", Recording)
+    walked = []
+    for a, cohs, _ in table.walk():
+        walked += [(a, b) for b in cohs]
+        assert all(coh.K is X[a] and coh.module is X[b].module for b, coh in cohs.items())
+    assert len(walked) == len(set(walked)) and set(walked) == nonempty
+    assert built == [(X[a], X[b].module) for a, b in walked]
+    assert len(nonempty) < len(X) ** 2
+    zero = next((a, b) for a in X for b in X if (a, b) not in nonempty)
     coh = table.cohomology(*zero)
-    assert coh.module is table.objects[zero[1]].module and coh.degrees() == []
-    assert composition_table(spec, table).pairs == table.skeleton().pairs
+    assert coh.module is X[zero[1]].module and coh.degrees() == []
+    assert composition_table(spec).pairs == table.skeleton().pairs
 
 
 def test_finite_target_class_outside_the_window_is_reported(monkeypatch):
@@ -220,6 +240,12 @@ def naive_composition_table(table):
     return skeleton, composites
 
 
+def walk_order(pairs, position):
+    """pairs of (source, ...) in the order of the walk: sources from last to
+    first by position, each source's in the order given."""
+    return sorted(pairs, key=lambda t: -position[t[0]])
+
+
 @pytest.mark.parametrize("fam,p,q", [("loop", 4, 4), ("chain", 4, 5), ("bp", 5, 3), ("loop", 7, 4)])
 def test_arrow_first_composition_matches_the_naive_table(monkeypatch, fam, p, q):
     # the arrow-first table lifts only the arrows and composes only the
@@ -237,20 +263,55 @@ def test_arrow_first_composition_matches_the_naive_table(monkeypatch, fam, p, q)
         composed.append((g.source, g.target, cohom.module))
         return compose_and_identify(outer, degree, g, cohom)
 
-    table = hom_table(FamilySpec(fam, p, q))
-    naive, composites = naive_composition_table(table)
+    spec = FamilySpec(fam, p, q)
+    naive, composites = naive_composition_table(hom_table(spec))
     monkeypatch.setattr(bside, "generator_morphism", lifting)
     monkeypatch.setattr(bside, "compose_and_identify", composing)
-    alg = composition_table(table.spec, table)
+    table = hom_table(spec)
+    alg = composition_table(spec, table)
     assert alg.objects == naive.objects and alg.pairs == naive.pairs
     triples = naive_composable_triples(alg)
     assert sorted(composites) == sorted(triples)
     for (a, b, c), vec in composites.items():
         assert vec == ([1] if (a, c) in alg.pairs else []), (a, b, c)
-    X, arrows = table.objects, alg.arrows()
+    # the walk takes the sources from last to first, and each source's
+    # arrows in position order, then c
+    X, arrows = table.objects, walk_order(alg.arrows(), alg.position)
     assert lifted == [(X[a], X[b]) for a, b in arrows]
     assert composed == [(X[a], X[b], X[c].module) for a, b in arrows for c in alg.successors(b)]
     assert len(arrows) < len(alg.pairs) and len(composed) < len(triples)
+
+
+@pytest.mark.parametrize("fam,p,q", [("loop", 4, 4), ("chain", 4, 5)])
+def test_composition_holds_one_source_cohomology_at_a_time(monkeypatch, fam, p, q):
+    # at every lift, composite and generator row, the live HomCohomology
+    # objects all have one source: the walk drops each source's before it
+    # builds the next one's, and the composites read no other's
+    import weakref
+
+    from mfvc import bside
+
+    live = weakref.WeakSet()
+
+    class Tracked(HomCohomology):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live.add(self)
+
+    sources = []
+
+    def counting(fn):
+        def call(*args):
+            sources.append(len({id(coh.K) for coh in live}))
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(bside, "HomCohomology", Tracked)
+    for name in ("generator_morphism", "compose_and_identify", "generator_cocycle"):
+        monkeypatch.setattr(bside, name, counting(getattr(bside, name)))
+    spec = FamilySpec(fam, p, q)
+    composition_table(spec)
+    assert len(sources) > len(basic_objects(spec)) and max(sources) == 1
 
 
 def test_composition_square_commutes_loop33():

@@ -311,6 +311,71 @@ def test_b_side_lift_that_starts_no_composite_is_checked(monkeypatch, capsys):
     assert "not a chain map" in mismatch["detail"]
 
 
+def test_hom_table_mismatch_wins_over_a_composite_met_before_it(monkeypatch, capsys):
+    # the walk takes the sources from last to first, so it computes the bad
+    # composites of K0(2,1) before it meets the mismatch of the first
+    # source, K0(1,1); the report is still the hom table's
+    from mfvc import bside
+
+    closed_form, compose = bside.expected_homs, bside.compose_and_identify
+    moved = (("K0", 1, 1), ("K0", 1, 2))
+    bad = []
+
+    def moved_to_degree_1(spec, a, b):
+        return {1: 1} if (a, b) == moved else closed_form(spec, a, b)
+
+    def bad_from_k0_21(outer, degree, g, coh):
+        if g.source.label == "K0(2,1)":
+            bad.append((g.target.label, coh.module.label))
+            return [2]
+        return compose(outer, degree, g, coh)
+
+    monkeypatch.setattr(bside, "expected_homs", moved_to_degree_1)
+    monkeypatch.setattr(bside, "compose_and_identify", bad_from_k0_21)
+    code, payload = _mirror_check_in_process(capsys, "3", "3")
+    assert bad  # a walk reporting the first failure it meets would name this one
+    assert code == 1
+    [mismatch] = payload["mismatches"]
+    assert mismatch["kind"] == "b_side" and mismatch["stage"] == "hom_table"
+    assert mismatch["detail"].startswith("hom table deviates from the closed form: [{'source': "
+                                         "'K0(1,1)', 'target': 'K0(1,2)', 'degree': 0")
+
+
+@pytest.mark.parametrize("bad,first", [
+    # arrows in position order first: K0(1,1) -> K0(1,2) before K0(1,1) -> K0(2,1)
+    ([("K0(1,1)", "K0(1,2)", "R/(f)"), ("K0(1,1)", "K0(2,1)", "K0(2,2)"),
+      ("K0(2,1)", "K0(2,2)", "R/(f)")],
+     "composite K0(1,1) -> K0(1,2) -> Kf[3] in degree 3: is ['2'], not [1]"),
+    # then c in position order: K0(2,2) before Kf
+    ([("K0(1,1)", "K0(1,2)", "R/(f)"), ("K0(1,1)", "K0(1,2)", "K0(2,2)"),
+      ("K0(2,1)", "K0(2,2)", "R/(f)")],
+     "composite K0(1,1) -> K0(1,2) -> K0(2,2) in degree 0: is ['2'], not [1]"),
+], ids=["arrow-order", "then-c"])
+def test_first_bad_composite_in_arrow_order_gives_report(monkeypatch, capsys, bad, first):
+    # the walk meets the bad composite of the later source K0(2,1) first;
+    # the report names the one that comes first in arrow position order,
+    # then by c (the module of K0(i,j) carries its label, that of Kf R/(f))
+    from mfvc import bside
+
+    compose = bside.compose_and_identify
+    met = []
+
+    def bad_composites(outer, degree, g, coh):
+        route = (g.source.label, g.target.label, coh.module.label)
+        if route in bad:
+            met.append(route)
+            return [2]
+        return compose(outer, degree, g, coh)
+
+    monkeypatch.setattr(bside, "compose_and_identify", bad_composites)
+    code, payload = _mirror_check_in_process(capsys, "3", "3")
+    assert met[0] == ("K0(2,1)", "K0(2,2)", "R/(f)")
+    assert code == 1
+    [mismatch] = payload["mismatches"]
+    assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"
+    assert mismatch["detail"] == first
+
+
 def _skeleton_without(monkeypatch, dropped):
     """Make every B-side skeleton lose the pair `dropped`."""
     from mfvc import bside
