@@ -43,61 +43,59 @@ def _complex_degree(a, b, d=0):
     return d + object_shift(b) - object_shift(a)
 
 
-def expected_homs(spec: FamilySpec, a, b):
-    """The closed form the computation must reproduce: the nonzero hom
-    dimensions from a to b, as {degree: dim}."""
-    if a == b:
-        return {0: 1}
-    ka, kb = a[0], b[0]
-    if ka != "K0":
-        return {}
-    if kb == "K0":
-        nonzero = b[1] >= a[1] and b[2] >= a[2]
-    elif kb == "Kx":
-        nonzero = b[1] == a[1]
-    elif kb == "Ky":
-        nonzero = b[1] == a[2]
-    else:
-        nonzero = True  # every K0 maps to Kf
-    return {0: 1} if nonzero else {}
+def closed_form(objects):
+    """The closed form the hom table must reproduce, which is the tilting
+    statement, as the DirectedAlgebra of the grid rule on `objects` (the
+    labels in collection order, as `basic_objects` keys them): K0(i,j) maps
+    to K0(i',j') when i' >= i and j' >= j, and to Kx(i), Ky(j) and Kf, and
+    no other object maps to a different object.  Every hom it gives, each
+    endomorphism included, is one-dimensional and sits in degree 0; every
+    other cell is zero."""
+    grid = [b for b in objects if b[0] == "K0"]
+    pairs = []
+    for a in grid:
+        _, i, j = a
+        pairs += [(a, b) for b in grid if b != a and b[1] >= i and b[2] >= j]
+        pairs += [(a, b) for b in (("Kx", i), ("Ky", j), ("Kf",)) if b in objects]
+    return DirectedAlgebra(objects, pairs)
 
 
 class HomTable:
     """Computed per-degree hom dimensions between the basic objects, checked
     against the closed form in one walk over the sources.
 
-    `objects` is `basic_objects(spec)`.  Construction runs one join
-    (`mf.buchweitz_pieces`) that finds every nonempty Buchweitz term of
-    every pair from the staircases of the targets.  `walk` takes the
-    sources from last to first; for each source a it builds a
-    `HomCohomology` for each pair (a, b) the join found, checks a's cells,
-    and yields a's cohomologies to the caller, which reads what it needs
-    (`rows` the representatives, `composition_table` the lifts and
-    composites) before they are dropped.  So one source's cohomologies are
-    alive at a time.  The walk runs once; reading `dims`, `mismatches`,
-    `rows` or `skeleton` before it has started runs it, and
-    `cohomology(a, b)` builds a pair's cohomology again.
+    `objects` is `basic_objects(spec)`, and `pattern`, built once, is
+    `closed_form(objects)`, which the walk's check and `skeleton` read.
+    Construction runs one join (`mf.buchweitz_pieces`) that finds every
+    nonempty Buchweitz term of every pair from the staircases of the
+    targets.  `walk` takes the sources from last to first; for each source
+    a it builds a `HomCohomology` for each pair (a, b) the join found,
+    checks a's cells, and yields a's cohomologies to the caller, which
+    reads what it needs (`rows` the representatives, `composition_table`
+    the lifts and composites) before they are dropped.  So one source's
+    cohomologies are alive at a time.  The walk runs once; reading `dims`,
+    `mismatches` or `skeleton` before it has started runs it.
 
     A cell's dimension is computed only where its term is nonempty, from
-    the ranks of its two differentials (`HomCohomology.dim`).  The check
-    against the closed form (`expected_homs`) is sparse, over the pairs
-    that have a nonempty term or an expected nonzero cell.  A mismatch is a
-    computed nonzero cell that the closed form does not give, or an
-    expected cell in the window that is not computed nonzero; once the
-    walk has ended they are listed in (source, target, degree) order.  A
-    finite-staircase target (every K0) is closed in every degree by
-    construction, so its nonzero cells outside the window are checked too;
-    `dims`, which holds the nonzero cells in (source, target, degree)
-    order, and `rows` stay inside the window.  The targets R/(x), R/(y) and
+    the ranks of its two differentials (`HomCohomology.dim`).  The check is
+    sparse: a source visits, in position order, the targets the join found
+    and those the pattern gives a nonzero cell (itself and its successors;
+    the cell is 1, in degree 0).  A mismatch is a computed nonzero cell
+    that the closed form does not give, or an expected cell that is not
+    computed nonzero; once the walk has ended they are listed in (source,
+    target, degree) order.  A finite-staircase target (every K0) is closed
+    in every degree by construction, so its nonzero cells outside the
+    window are checked too; `dims` (the nonzero cells in (source, target,
+    degree) order) and `rows` stay inside the window.  R/(x), R/(y) and
     R/(f) are enumerated up to `top`, the highest degree the window reads,
     and degrees past the window rest on the divisibility lemma of the
-    README.  The window (lo, hi) must contain degree 0, whose cells
-    `skeleton` reads; any other raises `ValueError`."""
+    README.  The window (lo, hi) must be two integers around degree 0,
+    whose cells `skeleton` reads; any other raises `ValueError`."""
 
     def __init__(self, spec: FamilySpec, window=DEGREE_WINDOW):
         lo, hi = window
-        if not lo <= 0 <= hi:
-            raise ValueError(f"degree window {window} does not contain degree 0")
+        if not (type(lo) is int and type(hi) is int and lo <= 0 <= hi):
+            raise ValueError(f"degree window {window} is not two integers around degree 0")
         self.spec = spec
         self.window = window
         self.objects = basic_objects(spec)
@@ -112,6 +110,10 @@ class HomTable:
         for (a, b), found in buchweitz_pieces(
                 self.objects, {b: Y.module for b, Y in self.objects.items()}, self.top).items():
             self._slices.setdefault(a, {})[b] = found
+        # built after the join, which peaks while it is made (built before
+        # it, the pattern raised mirror-check's peak RSS at loop(24,24) from
+        # 101 to 106 MB on a 2-core host)
+        self.pattern = closed_form(self.objects)
         self._walked = False
         self._dims = {}
         self._mismatches = []
@@ -128,35 +130,34 @@ class HomTable:
         return self._sources()
 
     def _sources(self):
-        spec, objects = self.spec, self.objects
+        objects, pattern = self.objects, self.pattern
         lo, hi = self.window
         walked = []  # (cells, mismatches) per source, the last source first
         for a in reversed(objects):
             X, slice_ = objects[a], self._slices.pop(a, {})
             cohs, dims, mismatches = {}, {}, []
-            for b, Y in objects.items():
+            targets = slice_.keys() | set(pattern.successors(a)) | {a}
+            for b in sorted(targets, key=pattern.position.__getitem__):
+                want = pattern.hom_dim(a, b)
+                # degree -> dim: the expected cell, then the computed ones,
+                # which override it
+                cells = {0: 0} if want else {}
                 found = slice_.get(b)
-                expected = expected_homs(spec, a, b)
-                if found is None and not expected:
-                    continue
-                # degree -> dim: the expected cells of the window, then the
-                # computed ones, which override them
-                cells = {d: 0 for d, want in expected.items() if want and lo <= d <= hi}
                 if found is not None:
-                    coh = cohs[b] = HomCohomology(X, Y.module, self.top, found)
+                    coh = cohs[b] = HomCohomology(X, objects[b].module, self.top, found)
                     offset = _complex_degree(a, b)
                     for n in coh.degrees():
                         d = n - offset
                         if coh.top is None or lo <= d <= hi:
                             cells[d] = coh.dim(n)
                 for d in sorted(cells):
-                    dim, want = cells[d], expected.get(d, 0)
+                    dim, expected = cells[d], int(d == 0) * want
                     if dim and lo <= d <= hi:
                         dims[(a, b, d)] = dim
-                    if dim != want:
+                    if dim != expected:
                         mismatches.append(
                             {"source": display_label(a), "target": display_label(b),
-                             "degree": d, "dim": dim, "expected": want}
+                             "degree": d, "dim": dim, "expected": expected}
                         )
             walked.append((dims, mismatches))
             self._mismatches += mismatches  # in walk order until the walk ends
@@ -191,31 +192,20 @@ class HomTable:
             raise ArithmeticError(
                 f"hom table deviates from the closed form: {self.mismatches[:3]}")
 
-    def cohomology(self, a, b):
-        """The pair's `HomCohomology`, built on demand from a join of its
-        own, since the walk drops its own; for a pair with no nonempty
-        term, one with no pieces."""
-        return HomCohomology(self.objects[a], self.objects[b].module, self.top)
-
-    def dim(self, a, b, degree=0):
-        return self.dims.get((a, b, degree), 0)
-
     def rows(self):
         """Serializable rows for every nonzero hom space, in the order of
         `dims`: read off each source's cohomologies during the walk, which
-        this runs, and put back in collection order.  Once the walk has
-        run, each pair's cohomology is built again."""
-        if self._walked:
-            return [_row(a, b, d, dim, self.cohomology(a, b))
-                    for (a, b, d), dim in self.dims.items()]
+        this runs, and put back in collection order.  The rows need the
+        cohomologies the walk drops, so RuntimeError once it has run."""
         by_source = {}
         for a, cohs, dims in self.walk():
-            by_source[a] = [_row(a, b, d, dim, cohs[b]) for (_, b, d), dim in dims.items()]
+            by_source[a] = [{"source": display_label(a), "target": display_label(b), "degree": d,
+                             "dim": dim, "basis": cohs[b].rep_strings(_complex_degree(a, b, d))}
+                            for (_, b, d), dim in dims.items()]
         return [row for a in self.objects for row in by_source[a]]
 
     def skeleton(self):
-        """The DirectedAlgebra on the pairs of distinct objects with a
-        nonzero cell in the window by the closed form.
+        """The closed form's pattern, once the table is found on it.
 
         ArithmeticError once the walk has found the table off the closed
         form; when it has not started, it is run first.  So the skeleton
@@ -224,23 +214,7 @@ class HomTable:
         `composition_table` reads it while the walk runs, as the pattern
         that each source's cells are then checked against."""
         self.check()
-        spec, objects = self.spec, self.objects
-        lo, hi = self.window
-        pairs = []
-        for a in objects:
-            for b in objects:
-                if a != b:
-                    for d, want in expected_homs(spec, a, b).items():
-                        if want and lo <= d <= hi:
-                            pairs.append((a, b))
-                            break
-        return DirectedAlgebra(objects, pairs)
-
-
-def _row(a, b, d, dim, coh):
-    """The serializable row of the nonzero cell (a, b, d)."""
-    return {"source": display_label(a), "target": display_label(b), "degree": d, "dim": dim,
-            "basis": coh.rep_strings(_complex_degree(a, b, d))}
+        return self.pattern
 
 
 def hom_table(spec: FamilySpec, window=DEGREE_WINDOW):
@@ -283,9 +257,9 @@ def composition_table(spec: FamilySpec, table: HomTable = None):
     as the pattern is then the B side's real composition.  Then the algebra
     is fixed by its homs, and the skeleton of the table is returned.
 
-    The pattern is the table's skeleton, read as the walk starts, and
-    (ii') is checked on it before any lift.  The lifts and composites of a
-    source a run in a's pass of the walk: they read a's own cohomologies
+    The pattern is the table's skeleton (its closed form), read as the walk
+    starts, and (ii') is checked on it before any lift.  A source a's lifts
+    and composites run in a's pass of the walk: they read a's cohomologies
     and the `generator_cocycle` rows of the pairs (b, c) stored in the
     passes of the later sources b, each kept until its last reader.
     ArithmeticError, in this order of precedence: the table off the closed

@@ -4,7 +4,8 @@ Subcommands: quiver, homtable, mirror-check, transport-verify, invariants,
 signs, milnor.  Exit codes: 0 success / check passed, 1 check failed,
 2 invalid input.  A check that fails inside a computation (an
 ArithmeticError) prints `error: ...` on stderr and exits 1.  JSON output
-is deterministic for fixed flags and seed.
+is deterministic for fixed flags and seed, and the same under every
+PYTHONHASHSEED.
 """
 
 import argparse
@@ -111,6 +112,8 @@ def cmd_quiver(args):
 
 
 def cmd_homtable(args):
+    """The rows of a new hom table, then its check: `rows` runs the table's
+    one walk, which it needs, so nothing reads the table before it."""
     from .bside import hom_table
 
     spec = _spec_from_args(args)

@@ -39,7 +39,8 @@ def mirror_check(spec: FamilySpec, window=DEGREE_WINDOW):
     Each side checks, when it builds its algebra, that every hom between
     distinct objects is zero or one-dimensional in degree 0:
     `assemble_directed_algebra` from the A-side lifts, the hom table by the
-    closed form in every degree of the window.  So (a) compares the two
+    closed form (`bside.closed_form`, a pattern of pairs, each hom 1 in
+    degree 0) in every degree of the window.  So (a) compares the two
     sets of nonzero pairs, once as sets; the mismatches pair by pair are
     listed only when the sets differ.
 

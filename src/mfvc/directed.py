@@ -48,7 +48,9 @@ class DirectedAlgebra:
     transpose.
 
     The A side enforces the one-dimensional degree-0 homs in
-    `aside._grading_degrees`, the B side in `bside.HomTable`'s walk.  The +1 law
+    `aside._grading_degrees`, the B side in `bside.HomTable`'s walk, which
+    checks every cell against a DirectedAlgebra, the closed form's pattern
+    (`bside.closed_form`), built once per table.  The +1 law
     is taken from the paper's thimble basis on the A side.  On the B side
     `bside.composition_table` proves it from the composites that start on
     an arrow together with `arrow_path_violations`, the one condition (ii')

@@ -17,6 +17,8 @@ FAMILIES = tuple(_OFFSETS)
 def _offsets(family, p, q):
     if family not in _OFFSETS:
         raise ValueError(f"unknown family {family!r}")
+    if type(p) is not int or type(q) is not int:
+        raise ValueError(f"p and q must be integers, not {p!r} and {q!r}")
     if p < 2 or q < 2:
         raise ValueError("p and q must both be at least 2")
     return _OFFSETS[family]

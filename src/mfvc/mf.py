@@ -301,15 +301,16 @@ class HomCohomology:
 
     The terms are read off the pieces of `buchweitz_pieces`: `bside.HomTable`
     finds those of every pair in one join, and its walk passes each pair
-    its own while it holds that pair's source; a standalone
-    HomCohomology(K, module) runs the same join for its one pair.  For a
-    finite staircase every degree is known, and every degree without a
-    piece is empty.  For an infinite one (R/(x), R/(y), R/(f))
-    the terms are known up to degree `top`, and term(n) raises
-    ArithmeticError above it, naming the pair and the degree; the default
-    10 covers what a table reads at the default window [-6, 6]: its top
-    degree, the largest object shift 3 and the neighbour degree that a
-    dimension reads.
+    its own while it holds that pair's source; `composition_table` gives a
+    pair with no nonempty term one with no pieces.  A standalone
+    HomCohomology(K, module), which the checker never builds, runs the same
+    join for its one pair.  For a finite staircase every degree is known,
+    and every degree without a piece is empty.  For an infinite one
+    (R/(x), R/(y), R/(f)) the terms are known up to degree `top`, and
+    term(n) raises ArithmeticError above it, naming the pair and the
+    degree; the default 10 covers what a table reads at the default window
+    [-6, 6]: its top degree, the largest object shift 3 and the neighbour
+    degree that a dimension reads.
 
     Each differential is eliminated once, as the `Subspace` of its
     columns, which is the image in the next degree: `dim(n)` is

@@ -5,11 +5,12 @@ from mfvc.bside import (
     HomTable,
     _complex_degree,
     basic_objects,
+    closed_form,
     composition_table,
     gabriel_quiver,
     hom_table,
 )
-from mfvc.directed import _arrows_and_relations, _certify, display_label
+from mfvc.directed import DirectedAlgebra, _arrows_and_relations, _certify, display_label
 from mfvc.families import FamilySpec
 from mfvc.mf import HomCohomology, compose_and_identify, generator_morphism
 from mfvc.polyring import mono_key, monomials_of_exact_degree
@@ -25,6 +26,56 @@ def test_object_counts():
             for q in range(2, 7):
                 spec = FamilySpec(fam, p, q)
                 assert len(basic_objects(spec)) == spec.milnor()
+
+
+def naive_expected_homs(a, b):
+    """Reference: the closed form pair by pair, as the nonzero hom
+    dimensions from a to b, {degree: dim}."""
+    if a == b:
+        return {0: 1}
+    ka, kb = a[0], b[0]
+    if ka != "K0":
+        return {}
+    if kb == "K0":
+        nonzero = b[1] >= a[1] and b[2] >= a[2]
+    elif kb == "Kx":
+        nonzero = b[1] == a[1]
+    elif kb == "Ky":
+        nonzero = b[1] == a[2]
+    else:
+        nonzero = True  # every K0 maps to Kf
+    return {0: 1} if nonzero else {}
+
+
+SWEEP = [(fam, p, q) for fam in ("loop", "chain", "bp") for p in range(2, 7) for q in range(2, 7)]
+
+
+@pytest.mark.parametrize("fam,p,q", SWEEP + [("loop", 7, 4), ("bp", 12, 8), ("loop", 16, 16)])
+def test_closed_form_is_the_per_pair_rule(fam, p, q):
+    # the pattern built once per table holds exactly the pairs of distinct
+    # objects that the per-pair rule gives a nonzero cell
+    objects = basic_objects(FamilySpec(fam, p, q))
+    pattern = closed_form(objects)
+    assert pattern.objects == list(objects)
+    assert pattern.pairs == {(a, b) for a in objects for b in objects
+                             if a != b and naive_expected_homs(a, b)}
+
+
+def test_one_mirror_check_builds_the_closed_form_once(monkeypatch):
+    # the walk's check and the skeleton read the one pattern the table
+    # builds, so the closed form is evaluated once per mirror check
+    from mfvc import bside
+    from mfvc.compare import mirror_check
+
+    calls = []
+
+    def counting(objects):
+        calls.append(objects)
+        return closed_form(objects)
+
+    monkeypatch.setattr(bside, "closed_form", counting)
+    assert mirror_check(FamilySpec("loop", 4, 3))["pass"] is True
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("fam,p,q", [
@@ -66,19 +117,26 @@ def naive_hom_table(spec, window=DEGREE_WINDOW):
     from mfvc import bside
 
     objects = basic_objects(spec)
+    pattern = bside.closed_form(objects)
     dims, mismatches = {}, []
     for a, X in objects.items():
         for b, Y in objects.items():
             coh = ProbedCohomology(X, Y.module)
-            expected = bside.expected_homs(spec, a, b)
             for d in range(window[0], window[1] + 1):
                 dim = coh.dim(_complex_degree(a, b, d))
+                expected = int(d == 0) * pattern.hom_dim(a, b)
                 if dim:
                     dims[(a, b, d)] = dim
-                if dim != expected.get(d, 0):
+                if dim != expected:
                     mismatches.append({"source": display_label(a), "target": display_label(b),
-                                       "degree": d, "dim": dim, "expected": expected.get(d, 0)})
+                                       "degree": d, "dim": dim, "expected": expected})
     return dims, mismatches
+
+
+def cohomology(table, a, b):
+    """The pair's HomCohomology, built on demand from a join of its own;
+    for a pair with no nonempty term, one with no pieces."""
+    return HomCohomology(table.objects[a], table.objects[b].module, table.top)
 
 
 @pytest.mark.parametrize("fam,p,q", [
@@ -137,7 +195,7 @@ def test_table_keeps_a_cohomology_only_for_pairs_with_a_nonempty_term(monkeypatc
     assert built == [(X[a], X[b].module) for a, b in walked]
     assert len(nonempty) < len(X) ** 2
     zero = next((a, b) for a in X for b in X if (a, b) not in nonempty)
-    coh = table.cohomology(*zero)
+    coh = cohomology(table, *zero)
     assert coh.module is X[zero[1]].module and coh.degrees() == []
     assert composition_table(spec).pairs == table.skeleton().pairs
 
@@ -150,7 +208,7 @@ def test_finite_target_class_outside_the_window_is_reported(monkeypatch):
     from mfvc import bside
 
     spec = FamilySpec("loop", 3, 3)
-    clean = HomTable(spec)
+    clean_rows, clean = HomTable(spec).rows(), HomTable(spec)
     join = bside.buchweitz_pieces
 
     def with_a_far_piece(sources, targets, top):
@@ -159,11 +217,11 @@ def test_finite_target_class_outside_the_window_is_reported(monkeypatch):
         return out
 
     monkeypatch.setattr(bside, "buchweitz_pieces", with_a_far_piece)
+    assert HomTable(spec).rows() == clean_rows
     table = HomTable(spec)
     assert table.mismatches == [{"source": "K0(1,1)", "target": "K0(2,2)", "degree": 8,
                                  "dim": 1, "expected": 0}]
     assert list(table.dims.items()) == list(clean.dims.items())
-    assert table.rows() == clean.rows()
     with pytest.raises(ArithmeticError, match="closed form"):
         table.skeleton()
 
@@ -173,47 +231,55 @@ def test_infinite_target_term_above_the_enumerated_degree_raises():
     # top degree, and a read above it is an error, never an empty term
     table = HomTable(FamilySpec("loop", 3, 3), (0, 0))
     a, b = ("K0", 1, 1), ("Kx", 1)
-    coh = table.cohomology(a, b)
+    coh = cohomology(table, a, b)
     assert coh.top == table.top == 4
     assert coh.term(4) == naive_term(table.objects[a], table.objects[b].module, 4)
     with pytest.raises(ArithmeticError, match=r"degree 5 .* from K0\(1,1\) to R/\(x\)"):
         coh.term(5)
-    assert table.cohomology(("K0", 1, 1), ("K0", 2, 2)).top is None
+    assert cohomology(table, ("K0", 1, 1), ("K0", 2, 2)).top is None
 
 
 def test_skeleton_raises_on_a_table_off_the_closed_form(monkeypatch):
-    # a closed form that puts hom(K0(1,1), K0(1,2)) in degree 1: the table
-    # computes it in degree 0, where the closed form now has nothing, and
-    # in degree 1 the term is empty; the skeleton must not drop either
+    # the skeleton is the pattern, so it must not be returned when the
+    # table computes a pair the pattern lacks, or lacks a pair it has
     from mfvc import bside
 
-    closed_form = bside.expected_homs
-    moved = (("K0", 1, 1), ("K0", 1, 2))
+    for change, cell in [
+        # a pattern without hom(K0(1,1), K0(1,2)), which the table computes
+        (lambda pairs: pairs - {(("K0", 1, 1), ("K0", 1, 2))}, ("K0(1,1)", "K0(1,2)", 0, 1, 0)),
+        # a pattern with hom(Kx(1), Kf), whose every term is empty
+        (lambda pairs: pairs | {(("Kx", 1), ("Kf",))}, ("Kx(1)[3]", "Kf[3]", 0, 0, 1)),
+    ]:
+        monkeypatch.setattr(bside, "closed_form", lambda objects: DirectedAlgebra(
+            objects, change(closed_form(objects).pairs)))
+        table = bside.HomTable(FamilySpec("loop", 2, 3))
+        assert [(m["source"], m["target"], m["degree"], m["dim"], m["expected"])
+                for m in table.mismatches] == [cell]
+        assert table.mismatches == naive_hom_table(table.spec)[1]
+        with pytest.raises(ArithmeticError, match="closed form"):
+            table.skeleton()
 
-    def moved_to_degree_1(spec, a, b):
-        if (a, b) == moved:
-            return {1: 1}
-        return closed_form(spec, a, b)
 
-    monkeypatch.setattr(bside, "expected_homs", moved_to_degree_1)
-    table = bside.HomTable(FamilySpec("loop", 2, 3))
-    assert [(m["degree"], m["dim"], m["expected"]) for m in table.mismatches] == [(0, 1, 0), (1, 0, 1)]
-    assert table.mismatches == naive_hom_table(table.spec)[1]
-    with pytest.raises(ArithmeticError, match="closed form"):
-        table.skeleton()
+def test_rows_of_a_walked_table_raise():
+    # the rows are read off the cohomologies the walk drops, so a table
+    # whose walk has run has none to give
+    table = HomTable(FamilySpec("loop", 2, 3))
+    assert table.dims
+    with pytest.raises(RuntimeError, match="already run"):
+        table.rows()
 
 
 def test_hom_table_examples_loop33():
     table = hom_table(FamilySpec("loop", 3, 3))
-    assert table.dim(("K0", 1, 1), ("K0", 2, 2)) == 1
+    assert table.dims.get((("K0", 1, 1), ("K0", 2, 2), 0), 0) == 1
     for d in range(-6, 7):
-        assert table.dim(("Kx", 1), ("Kx", 2), d) == 0
+        assert table.dims.get((("Kx", 1), ("Kx", 2), d), 0) == 0
 
 
 def test_hom_table_example_chain34():
     table = hom_table(FamilySpec("chain", 3, 4))
     for d in range(-6, 7):
-        assert table.dim(("Ky", 1), ("K0", 2, 2), d) == 0
+        assert table.dims.get((("Ky", 1), ("K0", 2, 2), d), 0) == 0
 
 
 def naive_composition_table(table):
@@ -226,14 +292,14 @@ def naive_composition_table(table):
     gens = {}
     for (a, b) in skeleton.nonzero_pairs():
         gen = generator_morphism(table.objects[a], table.objects[b], _complex_degree(a, b),
-                                 table.cohomology(a, b))
+                                 cohomology(table, a, b))
         if not gen.is_chain_map():
             raise ArithmeticError(f"lift of {a} -> {b} is not a chain map")
         gens[(a, b)] = gen
     composites = {}
     for (a, b, c) in naive_composable_triples(skeleton):
         f = gens[(b, c)]
-        vec = compose_and_identify(f.projection(), f.degree, gens[(a, b)], table.cohomology(a, c))
+        vec = compose_and_identify(f.projection(), f.degree, gens[(a, b)], cohomology(table, a, c))
         if vec != ([1] if (a, c) in skeleton.pairs else []):
             raise ArithmeticError(f"composite {a} -> {b} -> {c} is {vec}")
         composites[(a, b, c)] = vec
@@ -321,13 +387,13 @@ def test_composition_square_commutes_loop33():
 
     def gen(a, b):
         return generator_morphism(table.objects[a], table.objects[b], _complex_degree(a, b),
-                                  table.cohomology(a, b))
+                                  cohomology(table, a, b))
 
     a, bx, by, c = ("K0", 1, 1), ("K0", 2, 1), ("K0", 1, 2), ("K0", 2, 2)
     for b in (bx, by):
         f = gen(b, c)
         assert compose_and_identify(f.projection(), f.degree, gen(a, b),
-                                    table.cohomology(a, c)) == [1]
+                                    cohomology(table, a, c)) == [1]
 
 
 def test_composition_table_all_positive_and_associative():
@@ -430,7 +496,7 @@ def test_integer_data_stays_integer(monkeypatch, fam, p, q):
     gb = [c for X in table.objects.values() for g in X.module.gb for c in g.terms.values()]
     reps = []
     for (a, b, d) in table.dims:
-        classes = table.cohomology(a, b).classes(_complex_degree(a, b, d))
+        classes = cohomology(table, a, b).classes(_complex_degree(a, b, d))
         reps += [c for rep in classes.basis.values() for c in rep.values()]
     chain = [c for f in lifted for mat in (f.f0, f.f1) for row in mat for e in row
              for c in e.terms.values()]

@@ -173,10 +173,17 @@ def _mirror_check_in_process(capsys, p="2", q="3"):
     return code, json.loads(capsys.readouterr().out)
 
 
+def no_pairs(objects):
+    """A closed form with no pair of distinct objects."""
+    from mfvc.directed import DirectedAlgebra
+
+    return DirectedAlgebra(objects, [])
+
+
 def test_b_side_hom_table_deviation_gives_report(monkeypatch, capsys):
     from mfvc import bside
 
-    monkeypatch.setattr(bside, "expected_homs", lambda spec, a, b: {0: 7})
+    monkeypatch.setattr(bside, "closed_form", no_pairs)
     code, payload = _mirror_check_in_process(capsys)
     assert code == 1
     assert payload["pass"] is False
@@ -314,15 +321,20 @@ def test_b_side_lift_that_starts_no_composite_is_checked(monkeypatch, capsys):
 def test_hom_table_mismatch_wins_over_a_composite_met_before_it(monkeypatch, capsys):
     # the walk takes the sources from last to first, so it computes the bad
     # composites of K0(2,1) before it meets the mismatch of the first
-    # source, K0(1,1); the report is still the hom table's
+    # source, K0(1,1); the report is still the hom table's.  Without the
+    # pair K0(1,1) -> K0(1,2) the pattern still passes (ii'), so the walk
+    # reaches the composites
     from mfvc import bside
+    from mfvc.directed import DirectedAlgebra
 
-    closed_form, compose = bside.expected_homs, bside.compose_and_identify
-    moved = (("K0", 1, 1), ("K0", 1, 2))
+    closed_form, compose = bside.closed_form, bside.compose_and_identify
+    dropped = (("K0", 1, 1), ("K0", 1, 2))
     bad = []
 
-    def moved_to_degree_1(spec, a, b):
-        return {1: 1} if (a, b) == moved else closed_form(spec, a, b)
+    def without_the_pair(objects):
+        pattern = DirectedAlgebra(objects, closed_form(objects).pairs - {dropped})
+        assert not pattern.arrow_path_violations()
+        return pattern
 
     def bad_from_k0_21(outer, degree, g, coh):
         if g.source.label == "K0(2,1)":
@@ -330,7 +342,7 @@ def test_hom_table_mismatch_wins_over_a_composite_met_before_it(monkeypatch, cap
             return [2]
         return compose(outer, degree, g, coh)
 
-    monkeypatch.setattr(bside, "expected_homs", moved_to_degree_1)
+    monkeypatch.setattr(bside, "closed_form", without_the_pair)
     monkeypatch.setattr(bside, "compose_and_identify", bad_from_k0_21)
     code, payload = _mirror_check_in_process(capsys, "3", "3")
     assert bad  # a walk reporting the first failure it meets would name this one
@@ -505,7 +517,7 @@ def test_failed_check_in_a_command_is_an_error_line(monkeypatch, capsys):
     from mfvc import bside
     from mfvc.cli import main
 
-    monkeypatch.setattr(bside, "expected_homs", lambda spec, a, b: {0: 7})
+    monkeypatch.setattr(bside, "closed_form", no_pairs)
     code = main(["homtable", "--family", "loop", "--p", "2", "--q", "3"])
     out, err = capsys.readouterr()
     assert code == 1

@@ -166,12 +166,25 @@ def test_profile_disagreement_is_an_a_side_failure(monkeypatch):
         ("a_side", "assemble_directed_algebra")]
 
 
-@pytest.mark.parametrize("window", [(1, 6), (3, -3), (-6, -1)])
+@pytest.mark.parametrize("window", [(1, 6), (3, -3), (-6, -1), (-1.5, 1), (-1, 0.5), (-1, 2.0)])
 def test_window_without_degree_zero_is_rejected(window):
     # the skeleton reads the degree-0 cells, so a window without them is
-    # bad input, not an empty table
+    # bad input, not an empty table; so is a window of non-integers, which
+    # names no cell
     spec = FamilySpec("loop", 3, 3)
     with pytest.raises(ValueError, match="degree 0"):
         hom_table(spec, window)
     with pytest.raises(ValueError, match="degree 0"):
         mirror_check(spec, window)
+
+
+@pytest.mark.parametrize("args", [
+    ("loop", 3.0, 3), ("chain", 3, 3.0), ("loop", "3", 3), ("bp", True, 3), ("loop", 3, False),
+    ("nope", 3, 3), ("loop", 1, 3),
+])
+def test_bad_family_spec_is_rejected(args):
+    # p and q must be ints (a bool is not one) of at least 2, and the family
+    # one of the three; anything else is rejected when the spec is made,
+    # before either side reads it
+    with pytest.raises(ValueError):
+        FamilySpec(*args)
