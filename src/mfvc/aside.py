@@ -17,6 +17,7 @@ numerical checks live in `transport` and in the Newton enumeration here.
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -139,19 +140,21 @@ def path_schedule(spec: FamilySpec):
     order = [("V0", l, m) for (l, m) in interior_sorted]
     waist_first = f == e == 0
     order = waists + order if waist_first else order + waists
+    # the angles fall along interior_sorted, so the fingers of each cycle
+    # are a suffix of it: those with -theta > 1 - theta[lm]
+    rising = [-theta[lm] for lm in interior_sorted]
     fingers = []
     for lm in interior_sorted:
-        for LM in interior_sorted:
-            if theta[lm] > theta[LM] + 1:
-                fingers.append((lm, LM))
-                if not (lm[0] >= LM[0] + f and lm[1] >= LM[1] + e):
+        for LM in interior_sorted[bisect_right(rising, 1 - theta[lm]):]:
+            fingers.append((lm, LM))
+            if not (lm[0] >= LM[0] + f and lm[1] >= LM[1] + e):
+                raise ArithmeticError(
+                    f"finger pair {lm}->{LM} violates l >= L + {f}, m >= M + {e}")
+            if e:
+                cert = disjointness_certificate(spec, lm, LM)
+                if not cert["ok"]:
                     raise ArithmeticError(
-                        f"finger pair {lm}->{LM} violates l >= L + {f}, m >= M + {e}")
-                if e:
-                    cert = disjointness_certificate(spec, lm, LM)
-                    if not cert["ok"]:
-                        raise ArithmeticError(
-                            f"disjointness certificate failed for {(lm, LM)}: {cert}")
+                        f"disjointness certificate failed for {(lm, LM)}: {cert}")
     return PathSchedule(spec, theta, order, fingers, waist_first)
 
 

@@ -60,21 +60,33 @@ def closed_form(objects):
     return DirectedAlgebra(objects, pairs)
 
 
+class OffClosedForm(ArithmeticError):
+    """The hom table deviates from the closed form."""
+
+
+def check_closed_form(found):
+    """OffClosedForm unless the hom table is on the closed form.  `found`
+    holds each source's mismatches in the order of the walk (the last
+    source first); the error quotes the first three in (source, target,
+    degree) order."""
+    mismatches = [m for per_source in reversed(found) for m in per_source]
+    if mismatches:
+        raise OffClosedForm(f"hom table deviates from the closed form: {mismatches[:3]}")
+
+
 class HomTable:
     """Computed per-degree hom dimensions between the basic objects, checked
-    against the closed form in one walk over the sources.
+    against the closed form source by source.
 
-    `objects` is `basic_objects(spec)`, and `pattern`, built once, is
-    `closed_form(objects)`, which the walk's check and `skeleton` read.
-    Construction runs one join (`mf.buchweitz_pieces`) that finds every
-    nonempty Buchweitz term of every pair from the staircases of the
-    targets.  `walk` takes the sources from last to first; for each source
-    a it builds a `HomCohomology` for each pair (a, b) the join found,
-    checks a's cells, and yields a's cohomologies to the caller, which
-    reads what it needs (`rows` the representatives, `composition_table`
-    the lifts and composites) before they are dropped.  So one source's
-    cohomologies are alive at a time.  The walk runs once; reading `dims`,
-    `mismatches` or `skeleton` before it has started runs it.
+    The table holds only `objects` (`basic_objects(spec)`), `top` and
+    `pattern` (`closed_form(objects)`).  `walk` runs one join
+    (`mf.buchweitz_pieces`) that finds every nonempty Buchweitz term of
+    every pair from the staircases of the targets, then takes the sources
+    from last to first: for each source a it builds a `HomCohomology` for
+    each pair (a, b) the join found, checks a's cells, and yields them to
+    the caller (`rows` reads the representatives, `composition_table` the
+    lifts and composites) before they are dropped.  So one source's
+    cohomologies are alive at a time, and a walk can be run again.
 
     A cell's dimension is computed only where its term is nonempty, from
     the ranks of its two differentials (`HomCohomology.dim`).  The check is
@@ -82,15 +94,14 @@ class HomTable:
     and those the pattern gives a nonzero cell (itself and its successors;
     the cell is 1, in degree 0).  A mismatch is a computed nonzero cell
     that the closed form does not give, or an expected cell that is not
-    computed nonzero; once the walk has ended they are listed in (source,
-    target, degree) order.  A finite-staircase target (every K0) is closed
-    in every degree by construction, so its nonzero cells outside the
-    window are checked too; `dims` (the nonzero cells in (source, target,
-    degree) order) and `rows` stay inside the window.  R/(x), R/(y) and
-    R/(f) are enumerated up to `top`, the highest degree the window reads,
-    and degrees past the window rest on the divisibility lemma of the
-    README.  The window (lo, hi) must be two integers around degree 0,
-    whose cells `skeleton` reads; any other raises `ValueError`."""
+    computed nonzero; `check_closed_form` reports them.  A finite-staircase
+    target (every K0) is closed in every degree by construction, so its
+    nonzero cells outside the window are checked too; the cells a walk
+    yields, and `rows`, stay inside the window.  R/(x), R/(y) and R/(f) are
+    enumerated up to `top`, the highest degree the window reads, and
+    degrees past the window rest on the divisibility lemma of the README.
+    The window (lo, hi) must be two integers around degree 0, whose cells
+    hold the pattern's pairs; any other raises `ValueError`."""
 
     def __init__(self, spec: FamilySpec, window=DEGREE_WINDOW):
         lo, hi = window
@@ -102,39 +113,26 @@ class HomTable:
         # the highest complex degree read: a dimension in the window's top
         # degree into the most shifted target, and the neighbour degree
         self.top = window[1] + max(map(object_shift, self.objects)) + 1
-        # source -> {target: pieces}: the one join, by source.  The walk pops
-        # each source's slice whole, which frees more than popping pair by
-        # pair from the join (at loop(24,24), a peak RSS of 101 against
-        # 108 MB on a 2-core host)
-        self._slices = {}
-        for (a, b), found in buchweitz_pieces(
-                self.objects, {b: Y.module for b, Y in self.objects.items()}, self.top).items():
-            self._slices.setdefault(a, {})[b] = found
-        # built after the join, which peaks while it is made (built before
-        # it, the pattern raised mirror-check's peak RSS at loop(24,24) from
-        # 101 to 106 MB on a 2-core host)
         self.pattern = closed_form(self.objects)
-        self._walked = False
-        self._dims = {}
-        self._mismatches = []
 
     def walk(self):
-        """The one pass over the sources, last to first: yields
-        (a, {b: HomCohomology}, a's nonzero cells in the window as
-        {(a, b, degree): dim}) once a's cells are checked, and drops a's
-        cohomologies when the caller asks for the next source.  It runs
-        once; RuntimeError on a second call."""
-        if self._walked:
-            raise RuntimeError("the walk of this hom table has already run")
-        self._walked = True
-        return self._sources()
-
-    def _sources(self):
+        """One pass over the sources, last to first: yields (a,
+        {b: HomCohomology}, a's nonzero cells in the window as
+        {(a, b, degree): dim}, a's mismatches) once a's cells are checked,
+        and drops a's cohomologies when the caller asks for the next
+        source."""
         objects, pattern = self.objects, self.pattern
         lo, hi = self.window
-        walked = []  # (cells, mismatches) per source, the last source first
+        # source -> {target: pieces}: the one join, by source.  Each source's
+        # slice is popped whole, which frees more than popping pair by pair
+        # from the join (at loop(24,24), a peak RSS of 101 against 108 MB on
+        # a 2-core host)
+        slices = {}
+        for (a, b), found in buchweitz_pieces(
+                objects, {b: Y.module for b, Y in objects.items()}, self.top).items():
+            slices.setdefault(a, {})[b] = found
         for a in reversed(objects):
-            X, slice_ = objects[a], self._slices.pop(a, {})
+            X, slice_ = objects[a], slices.pop(a, {})
             cohs, dims, mismatches = {}, {}, []
             targets = slice_.keys() | set(pattern.successors(a)) | {a}
             for b in sorted(targets, key=pattern.position.__getitem__):
@@ -155,78 +153,36 @@ class HomTable:
                     if dim and lo <= d <= hi:
                         dims[(a, b, d)] = dim
                     if dim != expected:
-                        mismatches.append(
-                            {"source": display_label(a), "target": display_label(b),
-                             "degree": d, "dim": dim, "expected": expected}
-                        )
-            walked.append((dims, mismatches))
-            self._mismatches += mismatches  # in walk order until the walk ends
-            yield a, cohs, dims
+                        mismatches.append({"source": display_label(a), "target": display_label(b),
+                                           "degree": d, "dim": dim, "expected": expected})
+            yield a, cohs, dims, mismatches
             cohs.clear()
-        self._dims = {cell: dim for dims, _ in reversed(walked) for cell, dim in dims.items()}
-        self._mismatches = [m for _, mismatches in reversed(walked) for m in mismatches]
-
-    def _finish(self):
-        """Run the walk, reading nothing more, unless it has started."""
-        if not self._walked:
-            for _ in self.walk():
-                pass
-
-    @property
-    def dims(self):
-        """The nonzero cells of the window, {(a, b, degree): dim}."""
-        self._finish()
-        return self._dims
-
-    @property
-    def mismatches(self):
-        """The cells off the closed form; while the walk runs, those found
-        so far."""
-        self._finish()
-        return self._mismatches
-
-    def check(self):
-        """ArithmeticError if the walk has found the table off the closed
-        form, quoting the first three mismatches."""
-        if self.mismatches:
-            raise ArithmeticError(
-                f"hom table deviates from the closed form: {self.mismatches[:3]}")
 
     def rows(self):
-        """Serializable rows for every nonzero hom space, in the order of
-        `dims`: read off each source's cohomologies during the walk, which
-        this runs, and put back in collection order.  The rows need the
-        cohomologies the walk drops, so RuntimeError once it has run."""
-        by_source = {}
-        for a, cohs, dims in self.walk():
-            by_source[a] = [{"source": display_label(a), "target": display_label(b), "degree": d,
-                             "dim": dim, "basis": cohs[b].rep_strings(_complex_degree(a, b, d))}
-                            for (_, b, d), dim in dims.items()]
-        return [row for a in self.objects for row in by_source[a]]
-
-    def skeleton(self):
-        """The closed form's pattern, once the table is found on it.
-
-        ArithmeticError once the walk has found the table off the closed
-        form; when it has not started, it is run first.  So the skeleton
-        of a table whose walk has ended is its computed nonzero homs
-        between distinct objects, each one-dimensional in degree 0.
-        `composition_table` reads it while the walk runs, as the pattern
-        that each source's cells are then checked against."""
-        self.check()
-        return self.pattern
+        """Serializable rows for every nonzero hom space of the window, in
+        (source, target, degree) order, read off each source's
+        cohomologies in one walk; OffClosedForm when the table is off the
+        closed form."""
+        rows, found = [], []
+        for a, cohs, cells, mismatches in self.walk():
+            rows.append([{"source": display_label(a), "target": display_label(b), "degree": d,
+                          "dim": dim, "basis": cohs[b].rep_strings(_complex_degree(a, b, d))}
+                         for (_, b, d), dim in cells.items()])
+            found.append(mismatches)
+        check_closed_form(found)
+        return [row for source_rows in reversed(rows) for row in source_rows]
 
 
 def hom_table(spec: FamilySpec, window=DEGREE_WINDOW):
-    """The hom table of spec over the window, its walk not yet run:
-    `composition_table` runs it with the composites, `rows` with the
-    representatives, and reading its cells runs it alone."""
+    """The hom table of spec over the window: `composition_table` walks it
+    with the composites, `rows` with the representatives."""
     return HomTable(spec, window)
 
 
-def composition_table(spec: FamilySpec, table: HomTable = None):
-    """The B-side DirectedAlgebra, once the hom table matches the closed
-    form and every composite of generators is shown to be exactly +1 or 0.
+def composition_table(spec: FamilySpec, window=DEGREE_WINDOW):
+    """The B-side DirectedAlgebra, once the hom table over the window
+    matches the closed form and every composite of generators is shown to
+    be exactly +1 or 0.
 
     For every composable triple a -> b -> c, the class of
     gen(b,c) o gen(a,b) in hom(a,c) must be [1] (+1 times the generator)
@@ -255,40 +211,39 @@ def composition_table(spec: FamilySpec, table: HomTable = None):
     Triples with a -> c zero and non-arrow first steps are never used, so
     the rest of the pattern's associativity is not checked: it follows,
     as the pattern is then the B side's real composition.  Then the algebra
-    is fixed by its homs, and the skeleton of the table is returned.
+    is fixed by its homs, and the table's pattern is returned.
 
-    The pattern is the table's skeleton (its closed form), read as the walk
-    starts, and (ii') is checked on it before any lift.  A source a's lifts
-    and composites run in a's pass of the walk: they read a's cohomologies
-    and the `generator_cocycle` rows of the pairs (b, c) stored in the
-    passes of the later sources b, each kept until its last reader.
-    ArithmeticError, in this order of precedence: the table off the closed
-    form (every source's cells are checked first); a violation of (ii'),
-    naming its path; the failed lift or composite that comes first in
-    arrow position order, then by c, naming it and the degree of its hom
-    complex.  `table` must be one whose walk has not run (`hom_table`); by
-    default a new one."""
-    table = table or hom_table(spec)
-    sources = table.walk()  # started first, so reading the skeleton does not run it
-    skeleton = table.skeleton()
-    violations = skeleton.arrow_path_violations()
+    The pattern is the table's closed form (`HomTable.pattern`), and (ii')
+    is checked on it before any lift.  A source a's lifts and composites
+    run in a's pass of the table's walk: they read a's cohomologies and the
+    `generator_cocycle` rows of the pairs (b, c) stored in the passes of
+    the later sources b, each kept until its last reader.  ArithmeticError,
+    in this order of precedence: the table off the closed form
+    (`OffClosedForm`; every source's cells are checked first); a violation
+    of (ii'), naming its path; the failed lift or composite that comes
+    first in arrow position order, then by c, naming it and the degree of
+    its hom complex."""
+    table = hom_table(spec, window)
+    pattern = table.pattern
+    violations = pattern.arrow_path_violations()
     if violations:
-        for _ in sources:  # a table off the closed form is reported first
-            pass
-        table.check()
+        # a table off the closed form is reported first
+        check_closed_form([mismatches for *_, mismatches in table.walk()])
         route = " -> ".join(display_label(x) for x in violations[0])
         raise ArithmeticError(f"the pairs are not associative on the path {route}: its two "
                               "bracketings give 1 and 0 times the generator")
     objects, top = table.objects, table.top
     arrows = {}  # source -> the targets of its arrows, in position order
     readers = {}  # b -> the sources of arrows into b not yet walked
-    for (a, b) in skeleton.arrows():
+    for (a, b) in pattern.arrows():
         arrows.setdefault(a, []).append(b)
         readers[b] = readers.get(b, 0) + 1
     outer = {}  # b -> {c: gen(b,c) as a generator_cocycle row}, until its last reader
-    failure = None
-    for a, cohs, _ in sources:
-        if table.mismatches:
+    failure, found, off = None, [], False
+    for a, cohs, _, mismatches in table.walk():
+        found.append(mismatches)
+        off = off or bool(mismatches)
+        if off:
             continue  # the table will be reported; the walk only checks cells now
         X = objects[a]
 
@@ -307,13 +262,13 @@ def composition_table(spec: FamilySpec, table: HomTable = None):
                 except ArithmeticError as exc:
                     raise ArithmeticError(f"lift of {display_label(a)} -> {display_label(b)} "
                                           f"in degree {n}: {exc}") from exc
-                for c in skeleton.successors(b):
+                for c in pattern.successors(b):
                     try:
                         row = outer[b][c]
                         if isinstance(row, ArithmeticError):
                             raise row
                         vec = compose_and_identify(row, _complex_degree(b, c), gen, coh(c))
-                        want = [1] if (a, c) in skeleton.pairs else []
+                        want = [1] if (a, c) in pattern.pairs else []
                         if vec != want:
                             raise ArithmeticError(f"is {[str(v) for v in vec]}, not {want}")
                     except ArithmeticError as exc:
@@ -328,15 +283,15 @@ def composition_table(spec: FamilySpec, table: HomTable = None):
                 del outer[b]
         if readers.get(a):
             outer[a] = {}
-            for c in skeleton.successors(a):
+            for c in pattern.successors(a):
                 try:
                     outer[a][c] = generator_cocycle(coh(c), _complex_degree(a, c))
                 except ArithmeticError as exc:  # raised by the composites that read it
                     outer[a][c] = exc
-    table.check()
+    check_closed_form(found)
     if failure is not None:
         raise failure
-    return skeleton
+    return pattern
 
 
 def gabriel_quiver(spec: FamilySpec):

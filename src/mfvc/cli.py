@@ -112,15 +112,13 @@ def cmd_quiver(args):
 
 
 def cmd_homtable(args):
-    """The rows of a new hom table, then its check: `rows` runs the table's
-    one walk, which it needs, so nothing reads the table before it."""
+    """The rows of a hom table over the window, read in one walk; an error
+    when the table is off the closed form."""
     from .bside import hom_table
 
     spec = _spec_from_args(args)
     window = (-args.degree_window, args.degree_window)
-    table = hom_table(spec, window)
-    homs = table.rows()
-    table.check()
+    homs = hom_table(spec, window).rows()
     payload = {
         "schema": SCHEMA,
         "spec": spec.label(),

@@ -299,10 +299,10 @@ class HomCohomology:
     summands of K^{-n}; differentials precompose with the structure maps of
     K.  Basis vectors are (summand, monomial) coordinates.
 
-    The terms are read off the pieces of `buchweitz_pieces`: `bside.HomTable`
-    finds those of every pair in one join, and its walk passes each pair
-    its own while it holds that pair's source; `composition_table` gives a
-    pair with no nonempty term one with no pieces.  A standalone
+    The terms are read off the pieces of `buchweitz_pieces`: each walk of a
+    `bside.HomTable` finds those of every pair in one join and passes each
+    pair its own while it holds that pair's source; `composition_table`
+    gives a pair with no nonempty term one with no pieces.  A standalone
     HomCohomology(K, module), which the checker never builds, runs the same
     join for its one pair.  For a finite staircase every degree is known,
     and every degree without a piece is empty.  For an infinite one

@@ -19,20 +19,24 @@ from mfvc.aside import (
     surface_invariants,
     sweep_square_signs,
 )
-from mfvc.bside import basic_objects, closed_form, hom_table
+from mfvc.bside import basic_objects, check_closed_form, closed_form, hom_table
 from mfvc.compare import mirror_check
 from mfvc.families import FamilySpec
 from mfvc.grading import make_grading_group
 from mfvc.polyring import QuotientRing, brute_force_piece_dim, family_factor, family_w, poly_x, poly_y
 from mfvc.transport import convergence_study, verification_grid
+from test_bside import walk_cells
 
 ALL_FAMILIES = ("loop", "chain", "bp")
 _TABLE_CACHE = {}
 
 
 def cached_table(spec):
+    """The hom table of spec, with its nonzero cells and its mismatches
+    read off one walk."""
     if spec not in _TABLE_CACHE:
-        _TABLE_CACHE[spec] = hom_table(spec)
+        table = hom_table(spec)
+        _TABLE_CACHE[spec] = (table, *walk_cells(table))
     return _TABLE_CACHE[spec]
 
 
@@ -45,7 +49,7 @@ def report(n, ok, detail):
 def test_criterion_1_hom_table_fixture_loop46():
     t0 = time.monotonic()
     spec = FamilySpec("loop", 4, 6)
-    table = cached_table(spec)
+    table, dims, mismatches = cached_table(spec)
     objects = table.objects
     assert len(objects) == 24
     pattern = closed_form(objects)
@@ -53,12 +57,12 @@ def test_criterion_1_hom_table_fixture_loop46():
     for a in objects:
         for b in objects:
             for d in range(-6, 7):
-                got = table.dims.get((a, b, d), 0)
+                got = dims.get((a, b, d), 0)
                 want = int(d == 0) * pattern.hom_dim(a, b)
                 assert got == want, (a, b, d, got, want)
                 checked += 1
     elapsed = time.monotonic() - t0
-    report(1, not table.mismatches and elapsed < 60,
+    report(1, not mismatches and elapsed < 60,
            f"loop(4,6) hom table matches closed form in {checked} cells ({elapsed:.1f}s)")
 
 
@@ -209,16 +213,17 @@ def test_criterion_9_tilting():
         for p in range(2, 7):
             for q in range(2, 7):
                 spec = FamilySpec(fam, p, q)
-                table = cached_table(spec)
+                table, dims, mismatches = cached_table(spec)
                 # End^i of the direct sum: all pairs, all degrees in window
                 for a in table.objects:
                     for b in table.objects:
                         for d in range(-6, 7):
                             if d == 0:
                                 continue
-                            if table.dims.get((a, b, d), 0) != 0:
+                            if dims.get((a, b, d), 0) != 0:
                                 bad.append((spec.label(), a, b, d))
-                if not table.skeleton().is_directed():
+                check_closed_form([mismatches])
+                if not table.pattern.is_directed():
                     bad.append((spec.label(), "order"))
     report(9, not bad, "End^i of the tilting object vanishes for i != 0, "
                        "all families, 2<=p,q<=6 (window [-6,6], periodicity documented)")

@@ -27,6 +27,7 @@ from mfvc.aside import (
 from mfvc.bside import HomTable
 from mfvc.compare import correspondence
 from mfvc.families import FamilySpec, exponents
+from test_bside import SWEEP, checked_pattern
 from test_directed import naive_check_associativity
 
 ALL_FAMILIES = ("loop", "chain", "bp")
@@ -150,6 +151,18 @@ def test_bp_finger_scan():
         if theta_turns(spec, *lm) > theta_turns(spec, *LM) + 1
     ]
     assert sorted(sched.fingers) == sorted(expected)
+
+
+@pytest.mark.parametrize("fam,p,q", SWEEP + [("loop", 16, 16)])
+def test_fingers_are_the_all_pairs_filter(fam, p, q):
+    # the fingers found by bisection are the pairs of cycles whose angles
+    # differ by more than a full turn, in the order of the scan of every
+    # pair over the cycles sorted by falling angle
+    spec = FamilySpec(fam, p, q)
+    theta = {lm: theta_turns(spec, *lm) for lm in interior_index_set(spec)}
+    ordered = sorted(theta, key=lambda lm: (-theta[lm], lm))
+    want = [(lm, LM) for lm in ordered for LM in ordered if theta[lm] > theta[LM] + 1]
+    assert path_schedule(spec).fingers == want
 
 
 def test_finger_implications_exhaustive():
@@ -395,7 +408,7 @@ def test_a_total_dim_equals_b_total_dim():
         spec = FamilySpec(fam, p, q)
         corr = correspondence(spec)
         a_alg = assemble_directed_algebra(spec)
-        b_alg = HomTable(spec).skeleton()
+        b_alg = checked_pattern(HomTable(spec))
         assert {(corr[a], corr[b]) for (a, b) in a_alg.pairs} == b_alg.pairs
         assert len(a_alg.objects) + len(a_alg.pairs) == len(b_alg.objects) + len(b_alg.pairs)
 

@@ -3,8 +3,10 @@ import pytest
 from mfvc.bside import (
     DEGREE_WINDOW,
     HomTable,
+    OffClosedForm,
     _complex_degree,
     basic_objects,
+    check_closed_form,
     closed_form,
     composition_table,
     gabriel_quiver,
@@ -62,7 +64,7 @@ def test_closed_form_is_the_per_pair_rule(fam, p, q):
 
 
 def test_one_mirror_check_builds_the_closed_form_once(monkeypatch):
-    # the walk's check and the skeleton read the one pattern the table
+    # the walk's check and the composites read the one pattern the table
     # builds, so the closed form is evaluated once per mirror check
     from mfvc import bside
     from mfvc.compare import mirror_check
@@ -78,12 +80,33 @@ def test_one_mirror_check_builds_the_closed_form_once(monkeypatch):
     assert len(calls) == 1
 
 
+def table_order(walked):
+    """The nonzero cells of the window as {(a, b, degree): dim} and the
+    mismatches, each in (source, target, degree) order, of a walk's
+    yields, given in the order of the walk (the last source first)."""
+    walked = walked[::-1]
+    return ({cell: dim for _, _, cells, _ in walked for cell, dim in cells.items()},
+            [m for *_, mismatches in walked for m in mismatches])
+
+
+def walk_cells(table):
+    """One walk of the table, read in (source, target, degree) order."""
+    return table_order(list(table.walk()))
+
+
+def checked_pattern(table):
+    """The table's pattern, once a walk finds its cells on the closed form;
+    OffClosedForm otherwise."""
+    check_closed_form([mismatches for *_, mismatches in table.walk()])
+    return table.pattern
+
+
 @pytest.mark.parametrize("fam,p,q", [
     ("loop", 3, 3), ("loop", 2, 4), ("chain", 3, 4), ("chain", 4, 2), ("bp", 3, 4),
 ])
 def test_hom_table_matches_closed_form(fam, p, q):
     table = hom_table(FamilySpec(fam, p, q))
-    assert not table.mismatches
+    assert not walk_cells(table)[1]
 
 
 def naive_term(K, module, n):
@@ -151,8 +174,10 @@ def test_enumerated_table_matches_the_window_probe(fam, p, q):
     spec = FamilySpec(fam, p, q)
     table = HomTable(spec)
     dims, mismatches = naive_hom_table(spec)
-    nonempty = 0
-    for a, cohs, _ in table.walk():
+    nonempty, walked = 0, []
+    for step in table.walk():
+        walked.append(step)
+        a, cohs = step[:2]
         X = table.objects[a]
         for b, Y in table.objects.items():
             coh = cohs.get(b) or HomCohomology(X, Y.module, table.top, {})
@@ -163,8 +188,9 @@ def test_enumerated_table_matches_the_window_probe(fam, p, q):
                 assert term == naive_term(X, Y.module, n), (a, b, n)
                 nonempty += bool(term)
     assert nonempty
-    assert list(table.dims.items()) == list(dims.items())
-    assert table.mismatches == mismatches
+    got_dims, got_mismatches = table_order(walked)
+    assert list(got_dims.items()) == list(dims.items())
+    assert got_mismatches == mismatches
 
 
 def test_table_keeps_a_cohomology_only_for_pairs_with_a_nonempty_term(monkeypatch):
@@ -188,7 +214,7 @@ def test_table_keeps_a_cohomology_only_for_pairs_with_a_nonempty_term(monkeypatc
                 if any(naive_term(X[a], X[b].module, n) for n in range(-15, table.top + 1))}
     monkeypatch.setattr(bside, "HomCohomology", Recording)
     walked = []
-    for a, cohs, _ in table.walk():
+    for a, cohs, _, _ in table.walk():
         walked += [(a, b) for b in cohs]
         assert all(coh.K is X[a] and coh.module is X[b].module for b, coh in cohs.items())
     assert len(walked) == len(set(walked)) and set(walked) == nonempty
@@ -197,18 +223,19 @@ def test_table_keeps_a_cohomology_only_for_pairs_with_a_nonempty_term(monkeypatc
     zero = next((a, b) for a in X for b in X if (a, b) not in nonempty)
     coh = cohomology(table, *zero)
     assert coh.module is X[zero[1]].module and coh.degrees() == []
-    assert composition_table(spec).pairs == table.skeleton().pairs
+    assert composition_table(spec).pairs == checked_pattern(table).pairs
 
 
 def test_finite_target_class_outside_the_window_is_reported(monkeypatch):
     # a finite-staircase target is enumerated in every degree, so its
     # classes outside the window are checked against the closed form too.
     # A piece added to K0(1,1) -> K0(2,2) in degree 8, with no neighbour,
-    # is a class there; dims and rows stay inside the window
+    # is a class there; the cells a walk yields and the rows stay inside the
+    # window
     from mfvc import bside
 
     spec = FamilySpec("loop", 3, 3)
-    clean_rows, clean = HomTable(spec).rows(), HomTable(spec)
+    clean_rows, (clean_dims, _) = HomTable(spec).rows(), walk_cells(HomTable(spec))
     join = bside.buchweitz_pieces
 
     def with_a_far_piece(sources, targets, top):
@@ -217,13 +244,18 @@ def test_finite_target_class_outside_the_window_is_reported(monkeypatch):
         return out
 
     monkeypatch.setattr(bside, "buchweitz_pieces", with_a_far_piece)
-    assert HomTable(spec).rows() == clean_rows
     table = HomTable(spec)
-    assert table.mismatches == [{"source": "K0(1,1)", "target": "K0(2,2)", "degree": 8,
-                                 "dim": 1, "expected": 0}]
-    assert list(table.dims.items()) == list(clean.dims.items())
-    with pytest.raises(ArithmeticError, match="closed form"):
-        table.skeleton()
+    with monkeypatch.context() as unchecked:  # the rows, read past the check
+        unchecked.setattr(bside, "check_closed_form", lambda found: None)
+        assert table.rows() == clean_rows
+    dims, mismatches = walk_cells(table)
+    assert mismatches == [{"source": "K0(1,1)", "target": "K0(2,2)", "degree": 8,
+                           "dim": 1, "expected": 0}]
+    assert list(dims.items()) == list(clean_dims.items())
+    with pytest.raises(OffClosedForm, match="closed form"):
+        table.rows()
+    with pytest.raises(OffClosedForm, match="closed form"):
+        composition_table(spec)
 
 
 def test_infinite_target_term_above_the_enumerated_degree_raises():
@@ -239,9 +271,10 @@ def test_infinite_target_term_above_the_enumerated_degree_raises():
     assert cohomology(table, ("K0", 1, 1), ("K0", 2, 2)).top is None
 
 
-def test_skeleton_raises_on_a_table_off_the_closed_form(monkeypatch):
-    # the skeleton is the pattern, so it must not be returned when the
-    # table computes a pair the pattern lacks, or lacks a pair it has
+def test_table_off_the_closed_form_raises(monkeypatch):
+    # the pattern is the B side's algebra, so neither the rows nor the
+    # algebra may be returned when the table computes a pair the pattern
+    # lacks, or lacks a pair it has
     from mfvc import bside
 
     for change, cell in [
@@ -253,57 +286,78 @@ def test_skeleton_raises_on_a_table_off_the_closed_form(monkeypatch):
         monkeypatch.setattr(bside, "closed_form", lambda objects: DirectedAlgebra(
             objects, change(closed_form(objects).pairs)))
         table = bside.HomTable(FamilySpec("loop", 2, 3))
+        mismatches = walk_cells(table)[1]
         assert [(m["source"], m["target"], m["degree"], m["dim"], m["expected"])
-                for m in table.mismatches] == [cell]
-        assert table.mismatches == naive_hom_table(table.spec)[1]
-        with pytest.raises(ArithmeticError, match="closed form"):
-            table.skeleton()
+                for m in mismatches] == [cell]
+        assert mismatches == naive_hom_table(table.spec)[1]
+        for read in (table.rows, lambda: composition_table(table.spec)):
+            with pytest.raises(OffClosedForm, match="closed form"):
+                read()
 
 
-def test_rows_of_a_walked_table_raise():
-    # the rows are read off the cohomologies the walk drops, so a table
-    # whose walk has run has none to give
-    table = HomTable(FamilySpec("loop", 2, 3))
-    assert table.dims
-    with pytest.raises(RuntimeError, match="already run"):
-        table.rows()
+@pytest.mark.parametrize("dropped", [None, (("K0", 1, 1), ("K0", 1, 2))])
+def test_a_table_walks_twice_to_the_same_cells_and_rows(monkeypatch, dropped):
+    # the table keeps nothing a walk makes, so a second walk of one table
+    # yields the same sources, pairs, cells and mismatches, and `rows`
+    # gives the same rows, or the same error when a pattern without a
+    # computed pair puts the table off the closed form
+    from mfvc import bside
+
+    monkeypatch.setattr(bside, "closed_form", lambda objects: DirectedAlgebra(
+        objects, closed_form(objects).pairs - {dropped}))
+    table = HomTable(FamilySpec("loop", 3, 3))
+
+    def walked():
+        return [(a, list(cohs), cells, mismatches) for a, cohs, cells, mismatches in table.walk()]
+
+    def rows():
+        try:
+            return table.rows()
+        except OffClosedForm as exc:
+            return str(exc)
+
+    first, first_rows = walked(), rows()
+    assert first == walked() and first_rows == rows()
+    assert all(cells for _, _, cells, _ in first)
+    assert any(mismatches for *_, mismatches in first) == (dropped is not None)
+    assert isinstance(first_rows, str) == (dropped is not None)
 
 
 def test_hom_table_examples_loop33():
-    table = hom_table(FamilySpec("loop", 3, 3))
-    assert table.dims.get((("K0", 1, 1), ("K0", 2, 2), 0), 0) == 1
+    dims = walk_cells(hom_table(FamilySpec("loop", 3, 3)))[0]
+    assert dims.get((("K0", 1, 1), ("K0", 2, 2), 0), 0) == 1
     for d in range(-6, 7):
-        assert table.dims.get((("Kx", 1), ("Kx", 2), d), 0) == 0
+        assert dims.get((("Kx", 1), ("Kx", 2), d), 0) == 0
 
 
 def test_hom_table_example_chain34():
-    table = hom_table(FamilySpec("chain", 3, 4))
+    dims = walk_cells(hom_table(FamilySpec("chain", 3, 4)))[0]
     for d in range(-6, 7):
-        assert table.dims.get((("Ky", 1), ("K0", 2, 2), d), 0) == 0
+        assert dims.get((("Ky", 1), ("K0", 2, 2), d), 0) == 0
 
 
 def naive_composition_table(table):
     """Reference: lift the generator of every nonzero pair to a chain map
     and compose every composable triple, lift after lift.  Returns the
-    skeleton and {(a, b, c): class coordinates of gen(b,c) o gen(a,b)};
+    checked pattern and {(a, b, c): class coordinates of gen(b,c) o gen(a,b)};
     ArithmeticError unless each composite is [1] when (a, c) is nonzero and
     [] otherwise."""
-    skeleton = table.skeleton()
+    pattern = checked_pattern(table)
     gens = {}
-    for (a, b) in skeleton.nonzero_pairs():
+    for (a, b) in pattern.nonzero_pairs():
         gen = generator_morphism(table.objects[a], table.objects[b], _complex_degree(a, b),
                                  cohomology(table, a, b))
         if not gen.is_chain_map():
             raise ArithmeticError(f"lift of {a} -> {b} is not a chain map")
         gens[(a, b)] = gen
     composites = {}
-    for (a, b, c) in naive_composable_triples(skeleton):
+    for (a, b, c) in naive_composable_triples(pattern):
         f = gens[(b, c)]
         vec = compose_and_identify(f.projection(), f.degree, gens[(a, b)], cohomology(table, a, c))
-        if vec != ([1] if (a, c) in skeleton.pairs else []):
+        if vec != ([1] if (a, c) in pattern.pairs else []):
             raise ArithmeticError(f"composite {a} -> {b} -> {c} is {vec}")
         composites[(a, b, c)] = vec
-    return skeleton, composites
+    return pattern, composites
 
 
 def walk_order(pairs, position):
@@ -315,11 +369,11 @@ def walk_order(pairs, position):
 @pytest.mark.parametrize("fam,p,q", [("loop", 4, 4), ("chain", 4, 5), ("bp", 5, 3), ("loop", 7, 4)])
 def test_arrow_first_composition_matches_the_naive_table(monkeypatch, fam, p, q):
     # the arrow-first table lifts only the arrows and composes only the
-    # triples that start on one, and gives the skeleton of the all-triples
+    # triples that start on one, and gives the pattern of the all-triples
     # reference, whose every composite is [1] or []
     from mfvc import bside
 
-    lifted, composed = [], []
+    lifted, composed, tables = [], [], []
 
     def lifting(K, H, n, cohom):
         lifted.append((K, H))
@@ -329,12 +383,17 @@ def test_arrow_first_composition_matches_the_naive_table(monkeypatch, fam, p, q)
         composed.append((g.source, g.target, cohom.module))
         return compose_and_identify(outer, degree, g, cohom)
 
+    def building(spec, window):
+        tables.append(hom_table(spec, window))
+        return tables[-1]
+
     spec = FamilySpec(fam, p, q)
     naive, composites = naive_composition_table(hom_table(spec))
     monkeypatch.setattr(bside, "generator_morphism", lifting)
     monkeypatch.setattr(bside, "compose_and_identify", composing)
-    table = hom_table(spec)
-    alg = composition_table(spec, table)
+    monkeypatch.setattr(bside, "hom_table", building)
+    alg = composition_table(spec)
+    [table] = tables
     assert alg.objects == naive.objects and alg.pairs == naive.pairs
     triples = naive_composable_triples(alg)
     assert sorted(composites) == sorted(triples)
@@ -489,13 +548,14 @@ def test_integer_data_stays_integer(monkeypatch, fam, p, q):
 
     monkeypatch.setattr(bside, "generator_morphism", lifting)
     monkeypatch.setattr(bside, "compose_and_identify", composing)
-    table = hom_table(FamilySpec(fam, p, q))
-    composition_table(table.spec, table)
+    spec = FamilySpec(fam, p, q)
+    composition_table(spec)
     assert lifted and composites
 
+    table = hom_table(spec)
     gb = [c for X in table.objects.values() for g in X.module.gb for c in g.terms.values()]
     reps = []
-    for (a, b, d) in table.dims:
+    for (a, b, d) in walk_cells(table)[0]:
         classes = cohomology(table, a, b).classes(_complex_degree(a, b, d))
         reps += [c for rep in classes.basis.values() for c in rep.values()]
     chain = [c for f in lifted for mat in (f.f0, f.f1) for row in mat for e in row

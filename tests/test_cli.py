@@ -388,28 +388,34 @@ def test_first_bad_composite_in_arrow_order_gives_report(monkeypatch, capsys, ba
     assert mismatch["detail"] == first
 
 
-def _skeleton_without(monkeypatch, dropped):
-    """Make every B-side skeleton lose the pair `dropped`."""
+def _pattern_without(monkeypatch, dropped):
+    """Make every B-side hom table give `composition_table` a pattern
+    without the pair `dropped`, while its walk still checks the cells
+    against the closed form."""
+    import copy
+
     from mfvc import bside
     from mfvc.directed import DirectedAlgebra
 
-    skeleton = bside.HomTable.skeleton
+    build = bside.hom_table
 
-    def without_one_pair(self):
-        algebra = skeleton(self)
-        assert dropped in algebra.pairs
-        return DirectedAlgebra(algebra.objects, algebra.pairs - {dropped})
+    def without_one_pair(spec, window):
+        table = build(spec, window)
+        table.walk = copy.copy(table).walk  # bound to a table with the closed form
+        assert dropped in table.pattern.pairs
+        table.pattern = DirectedAlgebra(table.pattern.objects, table.pattern.pairs - {dropped})
+        return table
 
-    monkeypatch.setattr(bside.HomTable, "skeleton", without_one_pair)
+    monkeypatch.setattr(bside, "hom_table", without_one_pair)
 
 
 def test_b_side_pattern_that_is_not_associative_gives_report(monkeypatch, capsys):
-    # drop the pair K0(1,1) -> K0(2,2) from the loop(3,3) skeleton: the
+    # drop the pair K0(1,1) -> K0(2,2) from the loop(3,3) pattern: the
     # pattern is no longer associative, but it passes (ii'), which reads
     # only paths a -> b1 -> b -> c with a -> c nonzero.  The composite on
     # the arrow K0(1,1) -> K0(1,2) reports it: the B side's real
     # composition gives the generator where the pattern says 0
-    _skeleton_without(monkeypatch, (("K0", 1, 1), ("K0", 2, 2)))
+    _pattern_without(monkeypatch, (("K0", 1, 1), ("K0", 2, 2)))
     code, payload = _mirror_check_in_process(capsys, "3", "3")
     assert code == 1
     assert payload["pass"] is False
@@ -420,14 +426,14 @@ def test_b_side_pattern_that_is_not_associative_gives_report(monkeypatch, capsys
 
 
 def test_b_side_pattern_that_breaks_the_arrow_path_condition_gives_report(monkeypatch, capsys):
-    # drop the pair K0(1,2) -> Kf from the loop(3,3) skeleton: on the path
+    # drop the pair K0(1,2) -> Kf from the loop(3,3) pattern: on the path
     # K0(1,1) -> K0(1,2) -> K0(2,2) -> Kf[3], whose first step is an arrow,
     # K0(1,1) -> K0(2,2) and K0(1,1) -> Kf[3] stay nonzero, so (ii') fails,
     # and composition_table says so before it lifts any generator
     from mfvc import bside
     from mfvc.families import FamilySpec
 
-    _skeleton_without(monkeypatch, (("K0", 1, 2), ("Kf",)))
+    _pattern_without(monkeypatch, (("K0", 1, 2), ("Kf",)))
     lifts = []
     monkeypatch.setattr(bside, "generator_morphism", lambda *args: lifts.append(args))
     path = r"not associative on the path K0\(1,1\) -> K0\(1,2\) -> K0\(2,2\) -> Kf\[3\]: "

@@ -168,7 +168,7 @@ def test_profile_disagreement_is_an_a_side_failure(monkeypatch):
 
 @pytest.mark.parametrize("window", [(1, 6), (3, -3), (-6, -1), (-1.5, 1), (-1, 0.5), (-1, 2.0)])
 def test_window_without_degree_zero_is_rejected(window):
-    # the skeleton reads the degree-0 cells, so a window without them is
+    # the pattern's pairs are degree-0 cells, so a window without them is
     # bad input, not an empty table; so is a window of non-integers, which
     # names no cell
     spec = FamilySpec("loop", 3, 3)
@@ -176,6 +176,22 @@ def test_window_without_degree_zero_is_rejected(window):
         hom_table(spec, window)
     with pytest.raises(ValueError, match="degree 0"):
         mirror_check(spec, window)
+
+
+def test_mirror_check_builds_its_table_over_its_window(monkeypatch):
+    # the report of bp(5,3) is the same at every window, so only the table
+    # shows which window reached it
+    from mfvc import bside
+
+    windows = []
+
+    def recording(spec, window):
+        windows.append(window)
+        return hom_table(spec, window)
+
+    monkeypatch.setattr(bside, "hom_table", recording)
+    assert mirror_check(FamilySpec("bp", 5, 3), (-9, 9))["pass"] is True
+    assert windows == [(-9, 9)]
 
 
 @pytest.mark.parametrize("args", [

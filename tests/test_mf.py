@@ -14,7 +14,7 @@ from mfvc.mf import (
     generator_morphism,
 )
 from mfvc.polyring import Poly, QuotientRing, family_w, poly_x, poly_y
-from test_bside import cohomology
+from test_bside import checked_pattern, cohomology
 from test_directed import naive_composable_triples
 
 
@@ -276,11 +276,11 @@ def test_compose_and_identify_matches_explicit_composites(fam, p, q):
 
     table = hom_table(FamilySpec(fam, p, q))
     objects = table.objects
-    skeleton = table.skeleton()
+    pattern = checked_pattern(table)
     gens = {}
     for a, K in objects.items():
         gens[(a, a)] = identity_morphism(K)
-    for (a, b) in skeleton.nonzero_pairs():
+    for (a, b) in pattern.nonzero_pairs():
         gens[(a, b)] = generator_morphism(objects[a], objects[b], _complex_degree(a, b),
                                           cohomology(table, a, b))
     degrees = set()
@@ -292,14 +292,14 @@ def test_compose_and_identify_matches_explicit_composites(fam, p, q):
             cohom = cohomology(table, a, c)
             got = compose_and_identify(f.projection(), f.degree, g, cohom)
             assert got == _explicit_class(f, g, cohom), (a, b, c)
-            assert got == ([1] if a == c or (a, c) in skeleton.pairs else []), (a, b, c)
+            assert got == ([1] if a == c or (a, c) in pattern.pairs else []), (a, b, c)
             if b != c:
                 outer = generator_cocycle(cohomology(table, b, c), f.degree)
                 assert compose_and_identify(outer, f.degree, g, cohom) == got, (a, b, c)
             degrees.add((f.degree, g.degree))
             count += 1
     pairs = len(gens) - len(table.objects)
-    assert count == len(table.objects) + 2 * pairs + len(naive_composable_triples(skeleton))
+    assert count == len(table.objects) + 2 * pairs + len(naive_composable_triples(pattern))
     assert (0, 0) in degrees
     if fam != "bp":
         assert (3, 0) in degrees and (0, 3) in degrees
@@ -468,7 +468,7 @@ def test_generator_cocycle_is_the_class_representative(fam, p, q):
     from mfvc.families import FamilySpec
 
     table = hom_table(FamilySpec(fam, p, q))
-    pairs = table.skeleton().nonzero_pairs()
+    pairs = checked_pattern(table).nonzero_pairs()
     for (a, b) in pairs:
         n, coh = _complex_degree(a, b), cohomology(table, a, b)
         row = generator_cocycle(coh, n)
