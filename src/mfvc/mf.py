@@ -19,16 +19,19 @@ Morphism spaces are computed two ways:
   the standard monomials of the modules, walked by degree, so no degree
   is probed for a term it does not have; and
 * explicit chain maps between the factorisations themselves, found by exact
-  linear algebra from the one hom differential of `_boundary_matrices`.
+  linear algebra from the one hom differential D(f), whose entries
+  `_boundary_vanishes` sums as {monomial: coefficient} dicts to check a
+  chain map.
 
 The two are tied together by the projection of a chain map onto the
-module: `HomCohomology.vector` reads it as a vector over the term, and
-`HomCohomology.identify` reads its class coordinates off the pivots of
-one reduced echelon basis.  A composite f o g is identified from a
-cocycle in the class of the outer factor f alone, multiplied by the one
-matrix of the chain map g it meets, so the composite is never formed and
-f need not be lifted: `generator_cocycle` gives the class representative
-of a generator as that cocycle.
+module: `_precompose`, the one precomposition kernel, sums nf(aug . f_n)
+straight into a vector over the term, and `HomCohomology.identify` reads
+its class coordinates off the pivots of one reduced echelon basis.  A
+composite f o g is identified from a cocycle in the class of the outer
+factor f alone, precomposed by the same kernel with the one matrix of the
+chain map g it meets, so the composite is never formed and f need not be
+lifted: `generator_cocycle` gives the class representative of a generator
+as that cocycle.
 """
 
 from ._linalg import Subspace, _div, _q, nullspace
@@ -62,14 +65,6 @@ def mat_mul(A, B):
             row.append(s)
         out.append(row)
     return out
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_is_zero(A):
-    return all(not e for row in A for e in row)
 
 
 def mat_scale(A, c):
@@ -359,7 +354,14 @@ class HomCohomology:
     def vector(self, n, row):
         """The sparse vector over term(n) of a row of normal forms, one per
         summand of K^{-n}.  A monomial outside the Buchweitz term raises
-        ArithmeticError: the row is not a projection of degree n.
+        ArithmeticError: the row is not a projection of degree n."""
+        return self._positions(n, {(t, m): c for t, val in enumerate(row)
+                                   for m, c in val.terms.items()})
+
+    def _positions(self, n, coeffs):
+        """The sparse vector over term(n) of {(summand, monomial): nonzero
+        coefficient}, the one lookup of `vector` and `_precompose`.  A key
+        outside the Buchweitz term raises ArithmeticError.
 
         Positions are read off the term list, which term(n) builds once and
         keeps.  Between basic objects the terms a projection meets hold at
@@ -367,14 +369,14 @@ class HomCohomology:
         dict index per degree would only add memory."""
         coords = self.term(n)
         vec = {}
-        for t, val in enumerate(row):
-            for m, c in val.terms.items():
-                try:
-                    vec[coords.index((t, m))] = c
-                except ValueError:
-                    raise ArithmeticError(
-                        f"(summand, monomial) ({t}, {mono_str(m)}) is outside the degree-{n} "
-                        f"Buchweitz term of the hom complex from {self.K.label}") from None
+        for key, c in coeffs.items():
+            try:
+                vec[coords.index(key)] = c
+            except ValueError:
+                t, m = key
+                raise ArithmeticError(
+                    f"(summand, monomial) ({t}, {mono_str(m)}) is outside the degree-{n} "
+                    f"Buchweitz term of the hom complex from {self.K.label}") from None
         return vec
 
     def diff(self, n):
@@ -472,8 +474,8 @@ _NO_IMAGE = Subspace()  # the image of a zero map; never added to
 
 
 class MFMorphism:
-    """A degree-n chain map of matrix factorisations, stored as the two
-    matrices f0 : K^0 -> H^n and f1 : K^{-1} -> H^{n-1}.
+    """A degree-n map of matrix factorisations, stored as the two matrices
+    f0 : K^0 -> H^n and f1 : K^{-1} -> H^{n-1}.
 
     A morphism is not modified after construction, so the chain-map check
     runs once and its answer is kept."""
@@ -491,16 +493,10 @@ class MFMorphism:
         return self.f0 if k % 2 == 0 else self.f1
 
     def is_chain_map(self):
+        """Whether the hom differential D(f) of `_boundary_vanishes` is zero."""
         if self._is_chain_map is None:
-            e1, e0 = _boundary_matrices(self.source, self.target, self.degree, self.f0, self.f1)
-            self._is_chain_map = mat_is_zero(e1) and mat_is_zero(e0)
+            self._is_chain_map = _boundary_vanishes(self)
         return self._is_chain_map
-
-    def projection(self):
-        """nf(aug_H . f_n), the projection onto the target's module: one
-        normal form per summand of K^{-n}."""
-        H = self.target
-        return [H.module.nf(v) for v in mat_mul([H.aug], self.component(self.degree))[0]]
 
 
 def _entry_degrees(K, H, n):
@@ -510,24 +506,69 @@ def _entry_degrees(K, H, n):
                  for k in (0, 1))
 
 
-def _boundary_matrices(K, H, n, f0, f1):
-    """The hom differential of the degree-n map f = (f0, f1): on K^{-k-1},
+def _boundary_vanishes(f):
+    """Whether the hom differential of the degree-n map f : K -> H is zero:
+    on K^{-k-1}, for k = 1 and k = 0,
 
-        D(f) = H.d(k-n) f_{k+1} - (-1)^n f_k K.d(k),
+        D(f) = H.d(k-n) f_{k+1} - (-1)^n f_k K.d(k).
 
-    returned for k = 1, then k = 0."""
-    f = MFMorphism(K, H, n, f0, f1)
+    Each entry of D(f) is summed as one {monomial: coefficient} dict, no
+    Poly formed, and the first nonzero entry answers False."""
+    K, H, n = f.source, f.target, f.degree
     sign = 1 if n % 2 else -1
-    return tuple(mat_add(mat_mul(H.d(k - n), f.component(k + 1)),
-                         mat_scale(mat_mul(f.component(k), K.d(k)), sign))
-                 for k in (1, 0))
+    for k in (1, 0):
+        hd, after, before, kd = H.d(k - n), f.component(k + 1), f.component(k), K.d(k)
+        for r in range(H.rank):
+            for t in range(K.rank):
+                products = [(1, hd[r][s], after[s][t]) for s in range(H.rank)]
+                products += [(sign, before[r][s], kd[s][t]) for s in range(K.rank)]
+                acc = {}
+                for c, left, right in products:
+                    for (a, b), c1 in left.terms.items():
+                        for (u, v), c2 in right.terms.items():
+                            m = (a + u, b + v)
+                            x = acc.get(m, 0) + c * c1 * c2
+                            if x:
+                                acc[m] = x
+                            else:
+                                del acc[m]
+                if acc:
+                    return False
+    return True
+
+
+def _precompose(outer, G, cohom, n):
+    """The sparse vector over cohom.term(n) of nf(outer . G): outer is a
+    row, one Poly per row of the matrix G, and the normal form is that of
+    cohom.module.  The products c1*c2*nf(m1*m2) are summed into one
+    {(summand, monomial): coefficient} dict, no Poly formed, and only the
+    keys that survive the sum are looked up.  ArithmeticError if outer and
+    G do not match in length, or a key lies outside the degree-n term."""
+    if len(outer) != len(G):
+        raise ArithmeticError(f"a row of {len(outer)} entries cannot precompose a map from "
+                              f"{len(G)} summands")
+    nf_mono = cohom.module.nf_mono
+    sums = {}
+    for j in range(len(G[0])):
+        for z, row in zip(outer, G):
+            entry = row[j].terms
+            for (a, b), c1 in z.terms.items():
+                for (u, v), c2 in entry.items():
+                    for m, c3 in nf_mono((a + u, b + v)).terms.items():
+                        key = (j, m)
+                        x = sums.get(key, 0) + c1 * c2 * c3
+                        if x:
+                            sums[key] = x if type(x) is int else _q(x)
+                        else:
+                            del sums[key]
+    return cohom._positions(n, sums)
 
 
 def chain_map_space(K, H, n):
     """Basis of the space of degree-n chain maps K -> H, as MFMorphisms.
 
     An unknown is the coefficient of one monomial in the entry (s, t) of
-    f_which.  In D(f) (see `_boundary_matrices`) it meets H.d in the
+    f_which.  In D(f) (see `_boundary_vanishes`) it meets H.d in the
     component k = 1 - which and K.d in the component k = which; one
     equation per (component, row, column, monomial) of D(f)."""
     degs = _entry_degrees(K, H, n)
@@ -586,7 +627,8 @@ def generator_morphism(K, H, n, cohom: HomCohomology):
     """
     _generator_class(cohom, n)
     for f in chain_map_space(K, H, n):
-        [a] = cohom.identify(n, cohom.vector(n, f.projection()))
+        # the projection nf(aug_H . f_n) onto the module, read as a vector
+        [a] = cohom.identify(n, _precompose(H.aug, f.component(n), cohom, n))
         if a:
             inv = _div(1, a)
             return MFMorphism(K, H, n, mat_scale(f.f0, inv), mat_scale(f.f1, inv))
@@ -618,13 +660,13 @@ def compose_and_identify(outer, degree, g: MFMorphism, cohom: HomCohomology):
     from `generator_cocycle`.  g must be a chain map, else ArithmeticError;
     cohom is the hom cohomology of (g.source, the module).  The composite
     is not formed: on K^{-n}, n = degree + deg g, its projection is
-    nf(z . g_n), and the normal form is linear modulo the ideal.
-    Precomposing a coboundary with a chain map gives a coboundary, so the
-    class of the composite depends only on the class of z.
+    nf(z . g_n), and `_precompose` sums it straight into a vector.  The
+    normal form is linear modulo the ideal, and precomposing a coboundary
+    with a chain map gives a coboundary, so the class of the composite
+    depends only on the class of z.  A row whose length is not the number
+    of summands raises ArithmeticError.
     """
     if not g.is_chain_map():
         raise ArithmeticError("compose_and_identify requires chain maps")
     n = degree + g.degree
-    nf = cohom.module.nf
-    row = mat_mul([outer], g.component(n))[0]
-    return cohom.identify(n, cohom.vector(n, [nf(v) for v in row]))
+    return cohom.identify(n, _precompose(outer, g.component(n), cohom, n))

@@ -473,17 +473,16 @@ def test_a_side_object_outside_the_correspondence_gives_report(monkeypatch, caps
 
 
 def test_projection_outside_the_buchweitz_term_gives_report(monkeypatch, capsys):
-    # a stray monomial of a degree no term of loop(2,3) reaches
-    from mfvc.mf import MFMorphism
-    from mfvc.polyring import Poly
+    # a stray monomial of a degree no term of loop(2,3) reaches, added to
+    # every sum of the precomposition kernel before its positions are read
+    from mfvc.mf import HomCohomology
 
-    projection = MFMorphism.projection
+    positions = HomCohomology._positions
 
-    def with_stray_monomial(self):
-        row = projection(self)
-        return [row[0] + Poly.monomial(1000, 0)] + row[1:]
+    def with_stray_monomial(self, n, coeffs):
+        return positions(self, n, {**coeffs, (0, (1000, 0)): 1})
 
-    monkeypatch.setattr(MFMorphism, "projection", with_stray_monomial)
+    monkeypatch.setattr(HomCohomology, "_positions", with_stray_monomial)
     code, payload = _mirror_check_in_process(capsys)
     assert code == 1
     assert payload["pass"] is False

@@ -14,6 +14,7 @@ from mfvc.mf import (
     generator_morphism,
 )
 from mfvc.polyring import Poly, QuotientRing, family_w, poly_x, poly_y
+from mf_reference import boundary_matrices, is_chain_map, projection
 from test_bside import checked_pattern, cohomology
 from test_directed import naive_composable_triples
 
@@ -225,14 +226,14 @@ def test_composition_examples():
     Kf = build_basic_object(g, ("Kf",))
     mid = generator_morphism(K11, K22, 0, HomCohomology(K11, K22.module))
     top = generator_morphism(K22, Kf, 3, HomCohomology(K22, Kf.module))
-    coeff = compose_and_identify(top.projection(), 3, mid, HomCohomology(K11, Kf.module))
+    coeff = compose_and_identify(projection(top), 3, mid, HomCohomology(K11, Kf.module))
     assert len(coeff) == 1 and abs(coeff[0]) == 1
 
     # g composed with the identity is g
     ident = identity_morphism(K11)
-    assert compose_and_identify(mid.projection(), 0, ident, HomCohomology(K11, K22.module)) == [1]
+    assert compose_and_identify(projection(mid), 0, ident, HomCohomology(K11, K22.module)) == [1]
     ident = identity_morphism(K22)
-    assert compose_and_identify(ident.projection(), 0, mid, HomCohomology(K11, K22.module)) == [1]
+    assert compose_and_identify(projection(ident), 0, mid, HomCohomology(K11, K22.module)) == [1]
 
 
 def test_composition_into_zero_hom_space_vanishes():
@@ -243,7 +244,7 @@ def test_composition_into_zero_hom_space_vanishes():
     kx2 = build_basic_object(g, ("Kx", 2))
     f1 = generator_morphism(a, b, 0, HomCohomology(a, b.module))
     f2 = generator_morphism(b, kx2, 3, HomCohomology(b, kx2.module))
-    coeff = compose_and_identify(f2.projection(), 3, f1, HomCohomology(a, kx2.module))
+    coeff = compose_and_identify(projection(f2), 3, f1, HomCohomology(a, kx2.module))
     assert coeff == []
 
 
@@ -290,7 +291,7 @@ def test_compose_and_identify_matches_explicit_composites(fam, p, q):
             if b2 != b:
                 continue
             cohom = cohomology(table, a, c)
-            got = compose_and_identify(f.projection(), f.degree, g, cohom)
+            got = compose_and_identify(projection(f), f.degree, g, cohom)
             assert got == _explicit_class(f, g, cohom), (a, b, c)
             assert got == ([1] if a == c or (a, c) in pattern.pairs else []), (a, b, c)
             if b != c:
@@ -313,7 +314,7 @@ def test_chain_map_space_contains_no_fake_maps():
     coh = HomCohomology(kx1, kx2.module)
     for n in range(0, 4):
         for f in chain_map_space(kx1, kx2, n):
-            assert coh.identify(n, coh.vector(n, f.projection())) == []
+            assert coh.identify(n, coh.vector(n, projection(f))) == []
 
 
 def _morphism_coordinates(K, H, n, f0, f1):
@@ -339,7 +340,7 @@ def mf_model_hom_dim(K, H, n):
     boundaries of arbitrary degree-(n-1) maps.  Independent of the module
     complex route."""
     from mfvc._linalg import Subspace
-    from mfvc.mf import MFMorphism, _boundary_matrices, _entry_degrees
+    from mfvc.mf import MFMorphism, _entry_degrees
     from mfvc.polyring import Poly, monomials_of_exact_degree
 
     maps = chain_map_space(K, H, n)
@@ -355,7 +356,7 @@ def mf_model_hom_dim(K, H, n):
                     g0 = [[Poly() for _ in range(K.rank)] for _ in range(H.rank)]
                     g1 = [[Poly() for _ in range(K.rank)] for _ in range(H.rank)]
                     (g0 if which == 0 else g1)[s][t] = Poly.monomial(*mono)
-                    b0, b1 = _boundary_matrices(K, H, n - 1, g0, g1)
+                    b0, b1 = boundary_matrices(K, H, n - 1, g0, g1)
                     assert MFMorphism(K, H, n, b0, b1).is_chain_map()  # d^2 = 0
                     span.add(_morphism_coordinates(K, H, n, b0, b1))
     dim = 0
@@ -389,7 +390,7 @@ def test_compose_and_identify_rejects_non_chain_maps():
     broken = type(gen)(a, b, 0, gen.f0, [[poly_x(), Poly()], [Poly(), Poly()]])
     assert not broken.is_chain_map()
     with pytest.raises(ArithmeticError):
-        compose_and_identify(gen.projection(), 0, broken, HomCohomology(a, b.module))
+        compose_and_identify(projection(gen), 0, broken, HomCohomology(a, b.module))
 
 
 def test_chain_map_check_runs_once_per_morphism(monkeypatch):
@@ -399,20 +400,106 @@ def test_chain_map_check_runs_once_per_morphism(monkeypatch):
     a = build_basic_object(g, ("K0", 1, 1))
     b = build_basic_object(g, ("K0", 2, 2))
     gen = generator_morphism(a, b, 0, HomCohomology(a, b.module))
-    original = mf._boundary_matrices
+    original = mf._boundary_vanishes
     calls = []
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(mf, "_boundary_matrices", counting)
+    monkeypatch.setattr(mf, "_boundary_vanishes", counting)
     ident = identity_morphism(a)
-    outer = gen.projection()
+    outer = projection(gen)
     for _ in range(3):
         compose_and_identify(outer, 0, ident, HomCohomology(a, b.module))
-        compose_and_identify(ident.projection(), 0, gen, HomCohomology(a, b.module))
+        compose_and_identify(projection(ident), 0, gen, HomCohomology(a, b.module))
     assert len(calls) == 2  # gen and ident, each checked once
+
+
+def test_a_cocycle_row_of_the_wrong_length_is_rejected():
+    # the row of an outer factor has one entry per summand of the inner
+    # map's target; a stray third summand used to be ignored, and a row
+    # one short failed with an IndexError
+    g = make_grading_group("loop", 3, 3)
+    K11, K22 = (build_basic_object(g, ("K0", i, i)) for i in (1, 2))
+    mid = generator_morphism(K11, K22, 0, HomCohomology(K11, K22.module))
+    ident = identity_morphism(K11)
+    row = projection(mid)
+    assert compose_and_identify(row, 0, ident, HomCohomology(K11, K22.module)) == [1]
+    for bad in (row + [Poly.monomial(1000, 0)], row[:1]):
+        with pytest.raises(ArithmeticError, match=f"a row of {len(bad)} entries"):
+            compose_and_identify(bad, 0, ident, HomCohomology(K11, K22.module))
+
+
+@pytest.mark.parametrize("family", ["loop", "chain", "bp"])
+@pytest.mark.parametrize("p", range(2, 7))
+@pytest.mark.parametrize("q", range(2, 7))
+def test_kernels_match_the_poly_matrix_reference(family, p, q):
+    # every lift and arrow composite of composition_table: the term-dict
+    # chain-map check, projection and composite against the Poly matrices
+    from mf_reference import compare_with_reference
+    from mfvc.families import FamilySpec
+
+    spec = FamilySpec(family, p, q)
+    lifts, composites, differences = compare_with_reference(spec)
+    assert differences == []
+    assert (len(lifts) > 0) == (spec.milnor() > 1)
+
+
+@pytest.mark.parametrize("fam,p,q", [("loop", 3, 3), ("chain", 3, 4)])
+def test_projections_of_all_chain_maps_match_the_reference(fam, p, q):
+    # every basis chain map between basic objects in degrees -1..4, not
+    # only the generators: their projections meet normal forms with
+    # coefficients other than 1 (R/(F) reduces one monomial of
+    # F = x^(p-f) + y^(q-e) to minus the other), so a kernel that dropped
+    # those coefficients differs here
+    from mfvc.mf import _precompose
+
+    g = make_grading_group(fam, p, q)
+    objects = [build_basic_object(g, label) for label in labels_for(fam, p, q)]
+    coefficients = set()
+    for K in objects:
+        for H in objects:
+            for n in range(-1, 5):
+                coh = HomCohomology(K, H.module)
+                for f in chain_map_space(K, H, n):
+                    assert f.is_chain_map() and is_chain_map(f), (K, H, n)
+                    vec = _precompose(H.aug, f.component(n), coh, n)
+                    assert vec == coh.vector(n, projection(f)), (K, H, n)
+                    coefficients.update(vec.values())
+    assert coefficients - {1}
+
+
+def test_perturbed_lifts_fail_both_chain_map_checks():
+    # a chain map plus a single-entry map is no chain map: D of the entry
+    # m at (s, t) of f0 is m times row t of K.d(0), nonzero, in the row s
+    # of the k = 0 component, and likewise for f1.  Both checks reject
+    # every lift of loop(3,3) with one entry moved by a monomial of its
+    # degree
+    from mfvc.bside import _complex_degree, hom_table
+    from mfvc.families import FamilySpec
+    from mfvc.mf import _entry_degrees
+    from mfvc.polyring import monomials_of_exact_degree
+
+    table = hom_table(FamilySpec("loop", 3, 3))
+    X = table.objects
+    perturbed = 0
+    for (a, b) in checked_pattern(table).nonzero_pairs():
+        n = _complex_degree(a, b)
+        gen = generator_morphism(X[a], X[b], n, cohomology(table, a, b))
+        assert gen.is_chain_map() and is_chain_map(gen), (a, b)
+        degs = _entry_degrees(X[a], X[b], n)
+        for which in (0, 1):
+            for s in range(X[b].rank):
+                for t in range(X[a].rank):
+                    for mono in monomials_of_exact_degree(X[a].group, degs[which][s][t])[:1]:
+                        f = [[[e for e in r] for r in m] for m in (gen.f0, gen.f1)]
+                        f[which][s][t] = f[which][s][t] + Poly.monomial(*mono)
+                        moved = MFMorphism(X[a], X[b], n, *f)
+                        assert not moved.is_chain_map(), (a, b, which, s, t)
+                        assert not is_chain_map(moved), (a, b, which, s, t)
+                        perturbed += 1
+    assert perturbed > 0
 
 
 def test_empty_term_has_zero_cohomology_without_differentials(monkeypatch):
@@ -439,7 +526,7 @@ def test_vector_reads_positions_off_the_term_and_keeps_nothing():
     coh = HomCohomology(a, b.module)
     gen = generator_morphism(a, b, 0, coh)
     caches = {k: dict(v) for k, v in vars(coh).items() if isinstance(v, dict)}
-    vec = coh.vector(0, gen.projection())
+    vec = coh.vector(0, projection(gen))
     assert {k: dict(v) for k, v in vars(coh).items() if isinstance(v, dict)} == caches
     assert coh.identify(0, vec) == [1]
 
@@ -476,7 +563,7 @@ def test_generator_cocycle_is_the_class_representative(fam, p, q):
         assert row == _row(coh, n, rep)
         assert coh.identify(n, coh.vector(n, row)) == [1], (a, b)
         lift = generator_morphism(table.objects[a], table.objects[b], n, coh)
-        assert coh.identify(n, coh.vector(n, lift.projection())) == [1], (a, b)
+        assert coh.identify(n, coh.vector(n, projection(lift))) == [1], (a, b)
     assert pairs
 
 
