@@ -14,8 +14,6 @@ bit to the unfused reference in tests/test_kernels.py.
 
 from math import cos, sin
 
-import numpy as np
-
 from .families import transpose
 
 
@@ -59,6 +57,8 @@ def newton_enumerate(family, p, q, eps, zx, zy, iters=80, tol=1e-10):
     """Vectorised Newton from every seed (zx[k], zy[k]) at once, with masking.
 
     Returns (x, y, ok) arrays; ok marks the seeds that reached |Wx|, |Wy| < tol."""
+    import numpy as np
+
     exps = transpose(family, p, q)
     x = zx.astype(np.complex128).copy()
     y = zy.astype(np.complex128).copy()

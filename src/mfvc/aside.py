@@ -10,15 +10,17 @@ Rotating the real-positive interior critical point of w~ - eps*x*y by
 every monomial of w~ turns with xy, i.e. iff (E^T - J)(X, Y)^T is in Z^2
 (J all ones).  So `interior_args` is one 2x2 inverse for all three families.
 
-All angles are exact Fractions measured in full turns (1 = 2*pi), so the
-strict inequalities behind the path combinatorics never touch floats; the
-numerical checks live in `transport` and in the Newton enumeration here.
+Angles are measured in full turns (1 = 2*pi) and held as integer
+numerators over one denominator per spec, det = det(E^T - J), so the
+strict inequalities behind the path combinatorics are integer comparisons;
+`interior_args` and `theta_turns` read them as Fractions.  The numerical
+checks live in `transport` and in the Newton enumeration here.
 """
 
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -48,20 +50,26 @@ def interior_index_set(spec: FamilySpec):
     return [(l, m) for l in range(p - 1) for m in range(q - 1) if (l, m) != corner]
 
 
+def _arg_numerators(spec: FamilySpec):
+    """(det, (a, b, c, d)) with det = det(E^T - J) and det (E^T - J)^{-1} =
+    ((a, b), (c, d)): the arguments of the interior point (l, m) are
+    (a*l + b*m, c*l + d*m) over det."""
+    p, q, f, e = transpose(spec.family, spec.p, spec.q)
+    return (p - 1) * (q - 1) - (f - 1) * (e - 1), (q - 1, 1 - f, 1 - e, p - 1)
+
+
 def interior_args(spec: FamilySpec, l, m):
     """(x_arg, y_arg) of the interior critical point (l, m), in turns:
     (X, Y) = (E^T - J)^{-1} (l, m), not reduced mod 1."""
-    p, q, f, e = transpose(spec.family, spec.p, spec.q)
-    det = (p - 1) * (q - 1) - (f - 1) * (e - 1)
-    return (Fraction((q - 1) * l + (1 - f) * m, det),
-            Fraction((1 - e) * l + (p - 1) * m, det))
+    det, (a, b, c, d) = _arg_numerators(spec)
+    return Fraction(a * l + b * m, det), Fraction(c * l + d * m, det)
 
 
 def theta_turns(spec: FamilySpec, l, m):
     """Angle of the preliminary vanishing path of (l, m): X + Y, the
     rotation of xy, not reduced mod 1."""
-    x_arg, y_arg = interior_args(spec, l, m)
-    return x_arg + y_arg
+    det, (a, b, c, d) = _arg_numerators(spec)
+    return Fraction((a + c) * l + (b + d) * m, det)
 
 
 def enumerate_critical_data(spec: FamilySpec):
@@ -107,10 +115,12 @@ class PathSchedule:
     """
 
     spec: FamilySpec
-    theta: dict                      # (l, m) -> Fraction, turns
+    det: int                         # the denominator of every angle below
+    args: dict                       # (l, m) -> numerators of interior_args
+    theta: dict                      # (l, m) -> numerator of theta_turns
     order: list                      # object labels, category order
-    fingers: list = field(default_factory=list)  # ((l,m), (L,M)) pairs
-    waist_first: bool = False
+    fingers: list                    # ((l,m), (L,M)) pairs
+    waist_first: bool
 
 
 def path_schedule(spec: FamilySpec):
@@ -129,9 +139,17 @@ def path_schedule(spec: FamilySpec):
     for all p, q: with n = pq - p - q the angle is (ql + pm)/n, so a finger
     needs q(l-L) + p(m-M) > n.  If l < L this forces p(m-M) > pq - p,
     i.e. m - M > q - 1, which is impossible as m, M lie in [0, q-2]; the
-    case m < M is the same with p and q swapped."""
+    case m < M is the same with p and q swapped.
+
+    The certificate: after translating by the symmetry taking (L, M) to
+    (0, 0), the x-argument profile of the transported cycle at t = 2*pi is
+    monotone in s between 1 - Y and X, (X, Y) = interior_args(l - L, m - M);
+    both must lie strictly inside (0, 1) turns, so the profile never
+    crosses the real-positive locus occupied by the stationary cycle."""
     p, q, f, e = transpose(spec.family, spec.p, spec.q)
-    theta = {lm: theta_turns(spec, *lm) for lm in interior_index_set(spec)}
+    det, (a, b, c, d) = _arg_numerators(spec)
+    args = {(l, m): (a * l + b * m, c * l + d * m) for (l, m) in interior_index_set(spec)}
+    theta = {lm: x + y for lm, (x, y) in args.items()}
     interior_sorted = sorted(theta, key=lambda lm: (-theta[lm], lm))
     waists = [("Vyf", l) for l in range(p - 1)] if f else []
     if e:
@@ -141,21 +159,24 @@ def path_schedule(spec: FamilySpec):
     waist_first = f == e == 0
     order = waists + order if waist_first else order + waists
     # the angles fall along interior_sorted, so the fingers of each cycle
-    # are a suffix of it: those with -theta > 1 - theta[lm]
+    # are a suffix of it: those with -theta > det - theta[lm]
     rising = [-theta[lm] for lm in interior_sorted]
     fingers = []
     for lm in interior_sorted:
-        for LM in interior_sorted[bisect_right(rising, 1 - theta[lm]):]:
+        (l, m), (x, y) = lm, args[lm]
+        for LM in interior_sorted[bisect_right(rising, det - theta[lm]):]:
             fingers.append((lm, LM))
-            if not (lm[0] >= LM[0] + f and lm[1] >= LM[1] + e):
+            L, M = LM
+            if not (l >= L + f and m >= M + e):
                 raise ArithmeticError(
                     f"finger pair {lm}->{LM} violates l >= L + {f}, m >= M + {e}")
             if e:
-                cert = disjointness_certificate(spec, lm, LM)
-                if not cert["ok"]:
+                X, Y = args[LM]
+                if not (0 < det - (y - Y) < det and 0 < x - X < det):
                     raise ArithmeticError(
-                        f"disjointness certificate failed for {(lm, LM)}: {cert}")
-    return PathSchedule(spec, theta, order, fingers, waist_first)
+                        f"disjointness certificate failed for {(lm, LM)}: endpoints "
+                        f"{Fraction(det - (y - Y), det)}, {Fraction(x - X, det)} turns")
+    return PathSchedule(spec, det, args, theta, order, fingers, waist_first)
 
 
 def phi_profile(spec: FamilySpec, l, m, s, t):
@@ -173,117 +194,93 @@ def phi_profile_end(spec: FamilySpec, l, m, s):
     return phi_profile(spec, l, m, s, 0.0)
 
 
-def disjointness_certificate(spec: FamilySpec, lm, LM):
-    """Exact certificate that the finger detour cannot move the cycle.
-
-    After translating by the symmetry taking (L, M) to (0, 0), the
-    x-argument profile of the transported cycle at t = 2*pi is monotone in
-    s between 1 - Y and X, (X, Y) = interior_args(l - L, m - M); the
-    certificate checks both lie strictly inside (0, 1) turns, so the
-    profile never crosses the real-positive locus occupied by the
-    stationary cycle.  Raises ValueError when f = e = 0."""
-    _, _, f, e = transpose(spec.family, spec.p, spec.q)
-    if f == e == 0:
-        raise ValueError("certificate applies to loop and chain local models")
-    xa, ya = interior_args(spec, lm[0] - LM[0], lm[1] - LM[1])
-    ends = (1 - ya, xa)
-    return {
-        "pair": (tuple(lm), tuple(LM)),
-        "endpoints_turns": ends,
-        # the profile coefficient (2*pi - theta) is negative
-        "increasing_in_s": xa + ya > 1,
-        "ok": all(0 < end < 1 for end in ends),
-    }
-
-
 # ---------------------------------------------------------------------------
 # intersections, gradings, signs
 
 
-def neck_crossings_from_profile(spec: FamilySpec, lm, LM):
-    """Intersection count of two interior cycles on the origin neck,
-    re-derived from the transport profile instead of the grid rule.
-
-    The difference of the two x-argument profiles is monotone between
-    exact rational endpoints (-dya, dxa) lying strictly inside (-1, 1)
-    turns, so the cycles cross once iff the endpoints straddle zero, i.e.
-    iff dxa and dya have one sign.  (dxa, dya) is interior_args of the
-    index difference, as interior_args is linear.  Only applies when both
-    index differences are nonzero; the remaining pairs are resolved by the
-    perturbation step, not by the profile."""
-    dl, dm = lm[0] - LM[0], lm[1] - LM[1]
-    if dl == 0 or dm == 0:
-        raise ValueError("profile argument applies to pairs with both indices distinct")
-    dxa, dya = interior_args(spec, dl, dm)
-    if not (0 < abs(dxa) < 1 and 0 < abs(dya) < 1):
-        raise ArithmeticError(f"profile endpoints {-dya}, {dxa} of {lm}, {LM} out of range")
-    return 1 if (dxa > 0) == (dya > 0) else 0
+def _waist_count(v, w):
+    """Intersections of the interior cycle v with the waist curve w: one
+    with Vxy, and one with Vyf(l), resp. Vxf(m), of its own l, resp. m."""
+    if w[0] == "Vxy":
+        return 1
+    if w[0] == "Vyf":
+        return int(w[1] == v[1])
+    if w[0] == "Vxf":
+        return int(w[1] == v[2])
+    raise ArithmeticError(f"no intersection rule for {v}, {w}")
 
 
 def intersection_table(schedule: PathSchedule):
     """Geometric intersection counts between distinct vanishing cycles,
     keyed by ordered pairs (earlier, later) in the schedule order.
 
-    Counts come from the grid rule.  For every pair of interior cycles
-    whose two index differences are both nonzero the rule is checked
-    against `neck_crossings_from_profile`, and a disagreement raises
-    ArithmeticError.  The other pairs rest on the grid rule alone: two
-    interior cycles sharing an index, and every pair with a waist curve."""
-    order = schedule.order
+    Counts come from the grid rule: two interior cycles meet once unless
+    their index differences dl, dm have opposite signs.  For every pair of
+    interior cycles with both dl and dm nonzero the rule is checked against
+    the transport profile: the difference of the two x-argument profiles
+    is monotone between the endpoints -dy and dx, (dx, dy) = interior_args
+    of (dl, dm) (interior_args is linear), which must lie strictly inside
+    (-1, 1) turns, and the cycles cross once iff the endpoints straddle
+    zero, i.e. iff dx and dy have one sign; a range failure or a
+    disagreement raises ArithmeticError.  The other pairs rest on the grid
+    rule alone: two interior cycles sharing an index, and every pair with
+    a waist curve (`_waist_count`; waist curves are pairwise disjoint).
+    Any other label met by an interior cycle raises ArithmeticError."""
+    det, args, order = schedule.det, schedule.args, schedule.order
+    det2 = det * det
+    cycles = [(lab[1], lab[2], *args[lab[1:]]) if lab[0] == "V0" and lab[1:] in args else None
+              for lab in order]
     table = {}
-
-    def count(a, b):
-        ka, kb = a[0], b[0]
-        if ka == "V0" and kb == "V0":
-            (l, m), (L, M) = a[1:], b[1:]
-            c = 1 if (l >= L and m >= M) or (l <= L and m <= M) else 0
-            if l != L and m != M and c != neck_crossings_from_profile(schedule.spec, a[1:], b[1:]):
-                raise ArithmeticError(f"grid rule and transport profile disagree on {a}, {b}")
-            return c
-        if ka != "V0" and kb != "V0":
-            return 0  # waist curves are pairwise disjoint
-        v, w = (a, b) if ka == "V0" else (b, a)
-        l, m = v[1], v[2]
-        if w[0] == "Vxy":
-            return 1
-        if w[0] == "Vyf":
-            return 1 if w[1] == l else 0
-        if w[0] == "Vxf":
-            return 1 if w[1] == m else 0
-        raise ValueError((a, b))
-
-    for i, a in enumerate(order):
-        for b in order[i + 1:]:
-            c = count(a, b)
-            if c:
-                table[(a, b)] = c
+    for i, (a, ca) in enumerate(zip(order, cycles)):
+        later = zip(order[i + 1:], cycles[i + 1:])
+        if ca is None:
+            for b, cb in later:
+                if cb is not None and _waist_count(b, a):
+                    table[(a, b)] = 1
+            continue
+        l, m, x, y = ca
+        for b, cb in later:
+            if cb is None:
+                if _waist_count(a, b):
+                    table[(a, b)] = 1
+                continue
+            L, M, X, Y = cb
+            dl, dm = l - L, m - M
+            if dl and dm:
+                dx, dy = x - X, y - Y
+                if not (0 < dx * dx < det2 and 0 < dy * dy < det2):
+                    raise ArithmeticError(f"profile endpoints {Fraction(-dy, det)}, "
+                                          f"{Fraction(dx, det)} of {a}, {b} out of range")
+                if (dx * dy > 0) != (dl * dm > 0):
+                    raise ArithmeticError(f"grid rule and transport profile disagree on {a}, {b}")
+            if dl * dm >= 0:
+                table[(a, b)] = 1
     return table
 
 
 def _grading_degrees(schedule: PathSchedule, table):
     """Grading lifts for every cycle and the induced generator degrees.
 
-    Interior cycles get lifts in (0, 1/2) strictly increasing with the path
-    angle (a steeper cycle on the neck has the larger lift); waist curves
-    sit at -1/2, except the bp waist which moves first in the order and
-    takes +1/2.  Every generator must land in degree 0."""
-    thetas = sorted({th for th in schedule.theta.values()})
-    rank = {th: k for k, th in enumerate(thetas)}
-    nlevels = len(thetas)
-    lifts = {}
-    for lab in schedule.order:
-        if lab[0] == "V0":
-            th = schedule.theta[(lab[1], lab[2])]
-            lifts[lab] = Fraction(rank[th] + 1, 2 * (nlevels + 1))
-        else:
-            lifts[lab] = Fraction(1, 2) if schedule.waist_first else Fraction(-1, 2)
+    The lifts are integer numerators over den = 2(nlevels + 1), nlevels the
+    number of distinct path angles.  Interior cycles get lifts in (0, 1/2)
+    strictly increasing with the path angle (a steeper cycle on the neck
+    has the larger lift); waist curves sit at -1/2, except the bp waist
+    which moves first in the order and takes +1/2.  The generator a -> b
+    has degree floor(lift(b) - lift(a)) + 1, and every generator must land
+    in degree 0.  Returns (den, lifts, degrees)."""
+    theta = schedule.theta
+    rank = {th: k for k, th in enumerate(sorted(set(theta.values())))}
+    den = 2 * (len(rank) + 1)
+    waist = den // 2 if schedule.waist_first else -den // 2
+    lifts = {lab: rank[theta[lab[1:]]] + 1 if lab[0] == "V0" else waist
+             for lab in schedule.order}
     degrees = {}
     for (a, b) in table:
-        deg = math.floor(lifts[b] - lifts[a]) + 1
+        deg = (lifts[b] - lifts[a]) // den + 1
         degrees[(a, b)] = deg
-        if deg != 0:
+        if deg:
             raise ArithmeticError(f"generator {a} -> {b} has degree {deg}, not 0")
-    return lifts, degrees
+    return den, lifts, degrees
 
 
 def sweep_square_signs(A, B, right, up):

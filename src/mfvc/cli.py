@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 from .directed import display_label, object_shift
 from .families import FAMILIES, FamilySpec
@@ -154,7 +155,8 @@ def cmd_invariants(args):
         "grading_group": group.invariants(),
         "milnor": spec.milnor(),
         "decomposition": spec.milnor_decomposition(),
-        "schedule": {f"{l},{m}": str(th) for (l, m), th in sorted(sched.theta.items())},
+        "schedule": {f"{l},{m}": str(Fraction(th, sched.det))
+                     for (l, m), th in sorted(sched.theta.items())},
         "fingers": [[list(a), list(b)] for a, b in sched.fingers],
         "order": [display_label(lab) for lab in sched.order],
         "intersections": [

@@ -5,16 +5,16 @@ from math import gcd
 
 import pytest
 
+import aside_reference
+from mfvc import aside
 from mfvc._kernels import gradient_and_hessian
 from mfvc.aside import (
     _grading_degrees,
     assemble_directed_algebra,
-    disjointness_certificate,
     enumerate_critical_data,
     interior_args,
     interior_index_set,
     intersection_table,
-    neck_crossings_from_profile,
     numeric_morsification_check,
     path_schedule,
     phi_profile,
@@ -27,6 +27,7 @@ from mfvc.aside import (
 from mfvc.bside import HomTable
 from mfvc.compare import correspondence
 from mfvc.families import FamilySpec, exponents
+from aside_reference import compare_with_reference, disjointness_certificate, neck_crossings_from_profile
 from test_bside import SWEEP, checked_pattern
 from test_directed import naive_check_associativity
 
@@ -43,10 +44,11 @@ def shared_value_counts(spec: FamilySpec):
 
 
 def grading_degrees(spec: FamilySpec):
-    """The grading lifts and generator degrees of `aside._grading_degrees`
-    on spec's path schedule and intersection table."""
+    """The grading lifts, as Fractions, and generator degrees of
+    `aside._grading_degrees` on spec's path schedule and intersection table."""
     schedule = path_schedule(spec)
-    return _grading_degrees(schedule, intersection_table(schedule))
+    den, lifts, degrees = _grading_degrees(schedule, intersection_table(schedule))
+    return {lab: Fraction(n, den) for lab, n in lifts.items()}, degrees
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +194,32 @@ def test_disjointness_certificates_exhaustive():
                     assert 0 < e0 < 1 and 0 < e1 < 1
 
 
+@pytest.mark.parametrize("stray,failure", [
+    ((0, 5), r"\(0, 5\)->\(1, 1\) violates l >= L \+ 1"),
+    ((3, 2), r"disjointness certificate failed for \(\(3, 2\), \(1, 1\)\)"),
+])
+def test_a_stray_cycle_fails_the_finger_checks(monkeypatch, stray, failure):
+    # an index outside [0, p-2] x [0, q-2] puts a cycle of loop(3,3) 2.5
+    # turns up, with fingers to every other cycle: V0(0,5) -> V0(1,1) has
+    # l < L + 1, and V0(3,2) -> V0(1,1) keeps the rule but its certificate
+    # endpoint X is a full turn.  Both sides raise on the same pair
+    index_set = aside.interior_index_set
+    monkeypatch.setattr(aside, "interior_index_set", lambda spec: index_set(spec) + [stray])
+    for build in (path_schedule, aside_reference.path_schedule):
+        with pytest.raises(ArithmeticError, match=failure):
+            build(FamilySpec("loop", 3, 3))
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES)
+def test_integer_a_side_equals_the_fraction_reference(fam):
+    # angles, order, fingers, certificate verdicts, the intersection table
+    # in its order, lifts and degrees, against tests/aside_reference.py
+    for p in range(2, 13):
+        for q in range(2, 13):
+            counts, differences = compare_with_reference(FamilySpec(fam, p, q))
+            assert differences == [], (fam, p, q, differences)
+
+
 def test_bp_order_puts_waist_first():
     sched = path_schedule(FamilySpec("bp", 3, 3))
     assert sched.order[0] == ("Vxy",)
@@ -293,6 +321,22 @@ def test_profile_rederives_grid_intersections():
                         want = count(("V0", *lm), ("V0", *LM))
                         got = neck_crossings_from_profile(spec, lm, LM)
                         assert got == want, (fam, p, q, lm, LM)
+
+
+@pytest.mark.parametrize("moved,failure", [
+    ((2, -2), "grid rule and transport profile disagree"),
+    ((6, 2), r"profile endpoints -1/2, 3/2 of \('V0', 1, 1\), \('V0', 0, 0\) out of range"),
+])
+def test_a_moved_profile_fails_the_cross_check(moved, failure):
+    # V0(1,1) of loop(3,3) has argument numerators (2, 2) over det 4.  With
+    # the y numerator negated its profile no longer crosses that of V0(0,0),
+    # where the grid rule says it does; with x = 6 the pair's endpoint dx
+    # is 3/2 turns.  V0(0,0) is the only cycle it shares no index with
+    schedule = path_schedule(FamilySpec("loop", 3, 3))
+    assert schedule.det == 4 and schedule.args[(1, 1)] == (2, 2)
+    schedule.args[(1, 1)] = moved
+    with pytest.raises(ArithmeticError, match=failure):
+        intersection_table(schedule)
 
 
 def test_waists_pairwise_disjoint():

@@ -472,6 +472,36 @@ def test_a_side_object_outside_the_correspondence_gives_report(monkeypatch, caps
     ]
 
 
+@pytest.mark.parametrize("stray", [("Vzz",), ("V0", 9, 9)])
+def test_a_side_object_of_no_known_kind_gives_report(monkeypatch, capsys, stray):
+    # no intersection rule names the kind Vzz, nor an interior cycle that
+    # the schedule has no angle for: the A side fails its build, a report
+    # and exit 1, not an invalid-input exit 2 or a KeyError
+    from mfvc import aside
+
+    schedule = aside.path_schedule
+
+    def with_unknown_object(spec):
+        out = schedule(spec)
+        out.order.append(stray)
+        return out
+
+    monkeypatch.setattr(aside, "path_schedule", with_unknown_object)
+    code, payload = _mirror_check_in_process(capsys, "3", "3")
+    assert code == 1
+    assert payload["pass"] is False
+    [mismatch] = payload["mismatches"]
+    assert mismatch["kind"] == "a_side" and mismatch["stage"] == "assemble_directed_algebra"
+    assert mismatch["detail"] == f"no intersection rule for ('V0', 1, 1), {stray}"
+
+
+def test_cli_compare_and_transport_load_without_numpy():
+    # only the Newton enumeration uses numpy, and it imports numpy when
+    # called; a fresh interpreter, as pytest's own process has numpy loaded
+    code = "import sys, mfvc.cli, mfvc.compare, mfvc.transport; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 def test_projection_outside_the_buchweitz_term_gives_report(monkeypatch, capsys):
     # a stray monomial of a degree no term of loop(2,3) reaches, added to
     # every sum of the precomposition kernel before its positions are read

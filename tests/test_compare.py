@@ -150,20 +150,25 @@ def test_object_count_off_milnor_names_both_sides(monkeypatch):
 
 
 def test_profile_disagreement_is_an_a_side_failure(monkeypatch):
+    # negating the y argument of V0(1,1) in loop(3,3) flips the profile's
+    # count for the one pair it is checked on, V0(1,1) and V0(0,0)
     from mfvc import aside
 
-    real = aside.neck_crossings_from_profile
-    flipped = {(1, 1), (0, 0)}
+    schedule = aside.path_schedule
 
-    def flip_one_pair(spec, lm, LM):
-        count = real(spec, lm, LM)
-        return 1 - count if {lm, LM} == flipped else count
+    def flip_one_pair(spec):
+        out = schedule(spec)
+        x, y = out.args[(1, 1)]
+        out.args[(1, 1)] = (x, -y)
+        return out
 
-    monkeypatch.setattr(aside, "neck_crossings_from_profile", flip_one_pair)
+    monkeypatch.setattr(aside, "path_schedule", flip_one_pair)
     report = mirror_check(FamilySpec("loop", 3, 3))
     assert report["pass"] is False
     assert [(m["kind"], m["stage"]) for m in report["mismatches"]] == [
         ("a_side", "assemble_directed_algebra")]
+    assert report["mismatches"][0]["detail"] == (
+        "grid rule and transport profile disagree on ('V0', 1, 1), ('V0', 0, 0)")
 
 
 @pytest.mark.parametrize("window", [(1, 6), (3, -3), (-6, -1), (-1.5, 1), (-1, 0.5), (-1, 2.0)])

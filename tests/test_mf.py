@@ -382,6 +382,21 @@ def test_dg_model_dims_equal_module_model_dims(fam, p, q):
             assert mf_model_hom_dim(K, H, n) == hom_dim(coh, n), (la, lb, n)
 
 
+def test_chain_map_check_reads_the_k0_component():
+    # a target whose d1 is zero (invalid: d0 d1 is not w) kills f0 = id, so
+    # with f1 = 0 the k = 1 component of D(f) vanishes and only the k = 0
+    # one, -f0 K.d0 = -K.d0, does not
+    g = make_grading_group("loop", 3, 3)
+    K = build_basic_object(g, ("K0", 1, 1))
+    zero = [[Poly() for _ in range(K.rank)] for _ in range(K.rank)]
+    H = MatrixFactorisation(g, K.w, K.even_shifts, K.odd_shifts, K.d0, zero, K.module, K.aug)
+    assert "d0*d1 is not w*id" in H.validate()
+    f = MFMorphism(K, H, 0, identity_morphism(K).f0, zero)
+    k1, k0 = boundary_matrices(K, H, 0, f.f0, f.f1)
+    assert not any(e for row in k1 for e in row) and any(e for row in k0 for e in row)
+    assert not f.is_chain_map() and not is_chain_map(f)
+
+
 def test_compose_and_identify_rejects_non_chain_maps():
     g = make_grading_group("loop", 3, 3)
     a = build_basic_object(g, ("K0", 1, 1))
