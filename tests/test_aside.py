@@ -5,7 +5,6 @@ from math import gcd
 
 import pytest
 
-import aside_reference
 from mfvc import aside
 from mfvc._kernels import gradient_and_hessian
 from mfvc.aside import (
@@ -27,6 +26,7 @@ from mfvc.aside import (
 from mfvc.bside import HomTable
 from mfvc.compare import correspondence
 from mfvc.families import FamilySpec, exponents
+import aside_reference
 from aside_reference import compare_with_reference, disjointness_certificate, neck_crossings_from_profile
 from test_bside import SWEEP, checked_pattern
 from test_directed import naive_check_associativity
