@@ -267,20 +267,18 @@ def _grading_degrees(schedule: PathSchedule, table):
     has the larger lift); waist curves sit at -1/2, except the bp waist
     which moves first in the order and takes +1/2.  The generator a -> b
     has degree floor(lift(b) - lift(a)) + 1, and every generator must land
-    in degree 0.  Returns (den, lifts, degrees)."""
+    in degree 0; the degrees are checked, not kept.  Returns (den, lifts)."""
     theta = schedule.theta
     rank = {th: k for k, th in enumerate(sorted(set(theta.values())))}
     den = 2 * (len(rank) + 1)
     waist = den // 2 if schedule.waist_first else -den // 2
     lifts = {lab: rank[theta[lab[1:]]] + 1 if lab[0] == "V0" else waist
              for lab in schedule.order}
-    degrees = {}
     for (a, b) in table:
         deg = (lifts[b] - lifts[a]) // den + 1
-        degrees[(a, b)] = deg
         if deg:
             raise ArithmeticError(f"generator {a} -> {b} has degree {deg}, not 0")
-    return den, lifts, degrees
+    return den, lifts
 
 
 def sweep_square_signs(A, B, right, up):

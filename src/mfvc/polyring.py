@@ -317,7 +317,10 @@ class QuotientRing:
 
     The standard monomials are listed one way, by the walk of
     `standard_monomials_by_degree`: a finite staircase is walked whole, and
-    an infinite one up to the weight each caller asks for.
+    an infinite one up to the weight each caller asks for.  `monomial_ideal`
+    says whether every element of the reduced Groebner basis is a monomial,
+    as for every module of the B side's tilting object but R/(f); normal
+    forms of monomials are then read off the staircase with no division.
     """
 
     def __init__(self, group: GradingGroup, generators, shift: GroupElement = None, label=""):
@@ -331,13 +334,15 @@ class QuotientRing:
         self.gb = groebner(self.generators)
         self.lead_terms = [g.lead()[0] for g in self.gb]
         self._nf_cache = {}
+        self.monomial_ideal = all(len(g.terms) == 1 for g in self.gb)
         bx = min((u for (u, v) in self.lead_terms if v == 0), default=None)
         by = min((v for (u, v) in self.lead_terms if u == 0), default=None)
         self._box = (bx, by) if bx is not None and by is not None else None
 
     def shifted(self, l: GroupElement):
-        """A copy with shift + l.  It shares the Groebner basis and the
-        normal-form cache, which are keyed by monomial."""
+        """A copy with shift + l.  It shares the Groebner basis, the
+        monomial-ideal flag and the normal-form cache, which are keyed by
+        monomial."""
         out = copy(self)
         out.shift = self.shift + l
         return out
@@ -357,9 +362,15 @@ class QuotientRing:
         return not any(mono_divides(lt, mono) for lt in self.lead_terms)
 
     def nf_mono(self, mono):
+        """The normal form of a monomial, cached by monomial.  A standard
+        monomial is its own normal form (the basis is reduced); a nonstandard
+        one is 0 in a monomial ideal, and only otherwise divided out."""
         cached = self._nf_cache.get(mono)
         if cached is None:
-            cached = normal_form(Poly.monomial(*mono), self.gb)
+            if self.is_standard(mono):
+                cached = Poly.monomial(*mono)
+            else:
+                cached = Poly() if self.monomial_ideal else normal_form(Poly.monomial(*mono), self.gb)
             self._nf_cache[mono] = cached
         return cached
 

@@ -133,7 +133,8 @@ def intersection_table(schedule: Schedule):
 
 
 def grading_degrees(schedule: Schedule, table):
-    """(lifts, degrees) of `aside._grading_degrees`, the lifts as Fractions."""
+    """The lifts of `aside._grading_degrees`, as Fractions, and the generator
+    degrees that it checks."""
     thetas = sorted(set(schedule.theta.values()))
     rank = {th: k for k, th in enumerate(thetas)}
     lifts = {}
@@ -175,7 +176,10 @@ def compare_with_reference(spec: FamilySpec):
     got_table, want_table = aside.intersection_table(got), intersection_table(want)
     if list(got_table.items()) != list(want_table.items()):
         differences.append("intersection table")
-    den, lifts, degrees = aside._grading_degrees(got, got_table)
+    den, lifts = aside._grading_degrees(got, got_table)
+    # the degrees by the formula of `_grading_degrees`, which checks them
+    # but does not keep them
+    degrees = {(a, b): (lifts[b] - lifts[a]) // den + 1 for (a, b) in got_table}
     want_lifts, want_degrees = grading_degrees(want, want_table)
     if {lab: Fraction(n, den) for lab, n in lifts.items()} != want_lifts:
         differences.append("lifts")

@@ -44,11 +44,14 @@ def shared_value_counts(spec: FamilySpec):
 
 
 def grading_degrees(spec: FamilySpec):
-    """The grading lifts, as Fractions, and generator degrees of
-    `aside._grading_degrees` on spec's path schedule and intersection table."""
+    """The grading lifts of `aside._grading_degrees` on spec's path schedule
+    and intersection table, as Fractions, and the generator degrees that its
+    docstring's formula floor(lift(b) - lift(a)) + 1 derives from them."""
     schedule = path_schedule(spec)
-    den, lifts, degrees = _grading_degrees(schedule, intersection_table(schedule))
-    return {lab: Fraction(n, den) for lab, n in lifts.items()}, degrees
+    table = intersection_table(schedule)
+    den, lifts = _grading_degrees(schedule, table)
+    lifts = {lab: Fraction(n, den) for lab, n in lifts.items()}
+    return lifts, {(a, b): math.floor(lifts[b] - lifts[a]) + 1 for (a, b) in table}
 
 
 # ---------------------------------------------------------------------------

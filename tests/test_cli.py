@@ -627,3 +627,41 @@ def test_unwritable_out_exits_2_before_any_computation(tmp_path, monkeypatch, ca
     assert main(["mirror-check", "--family", "loop", "--p", "3", "--q", "3",
                  "--out", str(missing)]) == 2
     assert capsys.readouterr().out == ""
+
+
+COMMANDS = ("milnor", "quiver", "homtable", "mirror-check", "invariants", "signs", "transport-verify")
+
+
+def _parse(parser, argv, capsys):
+    """How parsing argv ends: the parsed arguments, or the exit code and the
+    text of help or of a usage error."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_built_for_one_command_prints_what_the_whole_parser_does(command, monkeypatch,
+                                                                        capsys):
+    # main builds the arguments of argv[0]'s command only; every line below
+    # must parse, or fail with the same text and code, as with all seven
+    from mfvc.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    spec = ["--family", "loop", "--p", "3", "--q", "3"]
+    lines = [
+        [command, *spec],
+        [command, "--help"],
+        [command, "--family", "loop", "--q", "3"],
+        [command, "--family", "loop", "--p", "x", "--q", "3"],
+        [command, *spec, "extra"],
+        ["--foo", command, *spec],
+        ["-h"],
+        [],
+        ["bogus", *spec],
+    ]
+    for argv in lines:
+        whole = _parse(build_parser(), argv, capsys)
+        assert _parse(build_parser(argv[0] if argv else None), argv, capsys) == whole, argv
+        assert isinstance(whole, dict) == (argv == lines[0]), (argv, whole)

@@ -453,3 +453,54 @@ def test_infinite_walk_equals_filtered_enumeration(fam, p, q):
                 want = sorted((m for m in monomials_of_exact_degree(g, d) if ring.is_standard(m)),
                               key=mono_key)
                 assert walked.get(d, []) == want, (ring.label, top, d)
+
+
+def normal_form_differences(rings, multiple=5):
+    """(monomials compared, differences) of `QuotientRing.nf_mono` against
+    `normal_form`'s division of the monomial by the ring's Groebner basis,
+    over every monomial of each ring of weight at most `multiple` times that
+    of c.  The mirror checks of the 75 sweep specs ask `nf_mono` for none
+    above 4.53 c, and those at (12,12) for none above 4.76 c.  A difference
+    is (ring label, monomial, nf_mono, division)."""
+    compared, differences = 0, []
+    for ring in rings:
+        g = ring.group
+        top = multiple * g.c.w
+        for u in range(top // g.x.w + 1):
+            for v in range((top - u * g.x.w) // g.y.w + 1):
+                got, want = ring.nf_mono((u, v)), normal_form(Poly.monomial(u, v), ring.gb)
+                compared += 1
+                if got != want:
+                    differences.append((ring.label, (u, v), got, want))
+    return compared, differences
+
+
+@pytest.mark.parametrize("fam", ["loop", "chain", "bp"])
+def test_nf_mono_equals_division_on_the_basic_objects(fam):
+    # K0(i,j), Kx and Ky resolve monomial ideals, whose nonstandard
+    # monomials nf_mono sends to 0 with no division; R/(f) is divided
+    from mfvc.bside import basic_objects
+    from mfvc.families import FamilySpec
+
+    for p in range(2, 7):
+        for q in range(2, 7):
+            objects = basic_objects(FamilySpec(fam, p, q))
+            for label, K in objects.items():
+                assert K.module.monomial_ideal is (label[0] != "Kf"), (fam, p, q, label)
+            compared, differences = normal_form_differences(K.module for K in objects.values())
+            assert compared and differences == [], (fam, p, q, differences[:3])
+
+
+def test_nf_mono_equals_division_on_the_oracle_rings():
+    # acceptance criterion 6's 200 rings.  Their x^a and y^b, a <= p and
+    # b <= q, reduce w and F to monomials, so every one has a monomial basis;
+    # the ideals of their w and F alone are binomial and are compared too
+    from test_acceptance import criterion_6_cases
+
+    cases = list(criterion_6_cases())
+    rings = [QuotientRing(g, gens) for g, gens, _, _ in cases]
+    assert all(ring.monomial_ideal for ring in rings)
+    rings += [QuotientRing(g, gens[2:]) for g, gens, _, _ in cases if gens[2:]]
+    assert not all(ring.monomial_ideal for ring in rings)
+    compared, differences = normal_form_differences(rings)
+    assert compared and differences == [], differences[:3]
