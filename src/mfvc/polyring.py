@@ -318,9 +318,8 @@ class QuotientRing:
     The standard monomials are listed one way, by the walk of
     `standard_monomials_by_degree`: a finite staircase is walked whole, and
     an infinite one up to the weight each caller asks for.  `monomial_ideal`
-    says whether every element of the reduced Groebner basis is a monomial,
-    as for every module of the B side's tilting object but R/(f); normal
-    forms of monomials are then read off the staircase with no division.
+    says whether the reduced Groebner basis is all monomials, as for every
+    module of the B side but R/(f); `nf_mono` then never divides.
     """
 
     def __init__(self, group: GradingGroup, generators, shift: GroupElement = None, label=""):
@@ -369,8 +368,10 @@ class QuotientRing:
         if cached is None:
             if self.is_standard(mono):
                 cached = Poly.monomial(*mono)
+            elif self.monomial_ideal:
+                cached = Poly()
             else:
-                cached = Poly() if self.monomial_ideal else normal_form(Poly.monomial(*mono), self.gb)
+                cached = normal_form(Poly.monomial(*mono), self.gb)
             self._nf_cache[mono] = cached
         return cached
 
