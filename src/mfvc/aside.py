@@ -189,11 +189,6 @@ def phi_profile(spec: FamilySpec, l, m, s, t):
     return A + em2 * (t - th) / (e2 + em2)
 
 
-def phi_profile_end(spec: FamilySpec, l, m, s):
-    """phi at the end of the transport (t = 0)."""
-    return phi_profile(spec, l, m, s, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # intersections, gradings, signs
 

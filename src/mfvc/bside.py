@@ -81,12 +81,13 @@ class HomTable:
     The table holds only `objects` (`basic_objects(spec)`), `top` and
     `pattern` (`closed_form(objects)`).  `walk` runs one join
     (`mf.buchweitz_pieces`) that finds every nonempty Buchweitz term of
-    every pair from the staircases of the targets, then takes the sources
-    from last to first: for each source a it builds a `HomCohomology` for
-    each pair (a, b) the join found, checks a's cells, and yields them to
-    the caller (`rows` reads the representatives, `composition_table` the
-    lifts and composites) before they are dropped.  So one source's
-    cohomologies are alive at a time, and a walk can be run again.
+    every pair from the staircases of the targets, keyed by source, then
+    takes the sources from last to first: for each source a it pops a's
+    slice of the join, builds a `HomCohomology` for each pair (a, b) in
+    it, checks a's cells, and yields them to the caller (`rows` reads the
+    representatives, `composition_table` the lifts and composites) before
+    they are dropped.  So one source's cohomologies are alive at a time,
+    and a walk can be run again.
 
     A cell's dimension is computed only where its term is nonempty, from
     the ranks of its two differentials (`HomCohomology.dim`).  The check is
@@ -120,17 +121,12 @@ class HomTable:
         {b: HomCohomology}, a's nonzero cells in the window as
         {(a, b, degree): dim}, a's mismatches) once a's cells are checked,
         and drops a's cohomologies when the caller asks for the next
-        source."""
+        source.  Each source's slice of the join is popped whole before
+        its cohomologies are built, so the join holds only the sources not
+        yet walked."""
         objects, pattern = self.objects, self.pattern
         lo, hi = self.window
-        # source -> {target: pieces}: the one join, by source.  Each source's
-        # slice is popped whole, which frees more than popping pair by pair
-        # from the join (at loop(24,24), a peak RSS of 101 against 108 MB on
-        # a 2-core host)
-        slices = {}
-        for (a, b), found in buchweitz_pieces(
-                objects, {b: Y.module for b, Y in objects.items()}, self.top).items():
-            slices.setdefault(a, {})[b] = found
+        slices = buchweitz_pieces(objects, {b: Y.module for b, Y in objects.items()}, self.top)
         for a in reversed(objects):
             X, slice_ = objects[a], slices.pop(a, {})
             cohs, dims, mismatches = {}, {}, []

@@ -251,9 +251,9 @@ def build_basic_object(group, label):
 def buchweitz_pieces(sources, targets, top):
     """The nonempty pieces of the Buchweitz terms of every hom complex from
     a factorisation in `sources` to a module in `targets` (two dicts keyed
-    by label), as {(a, b): {n: [(t, monomials)]}}: summand t of K_a^{-n}
-    meets the standard monomials `monomials` of M_b, a list of the walk of
-    M_b.  Pairs with no nonempty term are left out.
+    by label), by source, as {a: {b: {n: [(t, monomials)]}}}: summand t of
+    K_a^{-n} meets the standard monomials `monomials` of M_b, a list of the
+    walk of M_b.  Pairs with no nonempty term are left out.
 
     Summand s of K^{-n}, n = 2m + parity, has shift s - m*c, so it meets
     the standard monomials of absolute degree δ exactly when
@@ -282,7 +282,8 @@ def buchweitz_pieces(sources, targets, top):
             for a, parity, t, sw in index.get(rel.mod_c(), ()):
                 n = 2 * ((rel.w + sw) // wc) + parity
                 if finite or n <= top:
-                    out.setdefault((a, b), {}).setdefault(n, []).append((t, monos))
+                    pair = out.setdefault(a, {}).setdefault(b, {})
+                    pair.setdefault(n, []).append((t, monos))
     return out
 
 
@@ -294,18 +295,14 @@ class HomCohomology:
     summands of K^{-n}; differentials precompose with the structure maps of
     K.  Basis vectors are (summand, monomial) coordinates.
 
-    The terms are read off the pieces of `buchweitz_pieces`: each walk of a
-    `bside.HomTable` finds those of every pair in one join and passes each
-    pair its own while it holds that pair's source; `composition_table`
-    gives a pair with no nonempty term one with no pieces.  A standalone
-    HomCohomology(K, module), which the checker never builds, runs the same
-    join for its one pair.  For a finite staircase every degree is known,
-    and every degree without a piece is empty.  For an infinite one
-    (R/(x), R/(y), R/(f)) the terms are known up to degree `top`, and
-    term(n) raises ArithmeticError above it, naming the pair and the
-    degree; the default 10 covers what a table reads at the default window
-    [-6, 6]: its top degree, the largest object shift 3 and the neighbour
-    degree that a dimension reads.
+    The terms are read off `pieces`, the pair's {n: [(t, monomials)]} from
+    `buchweitz_pieces` run up to degree `top`: each walk of a
+    `bside.HomTable` passes each pair of a source its entry in that
+    source's slice, and `composition_table` gives a pair with no nonempty
+    term no pieces.  For a finite staircase every degree is known, and
+    every degree without a piece is empty.  For an infinite one (R/(x),
+    R/(y), R/(f)) the terms are known up to degree `top`, and term(n)
+    raises ArithmeticError above it, naming the pair and the degree.
 
     Each differential is eliminated once, as the `Subspace` of its
     columns, which is the image in the next degree: `dim(n)` is
@@ -314,13 +311,11 @@ class HomCohomology:
     `nullspace` on d_n; `identify` and `rep_strings` read those classes.
     """
 
-    def __init__(self, K: MatrixFactorisation, module: QuotientRing, top=10, pieces=None):
+    def __init__(self, K: MatrixFactorisation, module: QuotientRing, top, pieces):
         self.K = K
         self.module = module
         # the last degree whose term is known; None when every degree is
         self.top = None if module.finite else top
-        if pieces is None:
-            pieces = buchweitz_pieces({0: K}, {0: module}, top).get((0, 0), {})
         # n -> [(t, monomials)] for a nonempty term not yet read
         self._pieces = pieces
         # n -> term(n), once read and nonempty; perfbench's pre-hook on
@@ -351,16 +346,9 @@ class HomCohomology:
             got = self._terms[n] = [(t, mono) for t, monos in sorted(pieces) for mono in monos]
         return got
 
-    def vector(self, n, row):
-        """The sparse vector over term(n) of a row of normal forms, one per
-        summand of K^{-n}.  A monomial outside the Buchweitz term raises
-        ArithmeticError: the row is not a projection of degree n."""
-        return self._positions(n, {(t, m): c for t, val in enumerate(row)
-                                   for m, c in val.terms.items()})
-
     def _positions(self, n, coeffs):
         """The sparse vector over term(n) of {(summand, monomial): nonzero
-        coefficient}, the one lookup of `vector` and `_precompose`.  A key
+        coefficient}, the one position lookup, read by `_precompose`.  A key
         outside the Buchweitz term raises ArithmeticError.
 
         Positions are read off the term list, which term(n) builds once and

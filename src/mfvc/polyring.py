@@ -88,9 +88,6 @@ class Poly:
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other):
         res = dict(self.terms)
         for m, c in other.terms.items():
@@ -113,11 +110,6 @@ class Poly:
                 res.pop(m, None)
         out = Poly.__new__(Poly)
         out.terms = res
-        return out
-
-    def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.terms = {m: -c for m, c in self.terms.items()}
         return out
 
     def __mul__(self, other):
@@ -336,7 +328,10 @@ class QuotientRing:
         self.monomial_ideal = all(len(g.terms) == 1 for g in self.gb)
         bx = min((u for (u, v) in self.lead_terms if v == 0), default=None)
         by = min((v for (u, v) in self.lead_terms if u == 0), default=None)
-        self._box = (bx, by) if bx is not None and by is not None else None
+        # (bx, by) with every standard monomial having u < bx and v < by;
+        # None when the ring is infinite-dimensional, that is unless pure
+        # powers of x and of y lead
+        self.box = (bx, by) if bx is not None and by is not None else None
 
     def shifted(self, l: GroupElement):
         """A copy with shift + l.  It shares the Groebner basis, the
@@ -349,13 +344,7 @@ class QuotientRing:
     @property
     def finite(self):
         """Whether the staircase is finite, that is R/I finite-dimensional."""
-        return self._box is not None
-
-    def staircase_bound(self):
-        """(bx, by) with every standard monomial having u < bx, v < by;
-        None when the ring is infinite-dimensional, that is unless pure
-        powers of x and of y lead."""
-        return self._box
+        return self.box is not None
 
     def is_standard(self, mono):
         return not any(mono_divides(lt, mono) for lt in self.lead_terms)
@@ -395,7 +384,7 @@ class QuotientRing:
         g = self.group
         wx, wy = g.x.w, g.y.w
         if self.finite:
-            bx, by = self._box
+            bx, by = self.box
             max_weight = (bx - 1) * wx + (by - 1) * wy
         found = {}
         for u in range(max_weight // wx + 1):
@@ -426,7 +415,7 @@ class QuotientRing:
             raise TypeError("delta must be a GroupElement representative")
         if bound is not None and bound < 0:
             raise ValueError(f"exponent bound {bound} is negative")
-        box = self.staircase_bound()
+        box = self.box
         if box is None:
             if bound is None:
                 raise ValueError("infinite-dimensional piece: supply an exponent bound")

@@ -6,7 +6,7 @@ solution, which is exact for that model.
 import math
 
 from . import _kernels
-from .aside import interior_args, phi_profile_end, theta_turns
+from .aside import interior_args, phi_profile, theta_turns
 from .families import FamilySpec
 
 
@@ -54,7 +54,7 @@ def _neck_path(spec: FamilySpec, l, m, s, delta, eps):
     at angle 0."""
     x0, y0 = local_start_point(spec, l, m, s, delta, eps)
     theta = 2 * math.pi * float(theta_turns(spec, l, m))
-    phi = phi_profile_end(spec, l, m, s)
+    phi = phi_profile(spec, l, m, s, 0.0)
     return x0, y0, theta, phi, math.sqrt(delta / eps) * math.exp(s)
 
 

@@ -4,10 +4,33 @@ the mf, bside and cli suites and by a CI step).
 
 `boundary_matrices` forms D(f) as Poly matrices with four `mat_mul`s, and
 `composite_vector` forms the row z . g_n with `mat_mul`, takes the normal
-form of each entry and reads the row with `HomCohomology.vector`."""
+form of each entry and reads the row with `vector`.
+
+The suites build a one-pair cohomology with `hom_cohomology`, which runs
+`buchweitz_pieces` for that pair alone; the checker builds each pair's
+from its source's slice of one join over all pairs (`bside.HomTable.walk`)."""
 
 from mfvc import bside
-from mfvc.mf import MFMorphism, _precompose, mat_mul, mat_scale
+from mfvc.mf import HomCohomology, MFMorphism, _precompose, buchweitz_pieces, mat_mul, mat_scale
+
+
+def hom_cohomology(K, module, top=10):
+    """The HomCohomology of K into module, its pieces from a join of this
+    one pair up to degree `top`.  For an infinite staircase (R/(x), R/(y),
+    R/(f)) the default 10 covers what a table reads at the default window
+    [-6, 6]: its top degree, the largest object shift 3 and the neighbour
+    degree that a dimension reads."""
+    pieces = buchweitz_pieces({0: K}, {0: module}, top).get(0, {}).get(0, {})
+    return HomCohomology(K, module, top, pieces)
+
+
+def vector(cohom, n, row):
+    """The sparse vector over cohom.term(n) of a row of normal forms, one
+    per summand of K^{-n}, read by `HomCohomology._positions`.  A monomial
+    outside the Buchweitz term raises ArithmeticError: the row is not a
+    projection of degree n."""
+    return cohom._positions(n, {(t, m): c for t, val in enumerate(row)
+                                for m, c in val.terms.items()})
 
 
 def mat_add(A, B):
@@ -48,7 +71,7 @@ def composite_vector(outer, degree, g, cohom):
     """The vector over cohom.term(n), n = degree + deg g, of the projection
     nf(z . g_n) of the composite z o g, for z the row `outer`."""
     n = degree + g.degree
-    return cohom.vector(n, [cohom.module.nf(v) for v in mat_mul([outer], g.component(n))[0]])
+    return vector(cohom, n, [cohom.module.nf(v) for v in mat_mul([outer], g.component(n))[0]])
 
 
 def compare_with_reference(spec):
@@ -66,7 +89,7 @@ def compare_with_reference(spec):
         lifts.append((K.label, H.label))
         if gen.is_chain_map() != is_chain_map(gen):
             differences.append(f"chain-map check of the lift {K.label} -> {H.label}")
-        if _precompose(H.aug, gen.component(n), cohom, n) != cohom.vector(n, projection(gen)):
+        if _precompose(H.aug, gen.component(n), cohom, n) != vector(cohom, n, projection(gen)):
             differences.append(f"projection of the lift {K.label} -> {H.label}")
         return gen
 

@@ -17,7 +17,6 @@ from mfvc.aside import (
     numeric_morsification_check,
     path_schedule,
     phi_profile,
-    phi_profile_end,
     random_grid_signs,
     surface_invariants,
     sweep_square_signs,
@@ -237,24 +236,23 @@ def test_bp_order_puts_waist_first():
 
 
 def test_phi_zero_case():
-    # theta_{0,0} = 0 so the transport has zero length: phi vanishes at the
-    # initial time and at the end, for every s
+    # theta_{0,0} = 0 so the transport has zero length: its initial time is
+    # its end, t = 0, and phi vanishes there for every s
     spec = FamilySpec("loop", 4, 6)
     for s in (-2.0, 0.0, 1.5):
         assert phi_profile(spec, 0, 0, s, 0.0) == 0.0
-        assert phi_profile_end(spec, 0, 0, s) == 0.0
 
 
 def test_phi_example_loop43():
     spec = FamilySpec("loop", 4, 3)
-    assert math.isclose(phi_profile_end(spec, 1, 1, 0.0), -math.pi / 6, abs_tol=1e-12)
+    assert math.isclose(phi_profile(spec, 1, 1, 0.0, 0.0), -math.pi / 6, abs_tol=1e-12)
 
 
 def test_phi_limits():
     spec = FamilySpec("loop", 4, 6)
     l, m = 2, 4
-    assert math.isclose(phi_profile_end(spec, l, m, 12.0), 2 * math.pi * 2 / 3, abs_tol=1e-9)
-    assert math.isclose(phi_profile_end(spec, l, m, -12.0), -2 * math.pi * 4 / 5, abs_tol=1e-9)
+    assert math.isclose(phi_profile(spec, l, m, 12.0, 0.0), 2 * math.pi * 2 / 3, abs_tol=1e-9)
+    assert math.isclose(phi_profile(spec, l, m, -12.0, 0.0), -2 * math.pi * 4 / 5, abs_tol=1e-9)
 
 
 def test_certificate_monotone_endpoints_loop46():

@@ -16,7 +16,7 @@ from mfvc.directed import DirectedAlgebra, _arrows_and_relations, _certify, disp
 from mfvc.families import FamilySpec
 from mfvc.mf import HomCohomology, compose_and_identify, generator_morphism
 from mfvc.polyring import mono_key, monomials_of_exact_degree
-from mf_reference import projection
+from mf_reference import hom_cohomology, projection
 from test_directed import naive_check_associativity, naive_composable_triples
 
 
@@ -124,7 +124,7 @@ class ProbedCohomology(HomCohomology):
     the enumerated pieces."""
 
     def __init__(self, K, module):
-        super().__init__(K, module, pieces={})
+        super().__init__(K, module, 10, {})
 
     def term(self, n):
         got = self._terms.get(n)
@@ -160,7 +160,7 @@ def naive_hom_table(spec, window=DEGREE_WINDOW):
 def cohomology(table, a, b):
     """The pair's HomCohomology, built on demand from a join of its own;
     for a pair with no nonempty term, one with no pieces."""
-    return HomCohomology(table.objects[a], table.objects[b].module, table.top)
+    return hom_cohomology(table.objects[a], table.objects[b].module, table.top)
 
 
 @pytest.mark.parametrize("fam,p,q", [
@@ -204,7 +204,7 @@ def test_table_keeps_a_cohomology_only_for_pairs_with_a_nonempty_term(monkeypatc
     built = []
 
     class Recording(HomCohomology):
-        def __init__(self, K, module, top=10, pieces=None):
+        def __init__(self, K, module, top, pieces):
             super().__init__(K, module, top, pieces)
             built.append((K, module))
 
@@ -241,7 +241,7 @@ def test_finite_target_class_outside_the_window_is_reported(monkeypatch):
 
     def with_a_far_piece(sources, targets, top):
         out = join(sources, targets, top)
-        out[(("K0", 1, 1), ("K0", 2, 2))][8] = [(0, [(0, 0)])]
+        out[("K0", 1, 1)][("K0", 2, 2)][8] = [(0, [(0, 0)])]
         return out
 
     monkeypatch.setattr(bside, "buchweitz_pieces", with_a_far_piece)

@@ -14,7 +14,7 @@ from mfvc.mf import (
     generator_morphism,
 )
 from mfvc.polyring import Poly, QuotientRing, family_w, poly_x, poly_y
-from mf_reference import boundary_matrices, is_chain_map, projection
+from mf_reference import boundary_matrices, hom_cohomology, is_chain_map, projection, vector
 from test_bside import checked_pattern, cohomology
 from test_directed import naive_composable_triples
 
@@ -112,7 +112,7 @@ def test_bp22_k0_display_data():
 def test_end_kx_loop22():
     g = make_grading_group("loop", 2, 2)
     Kx = build_basic_object(g, ("Kx", 1))
-    coh = HomCohomology(Kx, Kx.module)
+    coh = hom_cohomology(Kx, Kx.module)
     dims = {n: hom_dim(coh, n) for n in range(-4, 5)}
     assert dims == {n: (1 if n == 0 else 0) for n in range(-4, 5)}
 
@@ -122,7 +122,7 @@ def test_k0_to_kf_generator_rep(p, q, i, j):
     g = make_grading_group("loop", p, q)
     K0 = build_basic_object(g, ("K0", i, j))
     Kf = build_basic_object(g, ("Kf",))
-    coh = HomCohomology(K0, Kf.module)
+    coh = hom_cohomology(K0, Kf.module)
     dims = {n: hom_dim(coh, n) for n in range(-6, 7)}
     assert dims == {n: (1 if n == 3 else 0) for n in range(-6, 7)}
     # the degree-3 class is spanned by (y^{q-j-1}, -x^{p-i-1})
@@ -143,12 +143,12 @@ def test_k0_to_axis_objects_constant_reps():
     K0 = build_basic_object(g, ("K0", 2, 3))
     kx = build_basic_object(g, ("Kx", 2))
     ky = build_basic_object(g, ("Ky", 3))
-    assert HomCohomology(K0, kx.module).rep_strings(3) == ["1@1"]
-    assert HomCohomology(K0, ky.module).rep_strings(3) == ["1@0"]
+    assert hom_cohomology(K0, kx.module).rep_strings(3) == ["1@1"]
+    assert hom_cohomology(K0, ky.module).rep_strings(3) == ["1@0"]
     gc = make_grading_group("chain", 3, 4)
     K0c = build_basic_object(gc, ("K0", 2, 2))
     kyc = build_basic_object(gc, ("Ky", 2))
-    assert HomCohomology(K0c, kyc.module).rep_strings(3) == ["1@0"]
+    assert hom_cohomology(K0c, kyc.module).rep_strings(3) == ["1@0"]
 
 
 def test_chain_kf_shift_is_shifted_ky():
@@ -163,9 +163,9 @@ def test_chain_kf_shift_is_shifted_ky():
     ky_fresh = QuotientRing(g, gens, shift=g.y)
     for lab in [("K0", 2, 2), ("K0", 1, 3), ("Ky", 1), ("Kf",)]:
         X = build_basic_object(g, lab)
-        ca = HomCohomology(X, Kf.module)
-        cb = HomCohomology(X, ky_shifted)
-        cc = HomCohomology(X, ky_fresh)
+        ca = hom_cohomology(X, Kf.module)
+        cb = hom_cohomology(X, ky_shifted)
+        cc = hom_cohomology(X, ky_fresh)
         for d in range(-5, 6):
             assert hom_dim(ca, d + 1) == hom_dim(cb, d)
             assert cb.term(d) == cc.term(d)
@@ -177,7 +177,7 @@ def test_kx_orthogonal_to_k0():
     K0 = build_basic_object(g, ("K0", 2, 3))
     for i in range(1, 4):
         Kx = build_basic_object(g, ("Kx", i))
-        coh = HomCohomology(Kx, K0.module)
+        coh = hom_cohomology(Kx, K0.module)
         assert all(hom_dim(coh, n) == 0 for n in range(-6, 7))
 
 
@@ -192,9 +192,9 @@ def test_periodicity_under_simultaneous_shift():
         g = make_grading_group(fam, p, q)
         K = build_basic_object(g, source)
         ring = build_basic_object(g, target).module
-        coh = HomCohomology(K, ring)
-        coh_shift = HomCohomology(K, ring.shifted(g.c))
-        coh_fresh = HomCohomology(K, QuotientRing(g, ring.generators, shift=ring.shift + g.c))
+        coh = hom_cohomology(K, ring)
+        coh_shift = hom_cohomology(K, ring.shifted(g.c))
+        coh_fresh = hom_cohomology(K, QuotientRing(g, ring.generators, shift=ring.shift + g.c))
         for n in range(-4, 5):
             assert coh.term(n + 2) == coh_shift.term(n) == coh_fresh.term(n)
             assert hom_dim(coh, n + 2) == hom_dim(coh_shift, n) == hom_dim(coh_fresh, n)
@@ -208,7 +208,7 @@ def test_grid_generator_is_the_paper_matrix():
     g = make_grading_group("loop", 4, 6)
     K0a = build_basic_object(g, ("K0", 1, 2))
     K0b = build_basic_object(g, ("K0", 3, 5))
-    coh = HomCohomology(K0a, K0b.module)
+    coh = hom_cohomology(K0a, K0b.module)
     gen = generator_morphism(K0a, K0b, 0, coh)
     assert gen.is_chain_map()
     I, i, J, j = 3, 1, 5, 2
@@ -224,16 +224,16 @@ def test_composition_examples():
     K11 = build_basic_object(g, ("K0", 1, 1))
     K22 = build_basic_object(g, ("K0", 2, 2))
     Kf = build_basic_object(g, ("Kf",))
-    mid = generator_morphism(K11, K22, 0, HomCohomology(K11, K22.module))
-    top = generator_morphism(K22, Kf, 3, HomCohomology(K22, Kf.module))
-    coeff = compose_and_identify(projection(top), 3, mid, HomCohomology(K11, Kf.module))
+    mid = generator_morphism(K11, K22, 0, hom_cohomology(K11, K22.module))
+    top = generator_morphism(K22, Kf, 3, hom_cohomology(K22, Kf.module))
+    coeff = compose_and_identify(projection(top), 3, mid, hom_cohomology(K11, Kf.module))
     assert len(coeff) == 1 and abs(coeff[0]) == 1
 
     # g composed with the identity is g
     ident = identity_morphism(K11)
-    assert compose_and_identify(projection(mid), 0, ident, HomCohomology(K11, K22.module)) == [1]
+    assert compose_and_identify(projection(mid), 0, ident, hom_cohomology(K11, K22.module)) == [1]
     ident = identity_morphism(K22)
-    assert compose_and_identify(projection(ident), 0, mid, HomCohomology(K11, K22.module)) == [1]
+    assert compose_and_identify(projection(ident), 0, mid, hom_cohomology(K11, K22.module)) == [1]
 
 
 def test_composition_into_zero_hom_space_vanishes():
@@ -242,9 +242,9 @@ def test_composition_into_zero_hom_space_vanishes():
     a = build_basic_object(g, ("K0", 1, 2))
     b = build_basic_object(g, ("K0", 2, 2))
     kx2 = build_basic_object(g, ("Kx", 2))
-    f1 = generator_morphism(a, b, 0, HomCohomology(a, b.module))
-    f2 = generator_morphism(b, kx2, 3, HomCohomology(b, kx2.module))
-    coeff = compose_and_identify(projection(f2), 3, f1, HomCohomology(a, kx2.module))
+    f1 = generator_morphism(a, b, 0, hom_cohomology(a, b.module))
+    f2 = generator_morphism(b, kx2, 3, hom_cohomology(b, kx2.module))
+    coeff = compose_and_identify(projection(f2), 3, f1, hom_cohomology(a, kx2.module))
     assert coeff == []
 
 
@@ -311,10 +311,10 @@ def test_chain_map_space_contains_no_fake_maps():
     g = make_grading_group("loop", 3, 3)
     kx1 = build_basic_object(g, ("Kx", 1))
     kx2 = build_basic_object(g, ("Kx", 2))
-    coh = HomCohomology(kx1, kx2.module)
+    coh = hom_cohomology(kx1, kx2.module)
     for n in range(0, 4):
         for f in chain_map_space(kx1, kx2, n):
-            assert coh.identify(n, coh.vector(n, projection(f))) == []
+            assert coh.identify(n, vector(coh, n, projection(f))) == []
 
 
 def _morphism_coordinates(K, H, n, f0, f1):
@@ -377,7 +377,7 @@ def test_dg_model_dims_equal_module_model_dims(fam, p, q):
     for (la, lb) in pairs:
         K = build_basic_object(g, la)
         H = build_basic_object(g, lb)
-        coh = HomCohomology(K, H.module)
+        coh = hom_cohomology(K, H.module)
         for n in range(-1, 5):
             assert mf_model_hom_dim(K, H, n) == hom_dim(coh, n), (la, lb, n)
 
@@ -401,11 +401,11 @@ def test_compose_and_identify_rejects_non_chain_maps():
     g = make_grading_group("loop", 3, 3)
     a = build_basic_object(g, ("K0", 1, 1))
     b = build_basic_object(g, ("K0", 2, 2))
-    gen = generator_morphism(a, b, 0, HomCohomology(a, b.module))
+    gen = generator_morphism(a, b, 0, hom_cohomology(a, b.module))
     broken = type(gen)(a, b, 0, gen.f0, [[poly_x(), Poly()], [Poly(), Poly()]])
     assert not broken.is_chain_map()
     with pytest.raises(ArithmeticError):
-        compose_and_identify(projection(gen), 0, broken, HomCohomology(a, b.module))
+        compose_and_identify(projection(gen), 0, broken, hom_cohomology(a, b.module))
 
 
 def test_chain_map_check_runs_once_per_morphism(monkeypatch):
@@ -414,7 +414,7 @@ def test_chain_map_check_runs_once_per_morphism(monkeypatch):
     g = make_grading_group("loop", 3, 3)
     a = build_basic_object(g, ("K0", 1, 1))
     b = build_basic_object(g, ("K0", 2, 2))
-    gen = generator_morphism(a, b, 0, HomCohomology(a, b.module))
+    gen = generator_morphism(a, b, 0, hom_cohomology(a, b.module))
     original = mf._boundary_vanishes
     calls = []
 
@@ -426,8 +426,8 @@ def test_chain_map_check_runs_once_per_morphism(monkeypatch):
     ident = identity_morphism(a)
     outer = projection(gen)
     for _ in range(3):
-        compose_and_identify(outer, 0, ident, HomCohomology(a, b.module))
-        compose_and_identify(projection(ident), 0, gen, HomCohomology(a, b.module))
+        compose_and_identify(outer, 0, ident, hom_cohomology(a, b.module))
+        compose_and_identify(projection(ident), 0, gen, hom_cohomology(a, b.module))
     assert len(calls) == 2  # gen and ident, each checked once
 
 
@@ -437,13 +437,13 @@ def test_a_cocycle_row_of_the_wrong_length_is_rejected():
     # one short failed with an IndexError
     g = make_grading_group("loop", 3, 3)
     K11, K22 = (build_basic_object(g, ("K0", i, i)) for i in (1, 2))
-    mid = generator_morphism(K11, K22, 0, HomCohomology(K11, K22.module))
+    mid = generator_morphism(K11, K22, 0, hom_cohomology(K11, K22.module))
     ident = identity_morphism(K11)
     row = projection(mid)
-    assert compose_and_identify(row, 0, ident, HomCohomology(K11, K22.module)) == [1]
+    assert compose_and_identify(row, 0, ident, hom_cohomology(K11, K22.module)) == [1]
     for bad in (row + [Poly.monomial(1000, 0)], row[:1]):
         with pytest.raises(ArithmeticError, match=f"a row of {len(bad)} entries"):
-            compose_and_identify(bad, 0, ident, HomCohomology(K11, K22.module))
+            compose_and_identify(bad, 0, ident, hom_cohomology(K11, K22.module))
 
 
 @pytest.mark.parametrize("family", ["loop", "chain", "bp"])
@@ -476,11 +476,11 @@ def test_projections_of_all_chain_maps_match_the_reference(fam, p, q):
     for K in objects:
         for H in objects:
             for n in range(-1, 5):
-                coh = HomCohomology(K, H.module)
+                coh = hom_cohomology(K, H.module)
                 for f in chain_map_space(K, H, n):
                     assert f.is_chain_map() and is_chain_map(f), (K, H, n)
                     vec = _precompose(H.aug, f.component(n), coh, n)
-                    assert vec == coh.vector(n, projection(f)), (K, H, n)
+                    assert vec == vector(coh, n, projection(f)), (K, H, n)
                     coefficients.update(vec.values())
     assert coefficients - {1}
 
@@ -521,7 +521,7 @@ def test_empty_term_has_zero_cohomology_without_differentials(monkeypatch):
     g = make_grading_group("loop", 3, 3)
     a = build_basic_object(g, ("K0", 1, 1))
     b = build_basic_object(g, ("K0", 2, 2))
-    coh = HomCohomology(a, b.module)
+    coh = hom_cohomology(a, b.module)
     built = []
     diff = HomCohomology.diff
     monkeypatch.setattr(HomCohomology, "diff", lambda self, n: built.append(n) or diff(self, n))
@@ -538,18 +538,18 @@ def test_vector_reads_positions_off_the_term_and_keeps_nothing():
     g = make_grading_group("loop", 3, 3)
     a = build_basic_object(g, ("K0", 1, 1))
     b = build_basic_object(g, ("K0", 2, 2))
-    coh = HomCohomology(a, b.module)
+    coh = hom_cohomology(a, b.module)
     gen = generator_morphism(a, b, 0, coh)
     caches = {k: dict(v) for k, v in vars(coh).items() if isinstance(v, dict)}
-    vec = coh.vector(0, projection(gen))
+    vec = vector(coh, 0, projection(gen))
     assert {k: dict(v) for k, v in vars(coh).items() if isinstance(v, dict)} == caches
     assert coh.identify(0, vec) == [1]
 
     w = family_w("loop", 3, 3)
-    coh = HomCohomology(a, QuotientRing(g, [poly_x(3), poly_y(5), w]))
+    coh = hom_cohomology(a, QuotientRing(g, [poly_x(3), poly_y(5), w]))
     assert len(coh.term(4)) > 2
     for rep in coh.classes(4).basis.values():
-        assert coh.vector(4, _row(coh, 4, rep)) == rep
+        assert vector(coh, 4, _row(coh, 4, rep)) == rep
 
 
 def _row(coh, n, vec):
@@ -576,9 +576,9 @@ def test_generator_cocycle_is_the_class_representative(fam, p, q):
         row = generator_cocycle(coh, n)
         [rep] = coh.classes(n).basis.values()
         assert row == _row(coh, n, rep)
-        assert coh.identify(n, coh.vector(n, row)) == [1], (a, b)
+        assert coh.identify(n, vector(coh, n, row)) == [1], (a, b)
         lift = generator_morphism(table.objects[a], table.objects[b], n, coh)
-        assert coh.identify(n, coh.vector(n, projection(lift))) == [1], (a, b)
+        assert coh.identify(n, vector(coh, n, projection(lift))) == [1], (a, b)
     assert pairs
 
 
@@ -591,8 +591,8 @@ def test_outer_factor_enters_only_by_its_class():
     w = family_w("loop", 3, 3)
     K11, K22 = (build_basic_object(g, ("K0", i, i)) for i in (1, 2))
     M = QuotientRing(g, [poly_x(3), poly_y(5), w])
-    inner = generator_morphism(K11, K22, 0, HomCohomology(K11, K22.module))
-    outer_coh, coh = HomCohomology(K22, M), HomCohomology(K11, M)
+    inner = generator_morphism(K11, K22, 0, hom_cohomology(K11, K22.module))
+    outer_coh, coh = hom_cohomology(K22, M), hom_cohomology(K11, M)
     [rep] = outer_coh.classes(4).basis.values()
     want = compose_and_identify(_row(outer_coh, 4, rep), 4, inner, coh)
     assert len(want) == 2 and any(want)
@@ -610,7 +610,7 @@ def test_identify_in_a_two_dimensional_cohomology():
     g = make_grading_group("loop", 3, 3)
     K = build_basic_object(g, ("K0", 1, 1))
     w = family_w("loop", 3, 3)
-    coh = HomCohomology(K, QuotientRing(g, [poly_x(3), poly_y(5), w]))
+    coh = hom_cohomology(K, QuotientRing(g, [poly_x(3), poly_y(5), w]))
     assert hom_dim(coh, 4) == 2 and len(coh.image(4).basis) == 2
     assert coh.rep_strings(4) == ["x^2*y^2@1", "y^4@1"]
     rep0, rep1 = coh.classes(4).basis.values()
@@ -629,7 +629,7 @@ def test_identify_in_a_two_dimensional_cohomology():
     j = next(j for j, col in enumerate(coh.diff(3)) if col)
     with pytest.raises(ArithmeticError, match="not a cocycle"):
         coh.identify(3, {j: Fraction(1)})
-    coh = HomCohomology(K, QuotientRing(g, [poly_x(2), poly_y(3), w]))
+    coh = hom_cohomology(K, QuotientRing(g, [poly_x(2), poly_y(3), w]))
     assert hom_dim(coh, 3) == 1
     j = next(j for j, col in enumerate(coh.diff(3)) if col)
     with pytest.raises(ArithmeticError, match="not a cocycle"):
@@ -649,10 +649,10 @@ def test_dim_from_ranks_equals_cohomology_dim(fam, p, q):
     cells = 0
     for a, X in objects.items():
         for b, Y in objects.items():
-            coh = HomCohomology(X, Y.module)
+            coh = hom_cohomology(X, Y.module)
             for n in coh.degrees():
                 if lo <= n - _complex_degree(a, b) <= hi:
-                    reference = hom_dim(HomCohomology(X, Y.module), n)
+                    reference = hom_dim(hom_cohomology(X, Y.module), n)
                     assert coh.dim(n) == reference, (a, b, n)
                     cells += bool(reference)
     assert cells >= len(objects)  # at least the identities
@@ -687,7 +687,7 @@ def test_diff_equals_normal_forms_of_products(fam, p, q):
     summed = 0
     for X in (K, K.shifted(K.group.x)):
         for Y in objects.values():
-            coh = HomCohomology(X, Y.module)
+            coh = hom_cohomology(X, Y.module)
             for n in range(-8, 9):
                 assert coh.diff(n) == _nf_diff(coh, n), (X.label, Y.label, n)
                 summed += sum(len(col) for col in coh.diff(n))

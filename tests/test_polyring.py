@@ -157,7 +157,7 @@ def test_shifted_ring_keeps_the_original_and_shares_its_basis():
 def test_unbounded_piece_error():
     g = make_grading_group("loop", 3, 3)
     q = QuotientRing(g, [family_factor("loop", 3, 3)])
-    assert q.staircase_bound() is None
+    assert q.box is None
     with pytest.raises(ValueError):
         q.graded_piece_basis(g.zero)
     # with a bound the enumeration is allowed
@@ -261,13 +261,55 @@ def test_graded_piece_matches_oracle_shifted_and_unbounded():
     # standard monomials of the box, so both counts agree.
     for case, (g, gens, shift, delta, bound) in enumerate(shifted_cases()):
         ring = QuotientRing(g, gens, shift=shift)
-        assert (ring.staircase_bound() is None) == (not case % 2)
+        assert (ring.box is None) == (not case % 2)
         basis = ring.graded_piece_basis(delta, bound=bound)
         for mono, m in basis:
             assert g.element(*mono) == delta + shift + m * g.c
             assert max(mono) <= bound and ring.is_standard(mono)
         oracle = brute_force_piece_dim(g, gens, shift, delta, bound)
         assert len(basis) == oracle, (g.key, [str(x) for x in gens], shift, delta)
+
+
+def binomial_staircase_rings(sizes):
+    """(ring, bound) for R/(x^p, y^q, F) at loop, p and q in `sizes`, with F
+    = x^(p-1) + y^(q-1) the factor of w and bound 3pq.  The reduced
+    Groebner basis of each keeps a binomial and its staircase is finite,
+    so the oracle and `graded_piece_basis` truncate it alike."""
+    return [(QuotientRing(make_grading_group("loop", p, q),
+                          [poly_x(p), poly_y(q), family_factor("loop", p, q)]), 3 * p * q)
+            for p in sizes for q in sizes]
+
+
+def piece_differences(rings, deltas):
+    """(cases compared, differences) of `graded_piece_basis` against
+    `brute_force_piece_dim` on each (ring, bound) of `rings`, in the classes
+    of g.element(u, v, k) for (u, v) in `deltas` and k in {-1, 0, 1}.  A
+    difference is (generators, delta, bound, dim, oracle)."""
+    compared, differences = 0, []
+    for ring, bound in rings:
+        g = ring.group
+        for u, v in deltas:
+            for k in (-1, 0, 1):
+                delta = g.element(u, v, k)
+                dim = len(ring.graded_piece_basis(delta, bound=bound))
+                oracle = brute_force_piece_dim(g, ring.generators, g.zero, delta, bound)
+                compared += 1
+                if dim != oracle:
+                    differences.append(([str(x) for x in ring.generators], delta, bound, dim,
+                                        oracle))
+    return compared, differences
+
+
+def test_graded_piece_matches_oracle_on_binomial_staircases():
+    # the seeded oracle cases add x^a and y^b with a <= p and b <= q, which
+    # leave a binomial Groebner basis only at loop with a = p and b = q,
+    # and none draws it; here all 25 rings of 2 <= p,q <= 6 do
+    rings = binomial_staircase_rings(range(2, 7))
+    for ring, _ in rings:
+        assert not ring.monomial_ideal and ring.finite, ring.generators
+    compared, differences = piece_differences(
+        rings, [(u, v) for u in (-3, -1, 1, 3) for v in (-2, 2)])
+    assert compared == 600 and differences == [], differences[:3]
 
 
 def naive_piece_dim(group, generators, shift, delta_rep, bound):
@@ -411,10 +453,10 @@ def test_indexed_staircase_equals_filtered_enumeration(fam, p, q):
     rings = [K.module for K in basic_objects(FamilySpec(fam, p, q)).values()]
     box = QuotientRing(rings[0].group, [poly_x(2 * p), poly_y(2 * q)], label="box")
     assert any(len(monos) > 1 for _, monos in box.standard_monomials_by_degree(0))
-    finite = [r for r in rings if r.staircase_bound() is not None] + [box]
+    finite = [r for r in rings if r.box is not None] + [box]
     for ring in finite:
         g = ring.group
-        bx, by = ring.staircase_bound()
+        bx, by = ring.box
         # a finite staircase is walked whole, whatever weight is asked for
         walked = dict(ring.standard_monomials_by_degree(0))
         assert all(walked.values())
@@ -438,7 +480,7 @@ def test_infinite_walk_equals_filtered_enumeration(fam, p, q):
     from mfvc.polyring import monomials_of_exact_degree
 
     rings = [K.module for K in basic_objects(FamilySpec(fam, p, q)).values()
-             if K.module.staircase_bound() is None]
+             if K.module.box is None]
     assert {r.label for r in rings} == ({"R/(x)", "R/(y)", "R/(f)"} if fam == "loop"
                                         else {"R/(y)", "R/(f)"})
     g = rings[0].group

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from mfvc.aside import phi_profile_end, theta_turns
+from mfvc.aside import phi_profile, theta_turns
 from mfvc.families import FamilySpec
 from mfvc.transport import (
     TransportError,
@@ -59,7 +59,7 @@ def test_closed_form_example_loop43():
     assert r["ok"]
     assert r["angle_error"] <= 1e-6 and r["modulus_error"] <= 1e-6
     # and the angle itself is -pi/6 up to the verified error
-    assert abs(-math.pi / 6 - phi_profile_end(FamilySpec("loop", 4, 3), 1, 1, 0.0)) < 1e-12
+    assert abs(-math.pi / 6 - phi_profile(FamilySpec("loop", 4, 3), 1, 1, 0.0, 0.0)) < 1e-12
 
 
 def test_s_out_of_range_rejected():
