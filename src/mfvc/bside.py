@@ -64,16 +64,6 @@ class OffClosedForm(ArithmeticError):
     """The hom table deviates from the closed form."""
 
 
-def check_closed_form(found):
-    """OffClosedForm unless the hom table is on the closed form.  `found`
-    holds each source's mismatches in the order of the walk (the last
-    source first); the error quotes the first three in (source, target,
-    degree) order."""
-    mismatches = [m for per_source in reversed(found) for m in per_source]
-    if mismatches:
-        raise OffClosedForm(f"hom table deviates from the closed form: {mismatches[:3]}")
-
-
 class HomTable:
     """Computed per-degree hom dimensions between the basic objects, checked
     against the closed form source by source.
@@ -95,10 +85,11 @@ class HomTable:
     and those the pattern gives a nonzero cell (itself and its successors;
     the cell is 1, in degree 0).  A mismatch is a computed nonzero cell
     that the closed form does not give, or an expected cell that is not
-    computed nonzero; `check_closed_form` reports them.  A finite-staircase
-    target (every K0) is closed in every degree by construction, so its
-    nonzero cells outside the window are checked too; the cells a walk
-    yields, and `rows`, stay inside the window.  R/(x), R/(y) and R/(f) are
+    computed nonzero; the walk raises them after its last source, so
+    every source's cells are checked first.  A finite-staircase target
+    (every K0) is closed in every degree by construction, so its nonzero
+    cells outside the window are checked too; the cells a walk yields,
+    and `rows`, stay inside the window.  R/(x), R/(y) and R/(f) are
     enumerated up to `top`, the highest degree the window reads, and
     degrees past the window rest on the divisibility lemma of the README.
     The window (lo, hi) must be two integers around degree 0, whose cells
@@ -123,10 +114,13 @@ class HomTable:
         and drops a's cohomologies when the caller asks for the next
         source.  Each source's slice of the join is popped whole before
         its cohomologies are built, so the join holds only the sources not
-        yet walked."""
+        yet walked.  After the last source, OffClosedForm if any cell is
+        off the closed form, quoting the first three mismatches in
+        (source, target, degree) order."""
         objects, pattern = self.objects, self.pattern
         lo, hi = self.window
         slices = buchweitz_pieces(objects, {b: Y.module for b, Y in objects.items()}, self.top)
+        deviations = []  # the walked sources' mismatches, in (source, target, degree) order
         for a in reversed(objects):
             X, slice_ = objects[a], slices.pop(a, {})
             cohs, dims, mismatches = {}, {}, []
@@ -138,9 +132,10 @@ class HomTable:
                 cells = {0: 0} if want else {}
                 found = slice_.get(b)
                 if found is not None:
+                    degrees = sorted(found)  # before term(n) pops the pieces
                     coh = cohs[b] = HomCohomology(X, objects[b].module, self.top, found)
                     offset = _complex_degree(a, b)
-                    for n in coh.degrees():
+                    for n in degrees:
                         d = n - offset
                         if coh.top is None or lo <= d <= hi:
                             cells[d] = coh.dim(n)
@@ -151,21 +146,22 @@ class HomTable:
                     if dim != expected:
                         mismatches.append({"source": display_label(a), "target": display_label(b),
                                            "degree": d, "dim": dim, "expected": expected})
+            deviations[:0] = mismatches
             yield a, cohs, dims, mismatches
             cohs.clear()
+        if deviations:
+            raise OffClosedForm(f"hom table deviates from the closed form: {deviations[:3]}")
 
     def rows(self):
         """Serializable rows for every nonzero hom space of the window, in
         (source, target, degree) order, read off each source's
-        cohomologies in one walk; OffClosedForm when the table is off the
-        closed form."""
-        rows, found = [], []
-        for a, cohs, cells, mismatches in self.walk():
+        cohomologies in one walk; the walk's OffClosedForm when the table
+        is off the closed form."""
+        rows = []
+        for a, cohs, cells, _ in self.walk():
             rows.append([{"source": display_label(a), "target": display_label(b), "degree": d,
                           "dim": dim, "basis": cohs[b].rep_strings(_complex_degree(a, b, d))}
                          for (_, b, d), dim in cells.items()])
-            found.append(mismatches)
-        check_closed_form(found)
         return [row for source_rows in reversed(rows) for row in source_rows]
 
 
@@ -215,19 +211,18 @@ def composition_table(spec: FamilySpec, window=DEGREE_WINDOW):
     `generator_cocycle` rows of the pairs (b, c) stored in the passes of
     the later sources b, each kept until its last reader.  ArithmeticError,
     in this order of precedence: the table off the closed form
-    (`OffClosedForm`; every source's cells are checked first); a violation
-    of (ii'), naming its path; the failed lift or composite that comes
-    first in arrow position order, then by c, naming it and the degree of
-    its hom complex."""
+    (`OffClosedForm`, raised by the walk once every source's cells are
+    checked); a violation of (ii'), naming its path; the failed lift or
+    composite that comes first in arrow position order, then by c, naming
+    it and the degree of its hom complex."""
     table = hom_table(spec, window)
     pattern = table.pattern
+    failure = None
     violations = pattern.arrow_path_violations()
     if violations:
-        # a table off the closed form is reported first
-        check_closed_form([mismatches for *_, mismatches in table.walk()])
         route = " -> ".join(display_label(x) for x in violations[0])
-        raise ArithmeticError(f"the pairs are not associative on the path {route}: its two "
-                              "bracketings give 1 and 0 times the generator")
+        failure = ArithmeticError(f"the pairs are not associative on the path {route}: its "
+                                  "two bracketings give 1 and 0 times the generator")
     objects, top = table.objects, table.top
     arrows = {}  # source -> the targets of its arrows, in position order
     readers = {}  # b -> the sources of arrows into b not yet walked
@@ -235,12 +230,11 @@ def composition_table(spec: FamilySpec, window=DEGREE_WINDOW):
         arrows.setdefault(a, []).append(b)
         readers[b] = readers.get(b, 0) + 1
     outer = {}  # b -> {c: gen(b,c) as a generator_cocycle row}, until its last reader
-    failure, found, off = None, [], False
+    off = failure is not None
     for a, cohs, _, mismatches in table.walk():
-        found.append(mismatches)
         off = off or bool(mismatches)
         if off:
-            continue  # the table will be reported; the walk only checks cells now
+            continue  # (ii') or the table will be reported; the walk only checks cells now
         X = objects[a]
 
         def coh(b):
@@ -284,7 +278,6 @@ def composition_table(spec: FamilySpec, window=DEGREE_WINDOW):
                     outer[a][c] = generator_cocycle(coh(c), _complex_degree(a, c))
                 except ArithmeticError as exc:  # raised by the composites that read it
                     outer[a][c] = exc
-    check_closed_form(found)
     if failure is not None:
         raise failure
     return pattern

@@ -25,13 +25,13 @@ Morphism spaces are computed two ways:
 
 The two are tied together by the projection of a chain map onto the
 module: `_precompose`, the one precomposition kernel, sums nf(aug . f_n)
-straight into a vector over the term, and `HomCohomology.identify` reads
-its class coordinates off the pivots of one reduced echelon basis.  A
-composite f o g is identified from a cocycle in the class of the outer
-factor f alone, precomposed by the same kernel with the one matrix of the
-chain map g it meets, so the composite is never formed and f need not be
-lifted: `generator_cocycle` gives the class representative of a generator
-as that cocycle.
+straight into a vector over the term, looked up in a dict built per
+call, and `HomCohomology.identify` reads its class coordinates off the
+pivots of one reduced echelon basis.  A composite f o g is identified
+from a cocycle in the class of the outer factor f alone, precomposed by
+the same kernel with the one matrix of the chain map g it meets, so the
+composite is never formed and f need not be lifted: `generator_cocycle`
+gives the class representative of a generator as that cocycle.
 """
 
 from ._linalg import Subspace, _div, _q, nullspace
@@ -293,7 +293,8 @@ class HomCohomology:
 
     Terms are direct sums of exact graded pieces of M indexed by the
     summands of K^{-n}; differentials precompose with the structure maps of
-    K.  Basis vectors are (summand, monomial) coordinates.
+    K.  Basis vectors are (summand, monomial) coordinates, found by
+    position in a dict of the term built per call (`_outside` if absent).
 
     The terms are read off `pieces`, the pair's {n: [(t, monomials)]} from
     `buchweitz_pieces` run up to degree `top`: each walk of a
@@ -325,11 +326,6 @@ class HomCohomology:
         self._images = {}
         self._classes = {}
 
-    def degrees(self):
-        """The degrees n with term(n) nonempty, ascending; up to `top` for
-        an infinite staircase."""
-        return sorted(self._pieces.keys() | self._terms.keys())
-
     def term(self, n):
         """The (summand, monomial) coordinates of degree n, in summand order
         and by `mono_key` within a summand."""
@@ -346,31 +342,18 @@ class HomCohomology:
             got = self._terms[n] = [(t, mono) for t, monos in sorted(pieces) for mono in monos]
         return got
 
-    def _positions(self, n, coeffs):
-        """The sparse vector over term(n) of {(summand, monomial): nonzero
-        coefficient}, the one position lookup, read by `_precompose`.  A key
-        outside the Buchweitz term raises ArithmeticError.
-
-        Positions are read off the term list, which term(n) builds once and
-        keeps.  Between basic objects the terms a projection meets hold at
-        most two coordinates (all 90,508 calls at loop(12,12) do), so a
-        dict index per degree would only add memory."""
-        coords = self.term(n)
-        vec = {}
-        for key, c in coeffs.items():
-            try:
-                vec[coords.index(key)] = c
-            except ValueError:
-                t, m = key
-                raise ArithmeticError(
-                    f"(summand, monomial) ({t}, {mono_str(m)}) is outside the degree-{n} "
-                    f"Buchweitz term of the hom complex from {self.K.label}") from None
-        return vec
+    def _outside(self, n, key):
+        """The ArithmeticError for a (summand, monomial) key outside term(n)."""
+        t, m = key
+        return ArithmeticError(
+            f"(summand, monomial) ({t}, {mono_str(m)}) is outside the degree-{n} "
+            f"Buchweitz term of the hom complex from {self.K.label}")
 
     def diff(self, n):
         """Images of the basis vectors of term(n) in term(n+1): one sparse
         column {term(n+1) index: coefficient} per term(n) coordinate.  Built
-        on each call: `image(n + 1)` and `classes(n)` read it, each once."""
+        on each call: `image(n + 1)` and `classes(n)` read it, each once.
+        An image outside term(n+1) raises `_outside`'s ArithmeticError."""
         tgt_index = {c: i for i, c in enumerate(self.term(n + 1))}
         P = self.K.d(n)
         nf_mono = self.module.nf_mono
@@ -381,7 +364,10 @@ class HomCohomology:
             for s, entry in enumerate(P[t]):
                 for (a, b), c in entry.terms.items():
                     for pm, pc in nf_mono((a + u, b + v)).terms.items():
-                        i = tgt_index[(s, pm)]
+                        try:
+                            i = tgt_index[(s, pm)]
+                        except KeyError:
+                            raise self._outside(n + 1, (s, pm)) from None
                         x = col.get(i, 0) + c * pc
                         if x:
                             col[i] = x if type(x) is int else _q(x)
@@ -530,8 +516,11 @@ def _precompose(outer, G, cohom, n):
     row, one Poly per row of the matrix G, and the normal form is that of
     cohom.module.  The products c1*c2*nf(m1*m2) are summed into one
     {(summand, monomial): coefficient} dict, no Poly formed, and only the
-    keys that survive the sum are looked up.  ArithmeticError if outer and
-    G do not match in length, or a key lies outside the degree-n term."""
+    keys that survive the sum are looked up, in a dict of term(n) built per
+    call: between basic objects the terms a projection meets hold at most
+    two coordinates (all 90,508 calls at loop(12,12) do), so no index is
+    kept.  ArithmeticError if outer and G do not match in length, or
+    (`_outside`) if a key lies outside the degree-n term."""
     if len(outer) != len(G):
         raise ArithmeticError(f"a row of {len(outer)} entries cannot precompose a map from "
                               f"{len(G)} summands")
@@ -549,7 +538,11 @@ def _precompose(outer, G, cohom, n):
                             sums[key] = x if type(x) is int else _q(x)
                         else:
                             del sums[key]
-    return cohom._positions(n, sums)
+    index = {c: i for i, c in enumerate(cohom.term(n))}
+    try:
+        return {index[key]: c for key, c in sums.items()}
+    except KeyError as exc:
+        raise cohom._outside(n, exc.args[0]) from None
 
 
 def chain_map_space(K, H, n):

@@ -100,18 +100,6 @@ class Poly:
         out.terms = res
         return out
 
-    def __sub__(self, other):
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, 0) - c
-            if s:
-                res[m] = s if type(s) is int else _q(s)
-            else:
-                res.pop(m, None)
-        out = Poly.__new__(Poly)
-        out.terms = res
-        return out
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
@@ -133,11 +121,6 @@ class Poly:
         return out
 
     __rmul__ = __mul__
-
-    def mul_mono(self, mono, coeff=1):
-        out = Poly.__new__(Poly)
-        out.terms = {(m[0] + mono[0], m[1] + mono[1]): _q(c * coeff) for m, c in self.terms.items()}
-        return out
 
     def lead(self):
         """(monomial, coeff) of the leading term."""
@@ -242,7 +225,8 @@ def s_poly(f, g):
     (mf, cf) = f.lead()
     (mg, cg) = g.lead()
     l = mono_lcm(mf, mg)
-    return f.mul_mono(mono_div(l, mf), _div(1, cf)) - g.mul_mono(mono_div(l, mg), _div(1, cg))
+    return (f * Poly.monomial(*mono_div(l, mf), _div(1, cf))
+            + g * Poly.monomial(*mono_div(l, mg), -_div(1, cg)))
 
 
 def groebner(generators):

@@ -26,11 +26,18 @@ def hom_cohomology(K, module, top=10):
 
 def vector(cohom, n, row):
     """The sparse vector over cohom.term(n) of a row of normal forms, one
-    per summand of K^{-n}, read by `HomCohomology._positions`.  A monomial
-    outside the Buchweitz term raises ArithmeticError: the row is not a
+    per summand of K^{-n}, its positions read off the term list.  A
+    monomial outside the Buchweitz term raises the complex's
+    ArithmeticError (`HomCohomology._outside`): the row is not a
     projection of degree n."""
-    return cohom._positions(n, {(t, m): c for t, val in enumerate(row)
-                                for m, c in val.terms.items()})
+    coords = cohom.term(n)
+    vec = {}
+    for t, val in enumerate(row):
+        for m, c in val.terms.items():
+            if (t, m) not in coords:
+                raise cohom._outside(n, (t, m))
+            vec[coords.index((t, m))] = c
+    return vec
 
 
 def mat_add(A, B):

@@ -6,7 +6,6 @@ from mfvc.bside import (
     OffClosedForm,
     _complex_degree,
     basic_objects,
-    check_closed_form,
     closed_form,
     composition_table,
     gabriel_quiver,
@@ -91,14 +90,23 @@ def table_order(walked):
 
 
 def walk_cells(table):
-    """One walk of the table, read in (source, target, degree) order."""
-    return table_order(list(table.walk()))
+    """One walk of the table, read in (source, target, degree) order; the
+    OffClosedForm that ends the walk of a table off the closed form is
+    caught, its mismatches being read off the yields."""
+    walked = []
+    try:
+        for step in table.walk():
+            walked.append(step)
+    except OffClosedForm:
+        pass
+    return table_order(walked)
 
 
 def checked_pattern(table):
     """The table's pattern, once a walk finds its cells on the closed form;
-    OffClosedForm otherwise."""
-    check_closed_form([mismatches for *_, mismatches in table.walk()])
+    OffClosedForm otherwise, which the walk raises when it is exhausted."""
+    for _ in table.walk():
+        pass
     return table.pattern
 
 
@@ -223,7 +231,8 @@ def test_table_keeps_a_cohomology_only_for_pairs_with_a_nonempty_term(monkeypatc
     assert len(nonempty) < len(X) ** 2
     zero = next((a, b) for a in X for b in X if (a, b) not in nonempty)
     coh = cohomology(table, *zero)
-    assert coh.module is X[zero[1]].module and coh.degrees() == []
+    assert coh.module is X[zero[1]].module
+    assert not any(coh.term(n) for n in range(-15, table.top + 1))
     assert composition_table(spec).pairs == checked_pattern(table).pairs
 
 
@@ -246,8 +255,17 @@ def test_finite_target_class_outside_the_window_is_reported(monkeypatch):
 
     monkeypatch.setattr(bside, "buchweitz_pieces", with_a_far_piece)
     table = HomTable(spec)
-    with monkeypatch.context() as unchecked:  # the rows, read past the check
-        unchecked.setattr(bside, "check_closed_form", lambda found: None)
+    walk = table.walk
+
+    def unchecked():
+        """The walk's yields, without the check that ends the walk."""
+        try:
+            yield from walk()
+        except OffClosedForm:
+            pass
+
+    with monkeypatch.context() as before_the_check:  # the rows, read off the yields
+        before_the_check.setattr(table, "walk", unchecked)
         assert table.rows() == clean_rows
     dims, mismatches = walk_cells(table)
     assert mismatches == [{"source": "K0(1,1)", "target": "K0(2,2)", "degree": 8,
@@ -309,7 +327,13 @@ def test_a_table_walks_twice_to_the_same_cells_and_rows(monkeypatch, dropped):
     table = HomTable(FamilySpec("loop", 3, 3))
 
     def walked():
-        return [(a, list(cohs), cells, mismatches) for a, cohs, cells, mismatches in table.walk()]
+        steps = []
+        try:
+            for a, cohs, cells, mismatches in table.walk():
+                steps.append((a, list(cohs), cells, mismatches))
+        except OffClosedForm as exc:
+            steps.append(str(exc))  # the walk's last step
+        return steps
 
     def rows():
         try:
@@ -319,9 +343,31 @@ def test_a_table_walks_twice_to_the_same_cells_and_rows(monkeypatch, dropped):
 
     first, first_rows = walked(), rows()
     assert first == walked() and first_rows == rows()
-    assert all(cells for _, _, cells, _ in first)
-    assert any(mismatches for *_, mismatches in first) == (dropped is not None)
+    sources = [step for step in first if not isinstance(step, str)]
+    assert len(sources) == len(table.objects)
+    assert all(cells for _, _, cells, _ in sources)
+    assert any(mismatches for *_, mismatches in sources) == (dropped is not None)
     assert isinstance(first_rows, str) == (dropped is not None)
+    if dropped:
+        assert first[-1] == first_rows  # the walk ends in the error `rows` raises
+    else:
+        assert sources == first
+
+
+def test_an_off_table_yields_every_source_before_it_raises(monkeypatch):
+    # the walk reports a table off the closed form only after its last
+    # source: a consumer receives all len(objects) yields, those after the
+    # first source off the closed form included, and then OffClosedForm
+    from mfvc import bside
+
+    monkeypatch.setattr(bside, "closed_form", lambda objects: DirectedAlgebra(objects, []))
+    table = HomTable(FamilySpec("loop", 3, 3))
+    received = []
+    with pytest.raises(OffClosedForm, match="closed form"):
+        for a, _, _, mismatches in table.walk():
+            received.append((a, bool(mismatches)))
+    assert [a for a, _ in received] == list(reversed(table.objects))
+    assert [off for _, off in received].index(True) < len(received) - 1
 
 
 def test_hom_table_examples_loop33():

@@ -504,21 +504,54 @@ def test_cli_compare_and_transport_load_without_numpy():
 
 def test_projection_outside_the_buchweitz_term_gives_report(monkeypatch, capsys):
     # a stray monomial of a degree no term of loop(2,3) reaches, added to
-    # every sum of the precomposition kernel before its positions are read
-    from mfvc.mf import HomCohomology
+    # every sum of the precomposition kernel before its positions are read:
+    # each row gets one more summand, x^1000 times the unit of column 0,
+    # and x^1000 and its multiples are their own normal forms
+    from mfvc import mf
+    from mfvc.polyring import Poly, QuotientRing
 
-    positions = HomCohomology._positions
+    nf_mono, precompose = QuotientRing.nf_mono, mf._precompose
 
-    def with_stray_monomial(self, n, coeffs):
-        return positions(self, n, {**coeffs, (0, (1000, 0)): 1})
+    def stray_is_standard(self, mono):
+        return Poly.monomial(*mono) if mono[0] >= 1000 else nf_mono(self, mono)
 
-    monkeypatch.setattr(HomCohomology, "_positions", with_stray_monomial)
+    def with_stray_summand(outer, G, cohom, n):
+        unit = [Poly.constant(1)] + [Poly()] * (len(G[0]) - 1)
+        return precompose(outer + [Poly.monomial(1000, 0)], G + [unit], cohom, n)
+
+    monkeypatch.setattr(QuotientRing, "nf_mono", stray_is_standard)
+    monkeypatch.setattr(mf, "_precompose", with_stray_summand)
     code, payload = _mirror_check_in_process(capsys)
     assert code == 1
     assert payload["pass"] is False
     [mismatch] = payload["mismatches"]
     assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"
     assert "(0, x^1000)" in mismatch["detail"] and "degree-0" in mismatch["detail"]
+
+
+def test_wrong_degree_differential_gives_report(monkeypatch, capsys):
+    # K0(1,1) of loop(3,3) with d0[1][0] = x^2 in place of x: its hom
+    # differentials map into monomials outside the Buchweitz terms, which is
+    # a b_side report, not a KeyError traceback
+    from mfvc import bside
+    from mfvc.polyring import Poly
+
+    build = bside.build_basic_object
+
+    def with_wrong_degree(group, label):
+        K = build(group, label)
+        if label == ("K0", 1, 1):
+            K.d0[1][0] = Poly.monomial(2, 0)
+        return K
+
+    monkeypatch.setattr(bside, "build_basic_object", with_wrong_degree)
+    code, payload = _mirror_check_in_process(capsys, "3", "3")
+    assert code == 1
+    assert payload["pass"] is False
+    [mismatch] = payload["mismatches"]
+    assert mismatch["kind"] == "b_side" and mismatch["stage"] == "composition_table"
+    for part in ("(0, x^9)", "degree-7", "K0(1,1)"):
+        assert part in mismatch["detail"]
 
 
 def test_a_side_generator_off_degree_0_gives_report(monkeypatch, capsys):
